@@ -10,7 +10,7 @@ from cyclofree import hereditary_check, is_admissible, sieve_box
 
 print("sieved windows are admissible")
 box = sieve_box(4, 2, 30)
-print(f"  radius 30 window, {box.count} points: {is_admissible(box.points, 4, 2)}")
+print(f"  radius 30 window, {box.count} points: {is_admissible(set(box.sorted_points()), 4, 2)}")
 print()
 
 print("heredity: random subsets stay admissible")

@@ -3,8 +3,8 @@
 Each command computes a payload (JSON, or CSV for point clouds), writes it
 to --out or stdout, and emits a run manifest carrying the parameters, the
 seed, and a SHA-256 digest of the payload bytes.  Payload bytes depend only
-on the parameters and the seed, never on wall time or the worker count, so
-rerunning a manifest reproduces the digest.
+on the parameters and the seed, never on wall time, so rerunning a manifest
+reproduces the digest.
 
 Exit codes: 0 success, 2 invalid parameters, 3 resource limit, 4
 verification failure (a failed symmetry check is loud by design).
@@ -39,6 +39,8 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
+PAYLOAD_BLOCK = 1 << 14
+
 
 def _emit(args, command: str, params: dict, payload: bytes, seed: int, wall: float) -> None:
     digest = hashlib.sha256(payload).hexdigest()
@@ -64,25 +66,29 @@ def _emit(args, command: str, params: dict, payload: bytes, seed: int, wall: flo
 
 
 def _points_payload(box, fmt: str) -> bytes:
-    pts = box.sorted_points()
+    """CSV rows or a JSON document of the box's points, in lexicographic
+    order.  Rows are formatted PAYLOAD_BLOCK at a time, by one %-format
+    per block, straight from the point array."""
+    pts = box.point_array()
     d = box.d
     if fmt == "csv":
-        lines = [",".join(f"x{i+1}" for i in range(d))]
-        lines.extend(",".join(str(v) for v in p) for p in pts)
-        return ("\n".join(lines) + "\n").encode("utf-8")
-    doc = {
-        "n": box.n,
-        "k": box.k,
-        "radius": box.r,
-        "count": box.count,
-        "points": [list(p) for p in pts],
-    }
-    return (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
+        head = ",".join(f"x{i+1}" for i in range(d)) + "\n"
+        row, sep, tail = ",".join(["%d"] * d) + "\n", "", ""
+    else:
+        doc = {"n": box.n, "k": box.k, "radius": box.r, "count": len(pts), "points": "@"}
+        head, tail = json.dumps(doc, sort_keys=True).split('"@"')
+        head, tail = head + "[", "]" + tail + "\n"
+        row, sep = "[" + ", ".join(["%d"] * d) + "]", ", "
+    blocks = (
+        sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+        for block in (pts[i : i + PAYLOAD_BLOCK] for i in range(0, len(pts), PAYLOAD_BLOCK))
+    )
+    return (head + sep.join(blocks) + tail).encode("utf-8")
 
 
 def cmd_sieve(args) -> int:
     t0 = time.perf_counter()
-    box = sieve_box(args.n, args.k, args.radius, threads=args.threads)
+    box = sieve_box(args.n, args.k, args.radius)
     payload = _points_payload(box, args.format)
     report = density_estimate(box, prime_bound=args.prime_bound)
     wall = time.perf_counter() - t0
@@ -103,7 +109,7 @@ def cmd_sieve(args) -> int:
 
 def cmd_density(args) -> int:
     t0 = time.perf_counter()
-    box = sieve_box(args.n, args.k, args.radius, threads=args.threads)
+    box = sieve_box(args.n, args.k, args.radius)
     report = density_estimate(box, prime_bound=args.prime_bound)
     payload = (report.to_json() + "\n").encode("utf-8")
     wall = time.perf_counter() - t0
@@ -155,8 +161,7 @@ def cmd_symcheck(args) -> int:
     t0 = time.perf_counter()
     reports = [
         verify_stabiliser_action(
-            element, args.k, args.radius, sample_size=args.samples, seed=args.seed,
-            threads=args.threads,
+            element, args.k, args.radius, sample_size=args.samples, seed=args.seed
         )
         for element in generator_elements(args.n)
     ]
@@ -193,7 +198,7 @@ def cmd_aq(args) -> int:
 def cmd_patches(args) -> int:
     t0 = time.perf_counter()
     shape = [tuple(off) for off in json.loads(args.shape)]
-    box = sieve_box(args.n, args.k, args.radius, threads=args.threads)
+    box = sieve_box(args.n, args.k, args.radius)
     census = extract_patches(box, shape)
     doc = {
         "n": args.n,
@@ -212,15 +217,13 @@ def cmd_patches(args) -> int:
     return EXIT_OK
 
 
-def _add_common(parser, radius=False, prime_bound=None, threads=False):
+def _add_common(parser, radius=False, prime_bound=None):
     parser.add_argument("--out", type=str, default=None, help="payload file (default stdout)")
     parser.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
     if radius:
         parser.add_argument("--radius", type=int, required=True, help="box half-width")
     if prime_bound is not None:
         parser.add_argument("--prime-bound", dest="prime_bound", type=int, default=prime_bound)
-    if threads:
-        parser.add_argument("--threads", type=int, default=1, help="worker count (output-neutral)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -234,13 +237,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p, radius=True, prime_bound=10_000, threads=True)
+    _add_common(p, radius=True, prime_bound=10_000)
     p.set_defaults(func=cmd_sieve)
 
     p = sub.add_parser("density", help="empirical density against the zeta interval")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    _add_common(p, radius=True, prime_bound=100_000, threads=True)
+    _add_common(p, radius=True, prime_bound=100_000)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("zeta", help="rigorous enclosure of the Dedekind zeta value")
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--samples", type=int, default=1000)
-    _add_common(p, radius=True, threads=True)
+    _add_common(p, radius=True)
     p.set_defaults(func=cmd_symcheck)
 
     p = sub.add_parser("aq", help="search the least a_q meeting (H1)(H2)(H3)")
@@ -279,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--shape", type=str, required=True, help="JSON list of offsets")
-    _add_common(p, radius=True, threads=True)
+    _add_common(p, radius=True)
     p.set_defaults(func=cmd_patches)
 
     return parser

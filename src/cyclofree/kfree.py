@@ -15,10 +15,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -41,32 +39,14 @@ def point_cap() -> int:
     return int(value) if value else DEFAULT_MAX_POINTS
 
 
-def norm_bound(n: int, r: int, tight: bool = False) -> int:
+def norm_bound(n: int, r: int) -> int:
     """An upper bound M >= max |N(x)| over the box [-r, r]^d.
 
-    The crude bound is (d*r)^d, from |sigma(x)| <= sum |m_i| <= d*r in
-    every embedding.  The tight variant multiplies per-embedding maxima
-    over the box corners (the modulus is convex, so corners suffice),
-    computed in floating point and padded outward before rounding up.
+    The bound is (d*r)^d, from |sigma(x)| <= sum |m_i| <= d*r in every
+    embedding.
     """
     d = ring_degree(n)
-    if not tight or d > 12:
-        return (d * r) ** d
-    bound = 1.0
-    for j in range(1, n):
-        if math.gcd(j, n) != 1:
-            continue
-        zeta_powers = [complex(math.cos(2 * math.pi * j * i / n), math.sin(2 * math.pi * j * i / n)) for i in range(d)]
-        best = 0.0
-        for corner in range(1 << (d - 1)):
-            # the corner with m_0 = +r; modulus is symmetric under negation
-            acc = complex(r * zeta_powers[0].real, r * zeta_powers[0].imag)
-            for i in range(1, d):
-                s = r if (corner >> (i - 1)) & 1 else -r
-                acc += s * zeta_powers[i]
-            best = max(best, abs(acc))
-        bound *= best * (1.0 + 1e-12)
-    return min(math.ceil(bound * (1.0 + 1e-9)), (d * r) ** d)
+    return (d * r) ** d
 
 
 @dataclass
@@ -100,21 +80,13 @@ class KFreeBox:
             return False
         return bool(self.grid[tuple(v + self.r for v in point)])
 
-    @cached_property
-    def points(self) -> set[tuple[int, ...]]:
-        flat = np.flatnonzero(self.grid.reshape(-1))
-        side = self.side
-        out = set()
-        for idx in flat.tolist():
-            coords = []
-            for _ in range(self.d):
-                idx, rem = divmod(idx, side)
-                coords.append(rem - self.r)
-            out.add(tuple(reversed(coords)))
-        return out
+    def point_array(self) -> np.ndarray:
+        """The k-free points as an (m, d) int64 array in lexicographic order
+        (np.argwhere scans the grid in C order)."""
+        return np.argwhere(self.grid) - self.r
 
     def sorted_points(self) -> list[tuple[int, ...]]:
-        return sorted(self.points)
+        return list(map(tuple, self.point_array().tolist()))
 
     @property
     def empirical_density(self) -> Fraction:
@@ -124,31 +96,20 @@ class KFreeBox:
         return CycInt.unembed(self.n, point)
 
 
-def _collect_removals(lattice, radius: int, side: int, d: int) -> list[int]:
-    out = []
-    weights = [side ** (d - 1 - t) for t in range(d)]
-    for point in lattice.points_in_box(radius):
-        idx = 0
-        for t in range(d):
-            idx += (point[t] + radius) * weights[t]
-        out.append(idx)
-    return out
-
-
 def sieve_box(
     n: int,
     k: int,
     r: int,
-    tight_bound: bool = False,
     max_points: int | None = None,
-    threads: int = 1,
     ideal_norm_cap: int | None = None,
 ) -> KFreeBox:
     """Sieve [-r, r]^d down to the k-free points.
 
-    Lattice removals commute, so the result is independent of the worker
-    count.  Raises ResourceCapError when the box has more points than the
-    cap (CYCLOFREE_MAX_POINTS or the built-in default).
+    Every lattice clears its points from a flat occupancy array, a block
+    of points at a time (IdealLattice.point_blocks), through the flat
+    indices (x + r) . (side^(d-1), ..., side, 1).  Raises ResourceCapError
+    when the box has more points than the cap (CYCLOFREE_MAX_POINTS or the
+    built-in default).
 
     ideal_norm_cap restricts the sieve to ideals of norm at most that cap,
     which yields the lattice-periodic superset whose density brackets the
@@ -168,24 +129,18 @@ def sieve_box(
             f"box has {volume} points, above the cap of {cap}; "
             "raise CYCLOFREE_MAX_POINTS to override"
         )
-    bound = norm_bound(n, r, tight=tight_bound)
+    bound = norm_bound(n, r)
     cap_norm = integer_kth_root(bound, k)
     if ideal_norm_cap is not None:
         cap_norm = min(cap_norm, ideal_norm_cap)
     ideals = tuple(enumerate_prime_ideals(n, cap_norm))
     lattices = [ideal_lattice(P, k) for P in ideals]
     flat = np.ones(volume, dtype=bool)
-    if threads > 1 and lattices:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = pool.map(lambda lat: _collect_removals(lat, r, side, d), lattices)
-            for chunk in chunks:
-                if chunk:
-                    flat[np.asarray(chunk, dtype=np.int64)] = False
-    else:
-        for lat in lattices:
-            chunk = _collect_removals(lat, r, side, d)
-            if chunk:
-                flat[np.asarray(chunk, dtype=np.int64)] = False
+    weights = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    offset = r * int(weights.sum())
+    for lat in lattices:
+        for block in lat.point_blocks(r):
+            flat[block @ weights + offset] = False
     grid = flat.reshape((side,) * d)
     grid[(r,) * d] = False  # 0 is divisible by every ideal power
     return KFreeBox(n=n, k=k, r=r, grid=grid, prime_ideals_used=ideals)
@@ -360,21 +315,19 @@ def is_admissible(points: Iterable[Sequence[int]], n: int, k: int) -> bool:
     every lattice of an ideal power P^k.
 
     Only ideals with N(P)^k <= |set| can be covered, since the coset
-    count of the others already exceeds the set size.
+    count of the others already exceeds the set size.  A lattice is
+    covered when the points take all of its index coset codes.
     """
     validate_conductor(n)
-    pts = {tuple(int(v) for v in p) for p in points}
-    if not pts:
+    distinct = {tuple(int(v) for v in p) for p in points}
+    if not distinct:
         return True
+    pts = np.array(list(distinct))
     cap = integer_kth_root(len(pts), k)
     for ideal in enumerate_prime_ideals(n, cap):
         lattice = ideal_lattice(ideal, k)
-        seen: set[tuple[int, ...]] = set()
-        full = lattice.index
-        for p in pts:
-            seen.add(lattice.coset_id(p))
-            if len(seen) == full:
-                return False
+        if np.unique(lattice.coset_codes(pts)).size == lattice.index:
+            return False
     return True
 
 

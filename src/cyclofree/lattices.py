@@ -15,7 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
+import numpy as np
+
+from .arith import xgcd
 from .cyclotomic import CycInt
+
+# Frontier rows per step of IdealLattice.point_blocks.
+BLOCK_ROWS = 1 << 15
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -41,6 +47,11 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else 1
+
+
+def _exact_dtype(bound: int):
+    """int64 when every intermediate value stays below bound, else Python ints."""
+    return np.int64 if bound < 1 << 62 else object
 
 
 class RankError(ValueError):
@@ -88,45 +99,73 @@ class IdealLattice:
                     residue[t] -= q * row[t]
         return tuple(residue)
 
-    def points_in_box(self, radius: int) -> Iterator[tuple[int, ...]]:
-        """All lattice points with sup norm <= radius, without scanning the box.
+    def coset_codes(self, points) -> np.ndarray:
+        """coset_id of every row of an (m, d) integer array, as one integer.
 
-        Walks coefficient choices from the last basis row down; choosing the
-        coefficient of row j fixes coordinate j, so every branch of the walk
-        yields a point.
+        The residue r is encoded in mixed radix over the diagonal,
+        r[0] + b_00*(r[1] + b_11*(r[2] + ...)), which lies in [0, index).
+        Rows are first reduced mod index (index * Z^d lies in the lattice),
+        so entries stay below about 2^d * index^2 during the reduction.
+        """
+        points = np.asarray(points)
+        if points.ndim != 2 or points.shape[1] != self.d:
+            raise ValueError(f"points have shape {points.shape}, lattice rank {self.d}")
+        dtype = _exact_dtype(self.index**2 << self.d)
+        residue = (points % self.index).astype(dtype)
+        basis = np.array(self.basis, dtype=dtype)
+        code = np.zeros(len(residue), dtype=dtype)
+        for j in range(self.d - 1, -1, -1):
+            row = basis[j]
+            q = residue[:, j] // row[j]
+            residue[:, : j + 1] -= q[:, None] * row[: j + 1]
+            code = code * row[j] + residue[:, j]
+        return code
+
+    def point_blocks(self, radius: int) -> Iterator[np.ndarray]:
+        """All lattice points with sup norm <= radius, as (m, d) int64 arrays.
+
+        Breadth first over the basis rows from the last one down: the
+        coefficient of row j fixes coordinate j, so each prefix (a partial
+        sum of the rows below j) expands to the run of coefficients that
+        keeps coordinate j in [-radius, radius].  All prefixes of a row
+        expand at once; a frontier that would pass BLOCK_ROWS rows is split
+        in halves first, which bounds the memory of the walk.
         """
         d = self.d
-        basis = self.basis
-        coords = [0] * d
-
-        def walk(j: int):
+        if not d:
+            return
+        # The coefficients have sum |c_i| < radius * 2^d and no basis entry
+        # exceeds the index, so partial sums stay below their product.
+        dtype = _exact_dtype((radius << d) * self.index)
+        basis = np.array(self.basis, dtype=dtype)
+        stack = [(d - 1, np.zeros((1, d), dtype=dtype))]
+        while stack:
+            j, prefixes = stack.pop()
             row = basis[j]
-            diag = row[j]
-            base = coords[j]
-            lo = -((radius + base) // diag)
-            hi = (radius - base) // diag
-            if lo > hi:
-                return
-            if lo:
-                for t in range(j + 1):
-                    coords[t] += lo * row[t]
-            c = lo
-            while True:
-                if j == 0:
-                    yield tuple(coords)
-                else:
-                    yield from walk(j - 1)
-                if c == hi:
-                    break
-                c += 1
-                for t in range(j + 1):
-                    coords[t] += row[t]
-            if hi:
-                for t in range(j + 1):
-                    coords[t] -= hi * row[t]
+            base = prefixes[:, j]
+            lo = -((radius + base) // row[j])
+            counts = np.maximum((radius - base) // row[j] - lo + 1, 0).astype(np.int64)
+            total = int(counts.sum())
+            if total > BLOCK_ROWS and len(prefixes) > 1:
+                half = len(prefixes) // 2
+                stack.append((j, prefixes[half:]))
+                stack.append((j, prefixes[:half]))
+                continue
+            if not total:
+                continue
+            owner = np.repeat(np.arange(len(prefixes)), counts)
+            start = np.cumsum(counts) - counts
+            coef = lo[owner] + (np.arange(total) - start[owner])
+            points = prefixes[owner]
+            points[:, : j + 1] += coef[:, None] * row[: j + 1]
+            if j:
+                stack.append((j - 1, points))
+            else:
+                yield points.astype(np.int64)
 
-        if d:
-            yield from walk(d - 1)
+    def points_in_box(self, radius: int) -> Iterator[tuple[int, ...]]:
+        """The points of point_blocks, one tuple at a time."""
+        return (tuple(p) for block in self.point_blocks(radius) for p in block.tolist())
 
     def to_json(self) -> str:
         return json.dumps(
@@ -176,7 +215,7 @@ def hnf(generators: Sequence[Sequence[int]], n: int = 0, modulus: Optional[int] 
                 for t in range(j + 1):
                     vec[t] -= q * row[t]
             else:
-                g, x, y = _xgcd(a, b)
+                g, x, y = xgcd(a, b)
                 au, bu = a // g, b // g
                 for t in range(j + 1):
                     rt, vt = row[t], vec[t]
@@ -209,17 +248,6 @@ def hnf(generators: Sequence[Sequence[int]], n: int = 0, modulus: Optional[int] 
                     basis[i][t] -= q * basis[j][t]
     index = math.prod(basis[j][j] for j in range(d))
     return IdealLattice(n, d, tuple(tuple(row) for row in basis), index)
-
-
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        a, x0, y0 = -a, -x0, -y0
-    return a, x0, y0
 
 
 @lru_cache(maxsize=None)

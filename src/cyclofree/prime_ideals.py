@@ -18,7 +18,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import gfpoly
-from .arith import factor_integer, integer_kth_root, is_prime, multiplicative_order, primes_up_to
+from .arith import factor_integer, is_prime, multiplicative_order, primes_up_to
 from .cyclotomic import CycInt, IntPolynomial, cyclotomic_polynomial, ring_degree, validate_conductor
 from .lattices import ideal_lattice
 
@@ -203,11 +203,6 @@ def norm_valuation_profile(x: CycInt) -> dict[int, int]:
         total = sum(ideal.f * valuation(x, ideal) for ideal in split_prime(ell, x.n))
         profile[ell] = total
     return profile
-
-
-def kth_norm_root_bound(norm: int, k: int) -> int:
-    """Largest admissible prime-ideal norm for a k-th power divisor."""
-    return integer_kth_root(norm, k)
 
 
 def is_kfree_bruteforce(x: CycInt, k: int) -> bool:

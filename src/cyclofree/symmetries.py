@@ -207,11 +207,10 @@ def verify_stabiliser_action(
     sample_size: int = 1000,
     seed: int = 0,
     include_inverse: bool = True,
-    threads: int = 1,
 ) -> ActionReport:
     """Check that the element and its inverse map sampled k-free points to
     k-free points; the expected failure count is zero."""
-    box = kfree_mod.sieve_box(element.n, k, r_box, threads=threads)
+    box = kfree_mod.sieve_box(element.n, k, r_box)
     pts = box.sorted_points()
     rng = random.Random(seed)
     sample = pts if len(pts) <= sample_size else rng.sample(pts, sample_size)

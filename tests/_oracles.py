@@ -18,3 +18,44 @@ def character_oracle_gaussian(k: int) -> tuple[float, float]:
     l_partial = math.fsum((-1) ** j * (2 * j + 1) ** -float(k) for j in range(m_terms))
     l_err = (2 * m_terms + 1) ** -k + 1e-11
     return zeta_lo * (l_partial - l_err), zeta_hi * (l_partial + l_err)
+
+
+def lattice_walk(lattice, radius: int):
+    """All points of an HNF lattice with sup norm <= radius, one at a time.
+
+    The recursive walk the array sieve replaced: coefficient choices go from
+    the last basis row down, and choosing the coefficient of row j fixes
+    coordinate j, so every branch yields a point.
+    """
+    d = lattice.d
+    basis = lattice.basis
+    coords = [0] * d
+
+    def walk(j: int):
+        row = basis[j]
+        diag = row[j]
+        base = coords[j]
+        lo = -((radius + base) // diag)
+        hi = (radius - base) // diag
+        if lo > hi:
+            return
+        if lo:
+            for t in range(j + 1):
+                coords[t] += lo * row[t]
+        c = lo
+        while True:
+            if j == 0:
+                yield tuple(coords)
+            else:
+                yield from walk(j - 1)
+            if c == hi:
+                break
+            c += 1
+            for t in range(j + 1):
+                coords[t] += row[t]
+        if hi:
+            for t in range(j + 1):
+                coords[t] -= hi * row[t]
+
+    if d:
+        yield from walk(d - 1)

@@ -39,14 +39,12 @@ class TestSieveCommand:
         code, _, _ = run(tmp_path, "sieve", "--n", "4", "--k", "2", "--radius", "5")
         assert code == 3
 
-    def test_rerun_and_thread_variation_keep_digest(self, tmp_path):
+    def test_rerun_keeps_digest(self, tmp_path):
         digests = set()
-        for threads in ("1", "1", "3"):
-            sub = tmp_path / f"t{threads}{len(digests)}"
+        for attempt in range(3):
+            sub = tmp_path / f"run{attempt}"
             sub.mkdir()
-            _, _, manifest = run(
-                sub, "sieve", "--n", "4", "--k", "2", "--radius", "8", "--threads", threads
-            )
+            _, _, manifest = run(sub, "sieve", "--n", "4", "--k", "2", "--radius", "8")
             digests.add(manifest["output_digest"])
         assert len(digests) == 1
 
@@ -143,7 +141,7 @@ class TestSymcheckCommand:
         import cyclofree.cli as cli_mod
         from cyclofree.symmetries import ActionReport
 
-        def broken(element, k, radius, sample_size, seed, threads=1):
+        def broken(element, k, radius, sample_size, seed):
             return ActionReport(
                 n=element.n, k=k, element=element.describe(), checked=1,
                 failures=[(0, 1)],

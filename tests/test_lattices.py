@@ -1,9 +1,13 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracles import lattice_walk
+from cyclofree import lattices
+from cyclofree.cyclotomic import ring_degree
 from cyclofree.lattices import (
     IdealLattice,
     RankError,
@@ -12,11 +16,34 @@ from cyclofree.lattices import (
     hnf,
     ideal_lattice,
 )
-from cyclofree.prime_ideals import split_prime
+from cyclofree.prime_ideals import enumerate_prime_ideals, split_prime
 
 
 def ideal_above(ell, n, which=0):
     return split_prime(ell, n)[which]
+
+
+CONDUCTORS = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15)
+# Largest radius whose box [-r, r]^d has at most 20000 points (at least 1).
+WALK_RADIUS = {2: 70, 4: 5, 6: 2, 8: 1, 10: 1, 12: 1}
+
+
+def power_lattice(n, which, k):
+    """The lattice of P^k for one of the prime ideals of norm <= 60."""
+    ideals = list(enumerate_prime_ideals(n, 60))
+    return ideal_lattice(ideals[which % len(ideals)], k)
+
+
+def block_points(lat, radius):
+    """point_blocks as a sorted list of tuples, duplicates kept."""
+    return sorted(tuple(p) for block in lat.point_blocks(radius) for p in block.tolist())
+
+
+def mixed_radix(lat, residue):
+    code = 0
+    for j in range(lat.d - 1, -1, -1):
+        code = code * lat.basis[j][j] + residue[j]
+    return code
 
 
 class TestDeterminant:
@@ -204,6 +231,59 @@ class TestPointsInBox:
         fast = set(lat.points_in_box(3))
         slow = {p for p in box_points(3, 4) if lat.member(p)}
         assert fast == slow
+
+
+class TestPointBlocks:
+    @given(st.sampled_from(CONDUCTORS), st.integers(0, 20), st.integers(2, 3), st.integers(1, 70))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_the_walk(self, n, which, k, radius):
+        lat = power_lattice(n, which, k)
+        radius = min(radius, WALK_RADIUS[ring_degree(n)])
+        assert block_points(lat, radius) == sorted(lattice_walk(lat, radius))
+
+    def test_split_frontier_matches_the_walk(self, monkeypatch):
+        monkeypatch.setattr(lattices, "BLOCK_ROWS", 7)
+        lat = ideal_lattice(ideal_above(2, 4), 2)  # the lattice of (2), index 4
+        expected = sorted(lattice_walk(lat, 30))
+        assert len(expected) == 31 * 31
+        assert block_points(lat, 30) == expected
+        # a frontier splits down to single prefixes, whose runs span the side
+        assert all(len(block) <= 61 for block in lat.point_blocks(30))
+
+    def test_entries_beyond_int64(self):
+        lat = hnf([[2**64, 0], [5, 3]])
+        assert block_points(lat, 10) == sorted(lattice_walk(lat, 10))
+        assert block_points(lat, 10) == [(5 * c, 3 * c) for c in range(-2, 3)]
+
+    def test_points_in_box_yields_tuples(self):
+        lat = ideal_lattice(ideal_above(5, 4), 2)
+        points = list(lat.points_in_box(9))
+        assert all(type(p) is tuple and all(type(v) is int for v in p) for p in points)
+        assert sorted(points) == sorted(lattice_walk(lat, 9))
+
+
+class TestCosetCodes:
+    @given(st.sampled_from(CONDUCTORS), st.integers(0, 20), st.integers(2, 3), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_match_coset_id(self, n, which, k, data):
+        lat = power_lattice(n, which, k)
+        bound = data.draw(st.sampled_from((10, 10**6, 2**70)))
+        coord = st.integers(-bound, bound)
+        points = data.draw(st.lists(st.lists(coord, min_size=lat.d, max_size=lat.d), min_size=1, max_size=20))
+        codes = lat.coset_codes(np.array(points))
+        assert [int(c) for c in codes] == [mixed_radix(lat, lat.coset_id(p)) for p in points]
+        assert all(0 <= c < lat.index for c in codes)
+
+    def test_every_code_of_a_full_residue_box(self):
+        lat = ideal_lattice(ideal_above(5, 4), 2)  # index 25
+        points = np.array(list(box_points(12, 2)))
+        assert sorted(set(lat.coset_codes(points).tolist())) == list(range(lat.index))
+
+    def test_entries_beyond_int64(self):
+        lat = hnf([[2**64, 0], [5, 3]])
+        points = [[2**66 + 7, -4], [1, 1], [-(2**65), 2**65 + 1]]
+        codes = lat.coset_codes(np.array(points, dtype=object))
+        assert list(codes) == [mixed_radix(lat, lat.coset_id(p)) for p in points]
 
 
 class TestSerialization:

@@ -1,0 +1,56 @@
+"""Golden payload digests: the CLI output bytes are part of the contract.
+
+Each digest is the SHA-256 of a payload as written by the recursive
+per-point sieve that preceded the array sieve.  Any change to sieving,
+point order or payload encoding that alters a single byte fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cyclofree.cli import main
+
+GOLDEN = {
+    "sieve-n4-r8-csv": (
+        ["sieve", "--n", "4", "--k", "2", "--radius", "8", "--format", "csv"],
+        "908f449ee5731ed383094d758c01d4f9baae3ccdef764fe61ecf954bafdb384b",
+    ),
+    "sieve-n4-r8-json": (
+        ["sieve", "--n", "4", "--k", "2", "--radius", "8", "--format", "json"],
+        "8c7463a745c8ca212ae8ea12e3c6e369472b106c61ceb66f1ffe8c423512349d",
+    ),
+    "sieve-n5-r3-csv": (
+        ["sieve", "--n", "5", "--k", "2", "--radius", "3", "--format", "csv"],
+        "90b8a3f34fda0eb56ce94c406669e5415edb68d843cc44f93d9176425d9635a4",
+    ),
+    "sieve-n5-r3-json": (
+        ["sieve", "--n", "5", "--k", "2", "--radius", "3", "--format", "json"],
+        "2edc8def706615ed08b41fa3f6871bb94283113ca0250e9c9bf56d0ab75fe665",
+    ),
+    "patches": (
+        ["patches", "--n", "4", "--k", "2", "--radius", "10",
+         "--shape", "[[0,0],[0,1],[1,0],[1,1]]"],
+        "cb56141176803b2836ea1eaa8939e0c903d292328c69104f3e87535f3dba188a",
+    ),
+    "symcheck-n4": (
+        ["symcheck", "--n", "4", "--k", "2", "--radius", "10", "--samples", "40"],
+        "1ee54975a5539e67d68342a9ec55c73ec20d3fc2d1d1921e71df9bed43370dcc",
+    ),
+    "symcheck-n12": (
+        ["symcheck", "--n", "12", "--k", "2", "--radius", "2", "--samples", "30",
+         "--seed", "3"],
+        "1490a996a85facee9ce7ef2cc744ab2972bda595a097f7d332aaa11c5ff40aac",
+    ),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(GOLDEN))
+def test_payload_digest_is_golden(tmp_path, tag):
+    argv, expected = GOLDEN[tag]
+    out = tmp_path / "payload"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == expected
+    manifest = json.loads((tmp_path / "payload.manifest.json").read_text())
+    assert manifest["output_digest"] == expected
