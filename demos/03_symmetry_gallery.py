@@ -11,6 +11,7 @@ from cyclofree import (
     galois_group,
     generator_elements,
     scan_for_violation,
+    sieve_box,
     symmetry_element,
     unit_generators,
     verify_stabiliser_action,
@@ -43,8 +44,9 @@ print(f"  (zeta, 5) * (1-zeta, 7) = (unit {c.unit.coeffs}, r={c.r})")
 print()
 
 print("verification on sieved points (k = 2)")
+box = sieve_box(N, 2, 5)
 for element in generator_elements(N)[:4]:
-    report = verify_stabiliser_action(element, 2, 5, sample_size=400)
+    report = verify_stabiliser_action(element, box, sample_size=400)
     print(
         f"  unit {element.unit.coeffs} r={element.r}:"
         f" {report.checked} checks, {len(report.failures)} failures"

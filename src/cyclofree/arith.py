@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import compress
 
 FACTOR_LIMIT = 1 << 128
 
@@ -25,7 +26,7 @@ def primes_up_to(bound: int) -> list[int]:
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(bound + 1), sieve))
 
 
 def is_prime(m: int) -> bool:

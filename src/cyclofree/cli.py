@@ -159,10 +159,9 @@ def cmd_admissible(args) -> int:
 
 def cmd_symcheck(args) -> int:
     t0 = time.perf_counter()
+    box = sieve_box(args.n, args.k, args.radius)
     reports = [
-        verify_stabiliser_action(
-            element, args.k, args.radius, sample_size=args.samples, seed=args.seed
-        )
+        verify_stabiliser_action(element, box, sample_size=args.samples, seed=args.seed)
         for element in generator_elements(args.n)
     ]
     failures = sum(len(r.failures) for r in reports)

@@ -13,6 +13,7 @@ the embedded point lies in the lattice of P^m.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -76,26 +77,56 @@ def factor_poly_mod_p(poly: IntPolynomial, ell: int, seed: int = 0):
 
 
 @lru_cache(maxsize=None)
+def residue_splitting(n: int) -> tuple[tuple[int, int] | None, ...]:
+    """(f, g) of the unramified primes, indexed by their residue mod n.
+
+    For ell not dividing n, the residue degree f is the order of ell mod n
+    and g = phi(n) / f (Washington, Introduction to Cyclotomic Fields,
+    Thm 2.13), so both depend only on a = ell mod n.  Entry a is None when
+    gcd(a, n) > 1.
+    """
+    validate_conductor(n)
+    d = ring_degree(n)
+    table: list[tuple[int, int] | None] = []
+    for a in range(n):
+        if math.gcd(a, n) == 1:
+            f = multiplicative_order(a, n)
+            table.append((f, d // f))
+        else:
+            table.append(None)
+    return tuple(table)
+
+
+@lru_cache(maxsize=None)
 def splitting_type(ell: int, n: int) -> tuple[int, int, int]:
     """(e, f, g) for the rational prime ell in conductor n, no factorization."""
     validate_conductor(n)
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
+    if n % ell:
+        f, g = residue_splitting(n)[ell % n]
+        return 1, f, g
     d = ring_degree(n)
-    if n % ell == 0:
-        a = 0
-        m = n
-        while m % ell == 0:
-            a += 1
-            m //= ell
-        e = ell**a - ell ** (a - 1)
-        f = multiplicative_order(ell, m) if m > 1 else 1
-    else:
-        e = 1
-        f = multiplicative_order(ell, n)
+    a = 0
+    m = n
+    while m % ell == 0:
+        a += 1
+        m //= ell
+    e = ell**a - ell ** (a - 1)
+    f = multiplicative_order(ell, m) if m > 1 else 1
     g = d // (e * f)
     assert e * f * g == d
     return e, f, g
+
+
+def local_degrees(ell: int, n: int) -> tuple[int, int]:
+    """(f, g) for a rational prime ell the caller has already proven prime,
+    as primes_up_to does.  Unramified ell are read from the residue table
+    with no Miller-Rabin; ramified ell go through splitting_type."""
+    if n % ell:
+        return residue_splitting(n)[ell % n]
+    _, f, g = splitting_type(ell, n)
+    return f, g
 
 
 @lru_cache(maxsize=None)
@@ -117,7 +148,7 @@ def enumerate_prime_ideals(n: int, norm_bound: int) -> Iterator[PrimeIdeal]:
     validate_conductor(n)
     found: list[PrimeIdeal] = []
     for ell in primes_up_to(norm_bound):
-        _, f, _ = splitting_type(ell, n)
+        f, _ = local_degrees(ell, n)
         if ell**f <= norm_bound:
             found.extend(split_prime(ell, n))
     found.sort(key=PrimeIdeal.sort_key)
@@ -185,34 +216,3 @@ def ramified_primes(n: int) -> list[int]:
     """The rational primes that ramify: exactly the divisors of n."""
     validate_conductor(n)
     return sorted(factor_integer(n))
-
-
-def norm_valuation_profile(x: CycInt) -> dict[int, int]:
-    """Exponent of each rational prime in |N(x)|, from ideal valuations.
-
-    The exponent of ell is the sum of f_P * v_P(x) over the ideals P
-    above ell; this must reproduce the factorization of |N(x)|.
-    """
-    if not x:
-        raise ValueError("x must be nonzero")
-    norm = abs(x.norm())
-    profile: dict[int, int] = {}
-    if norm == 1:
-        return profile
-    for ell in factor_integer(norm):
-        total = sum(ideal.f * valuation(x, ideal) for ideal in split_prime(ell, x.n))
-        profile[ell] = total
-    return profile
-
-
-def is_kfree_bruteforce(x: CycInt, k: int) -> bool:
-    """Independent oracle: test every prime ideal of norm <= |N(x)|."""
-    if not x:
-        return False
-    norm = abs(x.norm())
-    if norm == 1:
-        return True
-    for ideal in enumerate_prime_ideals(x.n, norm):
-        if valuation(x, ideal) >= k:
-            return False
-    return True

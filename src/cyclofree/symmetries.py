@@ -50,13 +50,6 @@ class GaloisGroup:
     def multiply(self, r: int, s: int) -> int:
         return (r * s) % self.n
 
-    def table(self) -> dict[tuple[int, int], int]:
-        return {(r, s): self.multiply(r, s) for r in self.elements for s in self.elements}
-
-    def is_closed(self) -> bool:
-        members = set(self.elements)
-        return all(v in members for v in self.table().values())
-
 
 def galois_group(n: int) -> GaloisGroup:
     """The group (Z/nZ)^x acting by zeta -> zeta^r, with its CRT shape."""
@@ -202,15 +195,16 @@ class ActionReport:
 
 def verify_stabiliser_action(
     element: SymmetryElement,
-    k: int,
-    r_box: int,
+    box: kfree_mod.KFreeBox,
     sample_size: int = 1000,
     seed: int = 0,
     include_inverse: bool = True,
 ) -> ActionReport:
-    """Check that the element and its inverse map sampled k-free points to
-    k-free points; the expected failure count is zero."""
-    box = kfree_mod.sieve_box(element.n, k, r_box)
+    """Check that the element and its inverse map k-free points sampled from
+    the sieved box to k-free points; the expected failure count is zero."""
+    if box.n != element.n:
+        raise ValueError("conductor mismatch")
+    k = box.k
     pts = box.sorted_points()
     rng = random.Random(seed)
     sample = pts if len(pts) <= sample_size else rng.sample(pts, sample_size)

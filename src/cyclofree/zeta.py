@@ -1,9 +1,14 @@
 """Validated enclosures of Dedekind zeta values at integer arguments.
 
 The reciprocal Euler product  prod_P (1 - N(P)^-k)  is accumulated over
-all prime ideals above the rational primes ell <= prime_bound: exactly in
-rational arithmetic for small ell, then in 192-bit fixed point with
-floor/ceil rounding.  The omitted tail satisfies
+all prime ideals above the rational primes ell <= prime_bound.  Each
+local factor prod_{P | ell} (1 - N(P)^-k) = ((q-1)/q)^g, with q = ell^(fk),
+is the integer pair ((q-1)^g, q^g).  For ell not dividing n, f and g depend
+only on ell mod n and are read from a per-conductor residue table; the
+primes come from the Eratosthenes sieve, so none is re-tested for
+primality.  Below 10^4 the pairs are multiplied exactly and applied once;
+above, each factor is applied in 192-bit fixed point with floor/ceil
+rounding.  The omitted tail satisfies
 
     0 <= log(tail of zeta) <= phi(n) * sum_{m > B} 2 m^-k
                            <= 2 phi(n) B^(1-k) / (k-1),
@@ -27,7 +32,7 @@ import mpmath
 
 from .arith import primes_up_to
 from .cyclotomic import ring_degree, validate_conductor
-from .prime_ideals import splitting_type
+from .prime_ideals import local_degrees
 
 PRECISION_BITS = 192
 EXACT_HEAD_BOUND = 10_000
@@ -151,12 +156,12 @@ class ZetaValue:
         )
 
 
-@lru_cache(maxsize=None)
-def _local_factor(ell: int, n: int, k: int) -> Fraction:
-    """prod over the ideals above ell of (1 - N(P)^-k), exactly."""
-    _, f, g = splitting_type(ell, n)
+def _local_factor(ell: int, n: int, k: int) -> tuple[int, int]:
+    """prod over the ideals above the prime ell of (1 - N(P)^-k), exactly,
+    as the coprime pair (numerator, denominator) = ((q-1)^g, q^g)."""
+    f, g = local_degrees(ell, n)
     q = ell ** (f * k)
-    return Fraction(q - 1, q) ** g
+    return (q - 1) ** g, q**g
 
 
 @lru_cache(maxsize=None)
@@ -181,17 +186,19 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
         )
     one = 1 << PRECISION_BITS
     lo = hi = one
-    head = Fraction(1)
+    # The head stays unreduced: a common factor of num and den does not
+    # change the floor or ceiling of lo * num / den.
+    num = den = 1
     for ell in primes_up_to(prime_bound):
+        p, q = _local_factor(ell, n, k)
         if ell <= EXACT_HEAD_BOUND:
-            head *= _local_factor(ell, n, k)
+            num *= p
+            den *= q
         else:
-            fr = _local_factor(ell, n, k)
-            p, q = fr.numerator, fr.denominator
             lo = (lo * p) // q
             hi = -((-hi * p) // q)
-    lo = (lo * head.numerator) // head.denominator
-    hi = -((-hi * head.numerator) // head.denominator)
+    lo = (lo * num) // den
+    hi = -((-hi * num) // den)
     partial = Interval(Fraction(lo, one), Fraction(hi, one))
     # zeta = 1/partial * tail_inverse with tail_inverse in [1, 1/(1-tail)]
     zeta_lower = 1 / partial.upper

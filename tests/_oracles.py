@@ -1,6 +1,12 @@
 """Independent numeric oracles shared by the test modules."""
 
 import math
+from fractions import Fraction
+
+from cyclofree.arith import factor_integer, primes_up_to
+from cyclofree.cyclotomic import CycInt, ring_degree
+from cyclofree.prime_ideals import enumerate_prime_ideals, split_prime, splitting_type, valuation
+from cyclofree.zeta import EXACT_HEAD_BOUND, PRECISION_BITS, Interval, ZetaValue, log_interval
 
 
 def character_oracle_gaussian(k: int) -> tuple[float, float]:
@@ -59,3 +65,62 @@ def lattice_walk(lattice, radius: int):
 
     if d:
         yield from walk(d - 1)
+
+
+def norm_valuation_profile(x: CycInt) -> dict[int, int]:
+    """Exponent of each rational prime in |N(x)|, from ideal valuations.
+
+    The exponent of ell is the sum of f_P * v_P(x) over the ideals P
+    above ell; this must reproduce the factorization of |N(x)|.
+    """
+    if not x:
+        raise ValueError("x must be nonzero")
+    norm = abs(x.norm())
+    profile: dict[int, int] = {}
+    if norm == 1:
+        return profile
+    for ell in factor_integer(norm):
+        total = sum(ideal.f * valuation(x, ideal) for ideal in split_prime(ell, x.n))
+        profile[ell] = total
+    return profile
+
+
+def is_kfree_bruteforce(x: CycInt, k: int) -> bool:
+    """Test every prime ideal of norm <= |N(x)|."""
+    if not x:
+        return False
+    norm = abs(x.norm())
+    if norm == 1:
+        return True
+    for ideal in enumerate_prime_ideals(x.n, norm):
+        if valuation(x, ideal) >= k:
+            return False
+    return True
+
+
+def dedekind_zeta_by_fractions(n: int, k: int, prime_bound: int) -> ZetaValue:
+    """The Euler product that preceded the residue-class one: each local
+    factor is a reduced Fraction built from splitting_type (Miller-Rabin on
+    every prime), the head is a running reduced product, and the tail and
+    the log enclosure round exactly as in cyclofree.zeta."""
+    d = ring_degree(n)
+    tail = Fraction(2 * d, (k - 1) * prime_bound ** (k - 1))
+    one = 1 << PRECISION_BITS
+    lo = hi = one
+    head = Fraction(1)
+    for ell in primes_up_to(prime_bound):
+        _, f, g = splitting_type(ell, n)
+        q = ell ** (f * k)
+        factor = Fraction(q - 1, q) ** g
+        if ell <= EXACT_HEAD_BOUND:
+            head *= factor
+        else:
+            p, q = factor.numerator, factor.denominator
+            lo = (lo * p) // q
+            hi = -((-hi * p) // q)
+    lo = (lo * head.numerator) // head.denominator
+    hi = -((-hi * head.numerator) // head.denominator)
+    zeta_lower = 1 / Fraction(hi, one)
+    zeta_upper = (1 / Fraction(lo, one)) * (1 / (1 - tail))
+    logs = log_interval(Interval(zeta_lower, zeta_upper))
+    return ZetaValue(n, k, prime_bound, zeta_lower, zeta_upper, logs.lower, logs.upper)

@@ -134,10 +134,9 @@ def test_criterion_05_stabiliser_action():
                 assert composed.matrix == product, (n, e1.describe(), e2.describe())
         radius = SAMPLE_RADIUS[ring_degree(n)]
         for k in (2, 3):
+            box = sieve_box(n, k, radius)
             for el in elements:
-                rep = verify_stabiliser_action(
-                    el, k, radius, sample_size=1000, include_inverse=True
-                )
+                rep = verify_stabiliser_action(el, box, sample_size=1000, include_inverse=True)
                 assert rep.passed, (n, k, el.describe(), rep.failures[:3])
                 total_checked += rep.checked
     report("5", True, f"zero failures over {total_checked} mapped points; group law exact")

@@ -135,15 +135,35 @@ class TestSymcheckCommand:
         assert doc["total_failures"] == 0
         assert doc["total_checked"] > 0
 
+    def test_box_is_sieved_once(self, tmp_path, monkeypatch):
+        import cyclofree.cli as cli_mod
+        import cyclofree.kfree as kfree_mod
+
+        calls = []
+        real = kfree_mod.sieve_box
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli_mod, "sieve_box", counting)
+        monkeypatch.setattr(kfree_mod, "sieve_box", counting)
+        code, _, _ = run(
+            tmp_path, "symcheck", "--n", "12", "--k", "2", "--radius", "2",
+            "--samples", "10",
+        )
+        assert code == 0
+        assert calls == [(12, 2, 2)]
+
     def test_failures_exit_four(self, tmp_path, monkeypatch):
         # the mathematics cannot produce a failure, so fake one to pin the
         # exit-code contract
         import cyclofree.cli as cli_mod
         from cyclofree.symmetries import ActionReport
 
-        def broken(element, k, radius, sample_size, seed):
+        def broken(element, box, sample_size, seed):
             return ActionReport(
-                n=element.n, k=k, element=element.describe(), checked=1,
+                n=element.n, k=box.k, element=element.describe(), checked=1,
                 failures=[(0, 1)],
             )
 

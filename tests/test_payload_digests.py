@@ -1,8 +1,11 @@
 """Golden payload digests: the CLI output bytes are part of the contract.
 
-Each digest is the SHA-256 of a payload as written by the recursive
-per-point sieve that preceded the array sieve.  Any change to sieving,
-point order or payload encoding that alters a single byte fails here.
+Each sieve digest is the SHA-256 of a payload as written by the recursive
+per-point sieve that preceded the array sieve; each zeta, density and
+entropy digest is that of the per-prime Fraction Euler product that
+preceded the residue-class one.  Any change to sieving, point order, the
+Euler product's rounding or payload encoding that alters a single byte
+fails here.
 """
 
 import hashlib
@@ -42,6 +45,23 @@ GOLDEN = {
         ["symcheck", "--n", "12", "--k", "2", "--radius", "2", "--samples", "30",
          "--seed", "3"],
         "1490a996a85facee9ce7ef2cc744ab2972bda595a097f7d332aaa11c5ff40aac",
+    ),
+    "zeta-n4-k2": (
+        # past EXACT_HEAD_BOUND, so both the exact head and the fixed-point tail run
+        ["zeta", "--n", "4", "--k", "2", "--prime-bound", "30000"],
+        "a813388a61a422678d420f5d89d648777b1a3e7bb8f2d88a778f8ee8ebff9451",
+    ),
+    "zeta-n12-k3": (
+        ["zeta", "--n", "12", "--k", "3", "--prime-bound", "20000"],
+        "6892909b3971a63695469fef9f5c72141d7a21ef41689332b30c1965987a19b4",
+    ),
+    "density-n5": (
+        ["density", "--n", "5", "--k", "2", "--radius", "3", "--prime-bound", "20000"],
+        "3eecf516113f4c70f393dcb685e8b73ad5034024c99fbb5a83da25c2080d6211",
+    ),
+    "entropy-n9": (
+        ["entropy", "--n", "9", "--k", "2", "--prime-bound", "20000"],
+        "70363b572c4744aa0ec1a24213eb51fb97d7a4283c298be701234edbd12e7b28",
     ),
 }
 

@@ -3,6 +3,9 @@ import math
 import random
 
 import pytest
+from _oracles import is_kfree_bruteforce, norm_valuation_profile
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cyclofree.arith import (
     FACTOR_LIMIT,
@@ -12,14 +15,18 @@ from cyclofree.arith import (
     multiplicative_order,
     primes_up_to,
 )
-from cyclofree.cyclotomic import CycInt, IntPolynomial, euler_phi, ring_degree
+from cyclofree.cyclotomic import (
+    CycInt,
+    IntPolynomial,
+    cyclotomic_polynomial,
+    euler_phi,
+    ring_degree,
+)
 from cyclofree.prime_ideals import (
     enumerate_prime_ideals,
     factor_poly_mod_p,
     is_in_Wk,
     is_kfree,
-    is_kfree_bruteforce,
-    norm_valuation_profile,
     ramified_primes,
     split_prime,
     splitting_type,
@@ -44,6 +51,13 @@ class TestIntegerArithmetic:
             factors = factor_integer(m)
             assert math.prod(p**e for p, e in factors.items()) == m
             assert all(is_prime(p) for p in factors)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(min_value=1, max_value=2**64))
+    def test_factorisation_multiplies_back(self, m):
+        factors = factor_integer(m)
+        assert math.prod(p**e for p, e in factors.items()) == m
+        assert all(is_prime(p) for p in factors)
 
     def test_large_semiprime(self):
         p, q = 1_000_000_007, 999_999_937
@@ -109,6 +123,17 @@ class TestSplitting:
                 e, _, _ = splitting_type(ell, n)
                 assert (e > 1) == (n % ell == 0)
         assert ramified_primes(12) == [2, 3]
+
+    def test_splitting_type_matches_factorisation_mod_ell(self):
+        # (e, f, g), read from the residue table when ell does not divide n,
+        # against the factors of Phi_n mod ell
+        for n in CONDUCTORS + [20]:
+            phi = cyclotomic_polynomial(n)
+            for ell in primes_up_to(2000):
+                e, f, g = splitting_type(ell, n)
+                factors = factor_poly_mod_p(phi, ell)
+                assert len(factors) == g, (n, ell)
+                assert all(len(c) - 1 == f and mult == e for c, mult in factors), (n, ell)
 
     def test_ramified_prime_with_two_distinct_ideals(self):
         # 3 ramifies in conductor 33 yet still splits into two distinct

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from cyclofree.cyclotomic import CycInt, euler_phi, ring_degree
+from cyclofree.kfree import sieve_box
 from cyclofree.prime_ideals import is_in_Wk, split_prime
 from cyclofree.symmetries import (
     AqCandidate,
@@ -48,7 +49,8 @@ class TestGaloisGroup:
 
     def test_closure_and_crt(self):
         group = galois_group(12)
-        assert group.is_closed()
+        members = set(group.elements)
+        assert all(group.multiply(r, s) in members for r in members for s in members)
         assert group.crt_factors == ((2, 2, 2), (3, 1, 2))
 
 
@@ -126,12 +128,13 @@ class TestSymmetryElements:
 
 class TestStabiliserAction:
     def test_identity_passes_trivially(self):
-        report = verify_stabiliser_action(identity_element(4), 2, 10, sample_size=50)
+        box = sieve_box(4, 2, 10)
+        report = verify_stabiliser_action(identity_element(4), box, sample_size=50)
         assert report.passed and report.checked == 100
 
     def test_gaussian_rotation_with_conjugation(self):
         element = symmetry_element(CycInt.root(4), 3)
-        report = verify_stabiliser_action(element, 2, 25, sample_size=300)
+        report = verify_stabiliser_action(element, sieve_box(4, 2, 25), sample_size=300)
         assert report.passed
 
     def test_shear_is_not_a_stabiliser(self):
@@ -148,8 +151,13 @@ class TestStabiliserAction:
         el = symmetry_element(CycInt.root(4), 1)
         assert scan_for_violation(el.matrix, 4, 2, radius_cap=6) is None
 
+    def test_box_of_another_conductor_rejected(self):
+        with pytest.raises(ValueError, match="conductor"):
+            verify_stabiliser_action(identity_element(4), sieve_box(3, 2, 2))
+
     def test_report_json(self):
-        report = verify_stabiliser_action(identity_element(4), 2, 5, sample_size=10)
+        box = sieve_box(4, 2, 5)
+        report = verify_stabiliser_action(identity_element(4), box, sample_size=10)
         doc = json.loads(report.to_json())
         assert doc["failures"] == [] and doc["checked"] == report.checked
 

@@ -3,7 +3,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from _oracles import character_oracle_gaussian
+from _oracles import character_oracle_gaussian, dedekind_zeta_by_fractions
 
 from cyclofree.zeta import (
     Interval,
@@ -87,6 +87,18 @@ class TestEnclosures:
         assert float(doc["lower"]) <= float(doc["upper"])
         assert doc["precision_bits"] == 192
         assert "rounding" in doc
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20])
+@pytest.mark.parametrize("k", [2, 3])
+def test_residue_class_product_matches_fraction_oracle(n, k):
+    # 12,000 is past EXACT_HEAD_BOUND, so both the exact head and the
+    # fixed-point tail are compared, bit for bit
+    z = dedekind_zeta(n, k, 12_000)
+    ref = dedekind_zeta_by_fractions(n, k, 12_000)
+    assert (z.lower, z.upper, z.log_lower, z.log_upper) == (
+        ref.lower, ref.upper, ref.log_lower, ref.log_upper
+    )
 
 
 class TestDensityConstant:
