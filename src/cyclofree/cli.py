@@ -147,9 +147,10 @@ def cmd_admissible(args) -> int:
     t0 = time.perf_counter()
     text = Path(args.infile).read_text(encoding="utf-8")
     patch, n, k = patch_from_json(text)
-    verdict = is_admissible(patch.occupied, n, k)
+    cells = patch.occupied
+    verdict = is_admissible(cells, n, k)
     payload = (
-        json.dumps({"admissible": verdict, "n": n, "k": k, "cells": len(patch.occupied)}, sort_keys=True)
+        json.dumps({"admissible": verdict, "n": n, "k": k, "cells": len(cells)}, sort_keys=True)
         + "\n"
     ).encode("utf-8")
     wall = time.perf_counter() - t0

@@ -6,7 +6,8 @@ cyclotomic polynomial.  Conductors follow the convention n > 2 and
 n != 2 mod 4, so every cyclotomic field appears exactly once.
 
 All coefficients are Python ints (arbitrary precision); every operation
-is exact.
+is exact.  norm_array takes the norms of many elements at once on numpy
+arrays, in int64 where a bound proves it exact and in Python ints otherwise.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -225,16 +228,78 @@ def _ring_data(n: int) -> tuple[int, IntPolynomial, tuple[tuple[int, ...], ...]]
     validate_conductor(n)
     phi = cyclotomic_polynomial(n)
     d = phi.degree
+    # zeta^(t+1) = zeta * zeta^t: shift the row up and reduce the carried
+    # x^d term once by the monic Phi_n.
+    row = [1] + [0] * (d - 1)
     powers = []
-    for t in range(n):
-        _, rem = IntPolynomial((0,) * t + (1,)).divmod_monic(phi)
-        row = list(rem.coeffs) + [0] * (d - len(rem.coeffs))
+    for _ in range(n):
         powers.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [c - top * pc for c, pc in zip(row, phi.coeffs)]
     return d, phi, tuple(powers)
 
 
 def ring_degree(n: int) -> int:
     return _ring_data(n)[0]
+
+
+def _exact_dtype(bound: int):
+    """int64 when every intermediate value stays below bound, else Python ints."""
+    return np.int64 if bound < 1 << 62 else object
+
+
+def _max_row_l1(rows: np.ndarray) -> int:
+    """The largest sum of |entries| over the rows of an integer array, exactly."""
+    if rows.dtype != object and rows.size:
+        if max(int(rows.max()), -int(rows.min())) < (1 << 62) // rows.shape[1]:
+            return int(np.abs(rows).sum(axis=1).max())
+    return max((sum(map(abs, row)) for row in rows.tolist()), default=0)
+
+
+@lru_cache(maxsize=None)
+def _norm_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """(largest L1 norm of a power of zeta, the matrices G_r of the Galois
+    elements r != 1 side by side, the reduction of the d^2 partial products)."""
+    d, _, powers = _ring_data(n)
+    table = np.array(powers, dtype=np.int64)
+    units = [r for r in range(2, n) if math.gcd(r, n) == 1]
+    galois = np.hstack([table[np.arange(d) * r % n] for r in units])
+    product = table[np.add.outer(np.arange(d), np.arange(d)).ravel() % n]
+    galois.setflags(write=False)
+    product.setflags(write=False)
+    return _max_row_l1(table), galois, product
+
+
+def norm_array(n: int, points) -> np.ndarray:
+    """The exact field norm of every row of an (m, d) integer array.
+
+    N(x) is the product of the phi(n) Galois conjugates of x.  sigma_r
+    sends the row c to c @ G_r, where row i of G_r is zeta^(i r mod n), and
+    a product sums the partial products a_i b_j times zeta^((i+j) mod n),
+    the reduction CycInt.__mul__ makes.  With L the largest row L1 norm and
+    P the largest L1 norm of a power of zeta, a conjugate has L1 norm at
+    most L*P and a product at most |a|_1 |b|_1 P, so no intermediate value
+    exceeds L^phi * P^(2 phi - 1); that bound picks the dtype.  The
+    resultant in CycInt.norm is the scalar reference.
+    """
+    d = ring_degree(n)
+    rows = np.asarray(points)
+    if rows.ndim != 2 or rows.shape[1] != d:
+        raise ValueError(f"points have shape {rows.shape}, ring degree {d}")
+    p1, galois, product = _norm_tables(n)
+    dtype = _exact_dtype(_max_row_l1(rows) ** d * p1 ** (2 * d - 1))
+    rows = rows.astype(dtype)
+    conjugates = rows @ galois.astype(dtype)
+    product = product.astype(dtype)
+    acc = rows
+    for j in range(0, conjugates.shape[1], d):
+        partial = acc[:, :, None] * conjugates[:, None, j : j + d]
+        acc = partial.reshape(len(rows), d * d) @ product
+    if acc[:, 1:].any():
+        raise ArithmeticError("a product of all Galois conjugates is not rational")
+    return acc[:, 0]
 
 
 @dataclass(frozen=True)

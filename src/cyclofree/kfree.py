@@ -226,7 +226,7 @@ class PatchConfig:
 
     @property
     def occupied(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(off for b, off in enumerate(self.shape) if (self.fill >> b) & 1)
+        return tuple(off for off, bit in zip(self.shape, self.fill_bits) if bit == "1")
 
 
 def patch_to_json(patch: PatchConfig, n: int, k: int) -> str:
@@ -247,7 +247,9 @@ def patch_from_json(text: str) -> tuple[PatchConfig, int, int]:
     bits = data["fill"]
     if len(bits) != len(shape):
         raise ValueError("fill bitstring length must match the shape")
-    fill = sum(1 << b for b, ch in enumerate(bits) if ch == "1")
+    if not set(bits) <= {"0", "1"}:
+        raise ValueError("fill must be a string of 0s and 1s")
+    fill = int(bits[::-1] or "0", 2)
     return PatchConfig(shape=shape, fill=fill), int(data["n"]), int(data["k"])
 
 

@@ -18,7 +18,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .arith import xgcd
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, _exact_dtype
 
 # Frontier rows per step of IdealLattice.point_blocks.
 BLOCK_ROWS = 1 << 15
@@ -47,11 +47,6 @@ def determinant(matrix: Sequence[Sequence[int]]) -> int:
             m[i][k] = 0
         prev = m[k][k]
     return sign * m[n - 1][n - 1] if n else 1
-
-
-def _exact_dtype(bound: int):
-    """int64 when every intermediate value stays below bound, else Python ints."""
-    return np.int64 if bound < 1 << 62 else object
 
 
 class RankError(ValueError):

@@ -7,7 +7,9 @@ g gives the prime ideal (ell, g(zeta_n)), with residue degree deg(g) and
 ramification equal to the multiplicity of g.
 
 Valuations are computed geometrically: v_P(x) is the largest m for which
-the embedded point lies in the lattice of P^m.
+the embedded point lies in the lattice of P^m.  The k-free test works on
+arrays of points: exact norms, one factorization per distinct norm, and
+membership in P^k by coset codes.
 """
 
 from __future__ import annotations
@@ -18,9 +20,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
+import numpy as np
+
 from . import gfpoly
 from .arith import factor_integer, is_prime, multiplicative_order, primes_up_to
-from .cyclotomic import CycInt, IntPolynomial, cyclotomic_polynomial, ring_degree, validate_conductor
+from .cyclotomic import (
+    CycInt, IntPolynomial, cyclotomic_polynomial, norm_array, ring_degree, validate_conductor,
+)
 from .lattices import ideal_lattice
 
 
@@ -170,33 +176,43 @@ def valuation(x: CycInt, ideal: PrimeIdeal) -> int:
     return m
 
 
-def _candidate_ideals(x: CycInt, k: int) -> tuple[int, list[PrimeIdeal]]:
-    """|N(x)| and the prime ideals that could carry a valuation >= k."""
-    norm = abs(x.norm())
-    candidates: list[PrimeIdeal] = []
-    if norm > 1:
-        for ell in factor_integer(norm):
-            for ideal in split_prime(ell, x.n):
-                if ideal.norm**k <= norm:
-                    candidates.append(ideal)
-    return norm, candidates
+def kfree_mask(points, n: int, k: int = 2) -> np.ndarray:
+    """For each row of an (m, d) integer array, is that element k-free?
 
-
-def is_kfree(x: CycInt, k: int = 2) -> bool:
-    """True when no prime ideal divides (x) to the k-th power.
-
-    x = 0 is divisible by every power and reports False.  Only ideals P
-    with N(P)^k <= |N(x)| are consulted; larger ones cannot reach
-    valuation k because N(P)^v divides |N(x)|.
+    A zero row is not.  v_P(x) >= k forces N(P)^k | N(x), so the only
+    ideals consulted for a row are the P above a prime factor of |N(x)|
+    with N(P)^k dividing it; |N| is factored once per distinct value, and
+    each such P tests all of its rows at once: x lies in P^k exactly when
+    its coset code in the lattice of P^k is 0.
     """
     if k < 2:
         raise ValueError("k must be >= 2")
-    if not x:
-        return False
-    norm, candidates = _candidate_ideals(x, k)
-    if norm == 1:
-        return True
-    return all(valuation(x, ideal) < k for ideal in candidates)
+    rows = np.asarray(points)
+    norms = np.abs(norm_array(n, rows))
+    ok = norms != 0
+    by_norm: dict[int, list[int]] = {}
+    for i, value in enumerate(norms.tolist()):
+        by_norm.setdefault(value, []).append(i)
+    candidates: dict[PrimeIdeal, list[int]] = {}
+    for value, group in by_norm.items():
+        if value <= 1:
+            continue
+        for ell in factor_integer(value):
+            # Every ideal above ell has norm ell^f.
+            if value % ell ** (local_degrees(ell, n)[0] * k) == 0:
+                for ideal in split_prime(ell, n):
+                    candidates.setdefault(ideal, []).extend(group)
+    for ideal, group in candidates.items():
+        index = np.array(group)
+        codes = ideal_lattice(ideal, k).coset_codes(rows[index])
+        ok[index[codes == 0]] = False
+    return ok
+
+
+def is_kfree(x: CycInt, k: int = 2) -> bool:
+    """True when no prime ideal divides (x) to the k-th power; x = 0 is
+    divisible by every power and reports False.  One row of kfree_mask."""
+    return bool(kfree_mask(np.array([x.coeffs], dtype=object), x.n, k)[0])
 
 
 def is_in_Wk(x: CycInt, k: int = 2) -> bool:

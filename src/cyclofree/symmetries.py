@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import factor_integer, is_prime, primes_up_to
-from .cyclotomic import CycInt, ring_degree, validate_conductor
+from .cyclotomic import CycInt, _exact_dtype, ring_degree, validate_conductor
 from .lattices import box_points, determinant
-from .prime_ideals import is_in_Wk, is_kfree, split_prime, valuation
+from .prime_ideals import is_in_Wk, is_kfree, kfree_mask, split_prime, valuation
 from . import kfree as kfree_mod
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -205,20 +205,22 @@ def verify_stabiliser_action(
     if box.n != element.n:
         raise ValueError("conductor mismatch")
     k = box.k
-    pts = box.sorted_points()
+    pts = box.point_array()
     rng = random.Random(seed)
-    sample = pts if len(pts) <= sample_size else rng.sample(pts, sample_size)
+    # Sampling indices picks the rows rng.sample(points, sample_size) picks.
+    sample = pts if len(pts) <= sample_size else pts[rng.sample(range(len(pts)), sample_size)]
     maps = [element, element.inverse()] if include_inverse else [element]
     failures = []
-    checked = 0
     for mapping in maps:
-        for p in sample:
-            image = mapping.apply(p)
-            checked += 1
-            if not is_kfree(CycInt.unembed(element.n, image), k):
-                failures.append(p)
+        matrix = np.array(mapping.matrix, dtype=object)
+        # An image entry is at most r times the L1 norm of a matrix row.
+        dtype = _exact_dtype(box.r * int(np.abs(matrix).sum(axis=1).max()))
+        images = sample.astype(dtype) @ matrix.T.astype(dtype)
+        ok = kfree_mask(images, element.n, k)
+        failures.extend(map(tuple, sample[~ok].tolist()))
     return ActionReport(
-        n=element.n, k=k, element=element.describe(), checked=checked, failures=failures
+        n=element.n, k=k, element=element.describe(), checked=len(maps) * len(sample),
+        failures=failures,
     )
 
 

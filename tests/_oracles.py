@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 from cyclofree.arith import factor_integer, primes_up_to
-from cyclofree.cyclotomic import CycInt, ring_degree
+from cyclofree.cyclotomic import CycInt, IntPolynomial, cyclotomic_polynomial, ring_degree
 from cyclofree.prime_ideals import enumerate_prime_ideals, split_prime, splitting_type, valuation
 from cyclofree.zeta import EXACT_HEAD_BOUND, PRECISION_BITS, Interval, ZetaValue, log_interval
 
@@ -83,6 +83,33 @@ def norm_valuation_profile(x: CycInt) -> dict[int, int]:
         total = sum(ideal.f * valuation(x, ideal) for ideal in split_prime(ell, x.n))
         profile[ell] = total
     return profile
+
+
+def powers_by_division(n: int) -> tuple[tuple[int, ...], ...]:
+    """zeta^t mod Phi_n for t = 0..n-1, each by a full division of x^t."""
+    phi = cyclotomic_polynomial(n)
+    d = phi.degree
+    rows = []
+    for t in range(n):
+        _, rem = IntPolynomial((0,) * t + (1,)).divmod_monic(phi)
+        rows.append(tuple(rem.coeffs) + (0,) * (d - len(rem.coeffs)))
+    return tuple(rows)
+
+
+def is_kfree_by_valuations(x: CycInt, k: int) -> bool:
+    """The scalar test that kfree_mask replaced: the resultant norm, its
+    factorization, and v_P(x) < k for every ideal P above a prime factor
+    with N(P)^k <= |N(x)|."""
+    if not x:
+        return False
+    norm = abs(x.norm())
+    if norm == 1:
+        return True
+    for ell in factor_integer(norm):
+        for ideal in split_prime(ell, x.n):
+            if ideal.norm**k <= norm and valuation(x, ideal) >= k:
+                return False
+    return True
 
 
 def is_kfree_bruteforce(x: CycInt, k: int) -> bool:

@@ -2,6 +2,7 @@ import json
 import random
 
 import pytest
+from _oracles import powers_by_division
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +88,12 @@ class TestReduction:
     def test_minus_fourth_power_matches(self):
         # -zeta_5^4 = 1 + zeta + zeta^2 + zeta^3
         assert (-CycInt.root(5, 4)).coeffs == (1, 1, 1, 1)
+
+    def test_power_table_matches_division(self):
+        for n in range(3, 121):
+            if n % 4 != 2:
+                table = tuple(CycInt.root(n, t).coeffs for t in range(n))
+                assert table == powers_by_division(n), n
 
 
 class TestRingOperations:

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,24 @@ class TestPatches:
         again, n, k = patch_from_json(text)
         assert (again, n, k) == (patch, 4, 2)
         assert patch.occupied == ((0, 1), (1, 0))
+
+    def test_patch_json_roundtrip_large_and_empty(self):
+        shape = tuple(box_points(100, 2))
+        rng = random.Random(5)
+        bits = "".join(rng.choice("01") for _ in shape)
+        for fill_bits in (bits, "0" * len(shape)):
+            doc = {"n": 4, "k": 2, "shape": [list(off) for off in shape], "fill": fill_bits}
+            text = json.dumps(doc)
+            patch, n, k = patch_from_json(text)
+            assert patch.fill_bits == fill_bits
+            assert patch.occupied == tuple(off for off, b in zip(shape, fill_bits) if b == "1")
+            assert patch_from_json(patch_to_json(patch, n, k)) == (patch, 4, 2)
+        assert patch.fill == 0 and patch.occupied == ()
+
+    def test_patch_fill_must_be_a_bitstring(self):
+        text = json.dumps({"n": 4, "k": 2, "shape": [[0, 0], [0, 1]], "fill": "0b"})
+        with pytest.raises(ValueError):
+            patch_from_json(text)
 
 
 class TestAdmissibility:

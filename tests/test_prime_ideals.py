@@ -2,8 +2,9 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
-from _oracles import is_kfree_bruteforce, norm_valuation_profile
+from _oracles import is_kfree_bruteforce, is_kfree_by_valuations, norm_valuation_profile
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,13 +21,16 @@ from cyclofree.cyclotomic import (
     IntPolynomial,
     cyclotomic_polynomial,
     euler_phi,
+    norm_array,
     ring_degree,
 )
+from cyclofree.symmetries import unit_generators
 from cyclofree.prime_ideals import (
     enumerate_prime_ideals,
     factor_poly_mod_p,
     is_in_Wk,
     is_kfree,
+    kfree_mask,
     ramified_primes,
     split_prime,
     splitting_type,
@@ -212,7 +216,43 @@ class TestValuation:
                 )
 
 
+MASK_CONDUCTORS = [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21]
+
+
+@st.composite
+def element_rows(draw):
+    """(n, k, elements): small elements, zero rows, and a few elements
+    blown up by a power of a unit of infinite order (of 2 where the units
+    are finite), large enough that norm_array works in Python ints."""
+    n = draw(st.sampled_from(MASK_CONDUCTORS))
+    k = draw(st.sampled_from([2, 3]))
+    d = ring_degree(n)
+    coords = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+    xs = [CycInt(n, tuple(c)) for c in draw(st.lists(coords, min_size=1, max_size=10))]
+    xs += [CycInt.zero(n)] * draw(st.integers(0, 2))
+    units = unit_generators(n)[2:]
+    scale = units[0] if units else CycInt.from_int(n, 2)
+    for i in range(draw(st.integers(0, min(2, len(xs))))):
+        for _ in range(draw(st.integers(20, 40))):
+            xs[i] = xs[i] * scale
+    return n, k, draw(st.permutations(xs))
+
+
 class TestKFree:
+    @settings(max_examples=40, deadline=None)
+    @given(element_rows())
+    def test_mask_matches_valuation_oracle(self, case):
+        n, k, xs = case
+        rows = np.array([x.coeffs for x in xs], dtype=object)
+        assert kfree_mask(rows, n, k).tolist() == [is_kfree_by_valuations(x, k) for x in xs]
+
+    @settings(max_examples=40, deadline=None)
+    @given(element_rows())
+    def test_norm_array_matches_resultant(self, case):
+        n, _, xs = case
+        rows = np.array([x.coeffs for x in xs], dtype=object)
+        assert [int(v) for v in norm_array(n, rows)] == [x.norm() for x in xs]
+
     def test_units_are_kfree_for_all_k(self):
         for n in (4, 5, 12):
             for k in (2, 3, 7):

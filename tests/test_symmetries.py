@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from _oracles import is_kfree_by_valuations
 
 from cyclofree.cyclotomic import CycInt, euler_phi, ring_degree
 from cyclofree.kfree import sieve_box
@@ -10,6 +11,7 @@ from cyclofree.prime_ideals import is_in_Wk, split_prime
 from cyclofree.symmetries import (
     AqCandidate,
     AqNotFound,
+    SymmetryElement,
     aq_search,
     galois_group,
     generator_elements,
@@ -146,6 +148,19 @@ class TestStabiliserAction:
         assert is_kfree(x, 2)
         image = (witness[0] + witness[1], witness[1])
         assert not is_kfree(CycInt.unembed(4, image), 2)
+
+    def test_shear_failures_match_the_oracle_loop(self):
+        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        box = sieve_box(4, 2, 20)
+        report = verify_stabiliser_action(
+            shear, box, sample_size=300, seed=3, include_inverse=False
+        )
+        sample = random.Random(3).sample(box.sorted_points(), 300)
+        expected = [
+            p for p in sample if not is_kfree_by_valuations(CycInt.unembed(4, shear.apply(p)), 2)
+        ]
+        assert report.failures == expected
+        assert report.failures and report.checked == 300
 
     def test_stabiliser_matrix_has_no_violation_scan(self):
         el = symmetry_element(CycInt.root(4), 1)
