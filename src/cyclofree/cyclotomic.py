@@ -251,10 +251,7 @@ def _exact_dtype(bound: int):
 
 
 def _max_row_l1(rows: np.ndarray) -> int:
-    """The largest sum of |entries| over the rows of an integer array, exactly."""
-    if rows.dtype != object and rows.size:
-        if max(int(rows.max()), -int(rows.min())) < (1 << 62) // rows.shape[1]:
-            return int(np.abs(rows).sum(axis=1).max())
+    """The largest sum of |entries| over the rows of an integer array, in Python ints."""
     return max((sum(map(abs, row)) for row in rows.tolist()), default=0)
 
 
@@ -422,9 +419,6 @@ class CycInt:
                 for j, pc in enumerate(powers[(i * r) % self.n]):
                     out[j] += c * pc
         return CycInt(self.n, tuple(out))
-
-    def conjugates(self) -> list["CycInt"]:
-        return [self.galois(r) for r in range(1, self.n) if math.gcd(r, self.n) == 1]
 
     def norm(self) -> int:
         """Field norm over Q, exact (resultant with the cyclotomic polynomial)."""
