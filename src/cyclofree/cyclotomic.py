@@ -7,7 +7,8 @@ n != 2 mod 4, so every cyclotomic field appears exactly once.
 
 All coefficients are Python ints (arbitrary precision); every operation
 is exact.  norm_array takes the norms of many elements at once on numpy
-arrays, in int64 where a bound proves it exact and in Python ints otherwise.
+arrays, in 64-bit words where a bound proves it exact and in Python ints
+otherwise.
 """
 
 from __future__ import annotations
@@ -246,57 +247,72 @@ def ring_degree(n: int) -> int:
 
 
 def _exact_dtype(bound: int):
-    """int64 when every intermediate value stays below bound, else Python ints."""
+    """int64 when every value that must come out exact stays below bound, else Python ints."""
     return np.int64 if bound < 1 << 62 else object
 
 
-def _max_row_l1(rows: np.ndarray) -> int:
-    """The largest sum of |entries| over the rows of an integer array, in Python ints."""
-    return max((sum(map(abs, row)) for row in rows.tolist()), default=0)
-
-
 @lru_cache(maxsize=None)
-def _norm_tables(n: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """(largest L1 norm of a power of zeta, the matrices G_r of the Galois
-    elements r != 1 side by side, the reduction of the d^2 partial products)."""
+def _norm_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
+    """(the n x d table of zeta^t, its rows t mod n for t < 2d - 1, which
+    reduce a product of two elements, and for r = -1 and each unit
+    1 < r < n/2 the rows i r mod n of sigma_r)."""
     d, _, powers = _ring_data(n)
     table = np.array(powers, dtype=np.int64)
-    units = [r for r in range(2, n) if math.gcd(r, n) == 1]
-    galois = np.hstack([table[np.arange(d) * r % n] for r in units])
-    product = table[np.add.outer(np.arange(d), np.arange(d)).ravel() % n]
-    galois.setflags(write=False)
-    product.setflags(write=False)
-    return _max_row_l1(table), galois, product
+    reduce = table[np.arange(2 * d - 1) % n]
+    units = [n - 1] + [r for r in range(2, (n + 1) // 2) if math.gcd(r, n) == 1]
+    galois = tuple(np.arange(d) * r % n for r in units)
+    for array in (table, reduce, *galois):
+        array.setflags(write=False)
+    return table, reduce, galois
 
 
 def norm_array(n: int, points) -> np.ndarray:
     """The exact field norm of every row of an (m, d) integer array.
 
-    N(x) is the product of the phi(n) Galois conjugates of x.  sigma_r
-    sends the row c to c @ G_r, where row i of G_r is zeta^(i r mod n), and
-    a product sums the partial products a_i b_j times zeta^((i+j) mod n),
-    the reduction CycInt.__mul__ makes.  With L the largest row L1 norm and
-    P the largest L1 norm of a power of zeta, a conjugate has L1 norm at
-    most L*P and a product at most |a|_1 |b|_1 P, so no intermediate value
-    exceeds L^phi * P^(2 phi - 1); that bound picks the dtype.  The
-    resultant in CycInt.norm is the scalar reference.
+    N(x) is the product of the phi(n) Galois conjugates of x.  Conjugates
+    pair up under sigma_-1, so N(x) = prod sigma_r(y) over the units
+    0 < r < n/2, with y = x sigma_-1(x): phi/2 products in all.  sigma_r
+    sends the row c to c @ G_r, where row i of G_r is zeta^(i r mod n).  A
+    product is a convolution into 2d - 1 coefficients, reduced through
+    zeta^(t mod n) as CycInt.__mul__ does; memory and work per product are
+    O(m d^2).
+
+    Every step is a ring operation, so the same steps in Z/2^64 (uint64,
+    which wraps by definition) give N(x) mod 2^64.  The field is totally
+    complex, so N(x) is the product of |sigma(x)| over the d embeddings;
+    their squares sum to at most n |x|_2^2 (Parseval over all n-th roots
+    of unity), so by AM-GM 0 <= N(x) <= (n |x|_2^2 / d)^(d/2).  When that
+    bound is below 2^62 the residue is N(x) itself, and otherwise the
+    steps run in Python ints.  The resultant in CycInt.norm is the scalar
+    reference.
     """
     d = ring_degree(n)
     rows = np.asarray(points)
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ValueError(f"points have shape {rows.shape}, ring degree {d}")
-    p1, galois, product = _norm_tables(n)
-    dtype = _exact_dtype(_max_row_l1(rows) ** d * p1 ** (2 * d - 1))
-    rows = rows.astype(dtype)
-    conjugates = rows @ galois.astype(dtype)
-    product = product.astype(dtype)
-    acc = rows
-    for j in range(0, conjugates.shape[1], d):
-        partial = acc[:, :, None] * conjugates[:, None, j : j + d]
-        acc = partial.reshape(len(rows), d * d) @ product
+    m = len(rows)
+    table, reduce, galois = _norm_tables(n)
+    squares = max((sum(v * v for v in row) for row in rows.tolist()), default=0)
+    if _exact_dtype(math.isqrt((n * squares) ** d // d**d) + 1) is object:
+        acc, table, reduce = rows.astype(object), table.astype(object), reduce.astype(object)
+    else:
+        acc = rows.astype(np.int64).view(np.uint64)
+        table, reduce = table.view(np.uint64), reduce.view(np.uint64)
+    base = acc
+    # The outer product a_i b_j goes into the first d columns of buf; read
+    # with rows of length 2d - 1, row i starts i places further right, so
+    # the column sums of skewed are the convolution.
+    buf = np.zeros((m, d, 2 * d), dtype=acc.dtype)
+    skewed = buf.reshape(m, 2 * d * d)[:, : d * (2 * d - 1)].reshape(m, d, 2 * d - 1)
+    for step, gather in enumerate(galois):
+        conjugate = base @ table.take(gather, axis=0)
+        np.multiply(acc[:, :, None], conjugate[:, None, :], out=buf[:, :, :d])
+        acc = np.add.reduce(skewed, axis=1) @ reduce
+        if step == 0:
+            base = acc
     if acc[:, 1:].any():
         raise ArithmeticError("a product of all Galois conjugates is not rational")
-    return acc[:, 0]
+    return acc[:, 0] if acc.dtype == object else acc[:, 0].view(np.int64)
 
 
 @dataclass(frozen=True)

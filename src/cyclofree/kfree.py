@@ -245,10 +245,10 @@ def patch_from_json(text: str) -> tuple[PatchConfig, int, int]:
     data = json.loads(text)
     shape = tuple(tuple(int(v) for v in off) for off in data["shape"])
     bits = data["fill"]
+    if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
+        raise ValueError("fill must be a string of 0s and 1s")
     if len(bits) != len(shape):
         raise ValueError("fill bitstring length must match the shape")
-    if not set(bits) <= {"0", "1"}:
-        raise ValueError("fill must be a string of 0s and 1s")
     fill = int(bits[::-1] or "0", 2)
     return PatchConfig(shape=shape, fill=fill), int(data["n"]), int(data["k"])
 

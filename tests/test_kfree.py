@@ -239,9 +239,10 @@ class TestPatches:
         assert patch.fill == 0 and patch.occupied == ()
 
     def test_patch_fill_must_be_a_bitstring(self):
-        text = json.dumps({"n": 4, "k": 2, "shape": [[0, 0], [0, 1]], "fill": "0b"})
-        with pytest.raises(ValueError):
-            patch_from_json(text)
+        for fill in ("0b", ["0", "1"], 1):
+            text = json.dumps({"n": 4, "k": 2, "shape": [[0, 0], [0, 1]], "fill": fill})
+            with pytest.raises(ValueError):
+                patch_from_json(text)
 
 
 class TestAdmissibility:

@@ -253,6 +253,46 @@ class TestKFree:
         rows = np.array([x.coeffs for x in xs], dtype=object)
         assert [int(v) for v in norm_array(n, rows)] == [x.norm() for x in xs]
 
+    def test_norm_array_across_the_word_size(self):
+        # Coefficients of 1 to 40 bits put the norms on both sides of 2^63,
+        # where norm_array leaves 64-bit words for Python ints.
+        for n in (5, 12, 13):
+            rng = random.Random(n)
+            d = ring_degree(n)
+            xs = [
+                CycInt(n, tuple(rng.randint(-(1 << b), 1 << b) for _ in range(d)))
+                for b in range(1, 41)
+            ]
+            rows = np.array([x.coeffs for x in xs], dtype=object)
+            got = [int(norm_array(n, rows[i : i + 1])[0]) for i in range(len(xs))]
+            assert got == [x.norm() for x in xs], n
+
+    def test_mask_and_norms_at_degree_ten_and_more(self):
+        # Small rows run in wrapping 64-bit words, powers of a unit in Python
+        # ints; a batch takes the dtype of its largest row.
+        for n in (11, 13, 25):
+            rng = random.Random(n)
+            d = ring_degree(n)
+            xs = [CycInt(n, tuple(rng.randint(-3, 3) for _ in range(d))) for _ in range(8)]
+            unit = CycInt.one(n)
+            for g in unit_generators(n)[2:]:
+                unit = unit * g
+            power = unit
+            for j in range(2, 15):
+                power = power * unit
+                if j % 3 == 0:
+                    xs += [power, power * xs[j % 8]]
+            xs += [unit, CycInt.zero(n)]
+            rows = np.array([x.coeffs for x in xs], dtype=object)
+            norms = [x.norm() for x in xs]
+            assert [int(v) for v in norm_array(n, rows)] == norms, n
+            # One row at a time, each row's own bound picks the dtype.
+            assert [int(norm_array(n, rows[i : i + 1])[0]) for i in range(len(xs))] == norms, n
+            for k in (2, 3):
+                assert kfree_mask(rows, n, k).tolist() == [
+                    is_kfree_by_valuations(x, k) for x in xs
+                ], (n, k)
+
     def test_units_are_kfree_for_all_k(self):
         for n in (4, 5, 12):
             for k in (2, 3, 7):
