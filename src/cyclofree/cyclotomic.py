@@ -251,6 +251,15 @@ def _exact_dtype(bound: int):
     return np.int64 if bound < 1 << 62 else object
 
 
+def norm_ceiling(n: int, squares: int) -> int:
+    """floor((n s / d)^(d/2)) >= |N(x)| for all x in Z[zeta_n] with |x|_2^2 <= s:
+    |N(x)| is the product of the |sigma(x)| over the d = phi(n) (even)
+    embeddings, whose squares sum to at most n s (Parseval over all n-th
+    roots of unity), so AM-GM gives the bound."""
+    half = ring_degree(n) // 2
+    return (n * squares) ** half // (2 * half) ** half
+
+
 @lru_cache(maxsize=None)
 def _norm_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
     """(the n x d table of zeta^t, its rows t mod n for t < 2d - 1, which
@@ -278,11 +287,9 @@ def norm_array(n: int, points) -> np.ndarray:
     O(m d^2).
 
     Every step is a ring operation, so the same steps in Z/2^64 (uint64,
-    which wraps by definition) give N(x) mod 2^64.  The field is totally
-    complex, so N(x) is the product of |sigma(x)| over the d embeddings;
-    their squares sum to at most n |x|_2^2 (Parseval over all n-th roots
-    of unity), so by AM-GM 0 <= N(x) <= (n |x|_2^2 / d)^(d/2).  When that
-    bound is below 2^62 the residue is N(x) itself, and otherwise the
+    which wraps by definition) give N(x) mod 2^64.  N(x) >= 0 since the
+    field is totally complex, and N(x) <= norm_ceiling(n, |x|_2^2).  When
+    that bound is below 2^62 the residue is N(x) itself, and otherwise the
     steps run in Python ints.  The resultant in CycInt.norm is the scalar
     reference.
     """
@@ -293,7 +300,7 @@ def norm_array(n: int, points) -> np.ndarray:
     m = len(rows)
     table, reduce, galois = _norm_tables(n)
     squares = max((sum(v * v for v in row) for row in rows.tolist()), default=0)
-    if _exact_dtype(math.isqrt((n * squares) ** d // d**d) + 1) is object:
+    if _exact_dtype(norm_ceiling(n, squares) + 1) is object:
         acc, table, reduce = rows.astype(object), table.astype(object), reduce.astype(object)
     else:
         acc = rows.astype(np.int64).view(np.uint64)

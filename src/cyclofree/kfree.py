@@ -1,10 +1,10 @@
 """Materialize the k-free points of Z[zeta_n] inside centred boxes.
 
 The box [-r, r]^d is sieved by removing, for every prime ideal P with
-N(P)^k below the box norm bound, the sublattice of P^k.  Survivors are
-exactly the k-free points: a point x killed by no consulted lattice
-cannot have v_P(x) >= k for any P, because N(P)^k would then divide
-|N(x)|, which the norm bound caps.
+N(P)^k below the box norm bound (n r^2)^(d/2), the sublattice of P^k.
+Survivors are exactly the k-free points: a point x killed by no consulted
+lattice cannot have v_P(x) >= k for any P, because N(P)^k would then
+divide |N(x)|, which the norm bound caps (norm_bound).
 
 Patch extraction, admissibility, and heredity checks operate on the
 same occupancy grid.
@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import integer_kth_root
-from .cyclotomic import CycInt, ring_degree, validate_conductor
-from .lattices import ideal_lattice
+from .cyclotomic import CycInt, norm_ceiling, ring_degree, validate_conductor
+from .lattices import ideal_lattice, lattice_point_blocks
 from .prime_ideals import PrimeIdeal, enumerate_prime_ideals
 from . import zeta as zeta_mod
 
@@ -40,13 +40,11 @@ def point_cap() -> int:
 
 
 def norm_bound(n: int, r: int) -> int:
-    """An upper bound M >= max |N(x)| over the box [-r, r]^d.
-
-    The bound is (d*r)^d, from |sigma(x)| <= sum |m_i| <= d*r in every
-    embedding.
-    """
-    d = ring_degree(n)
-    return (d * r) ** d
+    """(n r^2)^(d/2) >= max |N(x)| over the box [-r, r]^d: the d embeddings
+    of x have squares summing to at most n |x|_2^2 <= n d r^2 (Parseval), so
+    AM-GM bounds their product (cyclotomic.norm_ceiling).  It equals (2r)^2
+    at n = 4 and is never above the crude (d r)^d."""
+    return norm_ceiling(n, ring_degree(n) * r * r)
 
 
 @dataclass
@@ -105,15 +103,17 @@ def sieve_box(
 ) -> KFreeBox:
     """Sieve [-r, r]^d down to the k-free points.
 
-    Every lattice clears its points from a flat occupancy array, a block
-    of points at a time (IdealLattice.point_blocks), through the flat
-    indices (x + r) . (side^(d-1), ..., side, 1).  Raises ResourceCapError
-    when the box has more points than the cap (CYCLOFREE_MAX_POINTS or the
-    built-in default).
+    The lattices of P^k for every P with N(P)^k <= norm_bound(n, r) =
+    (n r^2)^(d/2) walk together (lattices.lattice_point_blocks) and clear
+    their points from a flat occupancy array, a block at a time, through
+    the flat indices (x + r) . (side^(d-1), ..., side, 1).  Raises
+    ResourceCapError when the box has more points than the cap
+    (CYCLOFREE_MAX_POINTS or the built-in default).
 
     ideal_norm_cap restricts the sieve to ideals of norm at most that cap,
     which yields the lattice-periodic superset whose density brackets the
-    true one from above; leave it None for the exact k-free set.
+    true one from above; leave it None for the exact k-free set.  A cap
+    at or above the k-th root of norm_bound(n, r) changes nothing.
     """
     validate_conductor(n)
     if k < 2:
@@ -129,18 +129,15 @@ def sieve_box(
             f"box has {volume} points, above the cap of {cap}; "
             "raise CYCLOFREE_MAX_POINTS to override"
         )
-    bound = norm_bound(n, r)
-    cap_norm = integer_kth_root(bound, k)
+    cap_norm = integer_kth_root(norm_bound(n, r), k)
     if ideal_norm_cap is not None:
         cap_norm = min(cap_norm, ideal_norm_cap)
     ideals = tuple(enumerate_prime_ideals(n, cap_norm))
-    lattices = [ideal_lattice(P, k) for P in ideals]
     flat = np.ones(volume, dtype=bool)
     weights = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
     offset = r * int(weights.sum())
-    for lat in lattices:
-        for block in lat.point_blocks(r):
-            flat[block @ weights + offset] = False
+    for block in lattice_point_blocks([ideal_lattice(P, k) for P in ideals], r):
+        flat[block @ weights + offset] = False
     grid = flat.reshape((side,) * d)
     grid[(r,) * d] = False  # 0 is divisible by every ideal power
     return KFreeBox(n=n, k=k, r=r, grid=grid, prime_ideals_used=ideals)

@@ -20,8 +20,9 @@ import numpy as np
 from .arith import xgcd
 from .cyclotomic import CycInt, _exact_dtype
 
-# Frontier rows per step of IdealLattice.point_blocks.
-BLOCK_ROWS = 1 << 15
+# Frontier rows per step of lattice_point_blocks; larger blocks of several
+# lattices' tail boxes raise peak memory and are no faster.
+BLOCK_ROWS = 1 << 12
 
 
 def determinant(matrix: Sequence[Sequence[int]]) -> int:
@@ -117,46 +118,8 @@ class IdealLattice:
         return code
 
     def point_blocks(self, radius: int) -> Iterator[np.ndarray]:
-        """All lattice points with sup norm <= radius, as (m, d) int64 arrays.
-
-        Breadth first over the basis rows from the last one down: the
-        coefficient of row j fixes coordinate j, so each prefix (a partial
-        sum of the rows below j) expands to the run of coefficients that
-        keeps coordinate j in [-radius, radius].  All prefixes of a row
-        expand at once; a frontier that would pass BLOCK_ROWS rows is split
-        in halves first, which bounds the memory of the walk.
-        """
-        d = self.d
-        if not d:
-            return
-        # The coefficients have sum |c_i| < radius * 2^d and no basis entry
-        # exceeds the index, so partial sums stay below their product.
-        dtype = _exact_dtype((radius << d) * self.index)
-        basis = np.array(self.basis, dtype=dtype)
-        stack = [(d - 1, np.zeros((1, d), dtype=dtype))]
-        while stack:
-            j, prefixes = stack.pop()
-            row = basis[j]
-            base = prefixes[:, j]
-            lo = -((radius + base) // row[j])
-            counts = np.maximum((radius - base) // row[j] - lo + 1, 0).astype(np.int64)
-            total = int(counts.sum())
-            if total > BLOCK_ROWS and len(prefixes) > 1:
-                half = len(prefixes) // 2
-                stack.append((j, prefixes[half:]))
-                stack.append((j, prefixes[:half]))
-                continue
-            if not total:
-                continue
-            owner = np.repeat(np.arange(len(prefixes)), counts)
-            start = np.cumsum(counts) - counts
-            coef = lo[owner] + (np.arange(total) - start[owner])
-            points = prefixes[owner]
-            points[:, : j + 1] += coef[:, None] * row[: j + 1]
-            if j:
-                stack.append((j - 1, points))
-            else:
-                yield points.astype(np.int64)
+        """All lattice points with sup norm <= radius (lattice_point_blocks)."""
+        return lattice_point_blocks((self,), radius)
 
     def points_in_box(self, radius: int) -> Iterator[tuple[int, ...]]:
         """The points of point_blocks, one tuple at a time."""
@@ -181,6 +144,58 @@ class IdealLattice:
             tuple(tuple(int(v) for v in row) for row in data["basis"]),
             int(data["index"]),
         )
+
+
+def lattice_point_blocks(lattices: Sequence[IdealLattice], radius: int) -> Iterator[np.ndarray]:
+    """The points with sup norm <= radius of lattices of one rank d, as
+    (m, d) int64 arrays.
+
+    Breadth first over the basis rows from the last one down: the
+    coefficient of row j fixes coordinate j, so each prefix (a partial sum
+    of the rows below j) expands to the run of coefficients that keeps
+    coordinate j in [-radius, radius].  Past the last diagonal entry above 1,
+    at row t - 1, row j is e_j plus entries in columns below t (0 <= b_j[i] <
+    b_ii = 1 clears the rest), so the walk starts at row t - 1 from the tail
+    box [-radius, radius]^(d-t) with head tail @ basis[t:, :t].  Frontier rows
+    carry their lattice, so all lattices walk together.  Seeds come in blocks
+    of about BLOCK_ROWS rows, and a larger frontier is split in halves.
+    """
+    if not lattices or not lattices[0].d:
+        return
+    d, side = lattices[0].d, 2 * radius + 1
+    # The coefficients have sum |c_i| < radius * 2^d and no basis entry
+    # exceeds the index, so partial sums stay below their product.
+    dtype = _exact_dtype((radius << d) * max(lat.index for lat in lattices))
+    bases = np.array([lat.basis for lat in lattices], dtype=dtype)
+    tails = np.array([max((i + 1 for i in range(d) if lat.basis[i][i] > 1), default=0) for lat in lattices])
+    for t in sorted(set(tails.tolist())):
+        group, count = np.flatnonzero(tails == t), side ** (d - t)
+        digits = side ** np.arange(d - t - 1, -1, -1, dtype=np.int64)
+        for first in range(0, count, BLOCK_ROWS):
+            tail = (np.arange(first, min(first + BLOCK_ROWS, count))[:, None] // digits % side - radius).astype(dtype)
+            for ids in np.array_split(group, -(-len(group) * len(tail) // BLOCK_ROWS)):
+                head = tail @ bases[ids, t:, :t]
+                seed = np.concatenate([head, np.broadcast_to(tail, head.shape[:2] + tail.shape[1:])], axis=2)
+                stack = [(t - 1, seed.reshape(-1, d), np.repeat(ids, len(tail)))]
+                while stack:
+                    j, prefixes, owners = stack.pop()
+                    if j < 0:
+                        yield prefixes.astype(np.int64, copy=False)
+                        continue
+                    diag, base = bases[owners, j, j], prefixes[:, j]
+                    lo = -((radius + base) // diag)
+                    counts = np.maximum((radius - base) // diag - lo + 1, 0).astype(np.int64)
+                    total = int(counts.sum())
+                    if total > BLOCK_ROWS and len(prefixes) > 1:
+                        half = len(prefixes) // 2
+                        stack += [(j, prefixes[half:], owners[half:]), (j, prefixes[:half], owners[:half])]
+                        continue
+                    owner = np.repeat(np.arange(len(prefixes)), counts)
+                    coef = lo[owner] + (np.arange(total) - (np.cumsum(counts) - counts)[owner])
+                    points, owners = prefixes[owner], owners[owner]
+                    points[:, : j + 1] += coef[:, None] * bases[owners, j, : j + 1]
+                    if total:
+                        stack.append((j - 1, points, owners))
 
 
 def hnf(generators: Sequence[Sequence[int]], n: int = 0, modulus: Optional[int] = None) -> IdealLattice:

@@ -3,11 +3,12 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclofree.cyclotomic import CycInt, ring_degree
+from cyclofree.cyclotomic import CycInt, norm_array, ring_degree
 from cyclofree.kfree import (
     PatchConfig,
     ResourceCapError,
@@ -28,9 +29,60 @@ from cyclofree.prime_ideals import is_kfree
 SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
+BOUND_CONDUCTORS = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 20, 21, 25)
+# Up to this degree norm_array takes all 2^d box corners in well under a
+# second (4,096 rows at d = 12); the 2^20 corners at n = 25 would take about
+# 90 s, so 4,096 random ones stand in there.
+ALL_CORNERS_UP_TO_DEGREE = 12
+
+
+def corners(d, radius, rows=None):
+    """Sign patterns as rows (+-radius, ..., +-radius): all 2^d, or the given
+    pattern numbers."""
+    patterns = np.arange(1 << d) if rows is None else np.asarray(rows)
+    return radius * (1 - 2 * ((patterns[:, None] >> np.arange(d)) & 1))
+
+
 class TestNormBound:
     def test_crude_value(self):
         assert norm_bound(4, 10) == (2 * 10) ** 2
+
+    def test_exact_value(self):
+        assert norm_bound(5, 11) == (5 * 11**2) ** 2
+        assert norm_bound(13, 1) == 13**6
+
+    def test_never_above_the_crude_bound(self):
+        for n in range(3, 61):
+            if n % 4 == 2:
+                continue
+            d = ring_degree(n)
+            for r in range(1, 5):
+                crude = (d * r) ** d
+                assert norm_bound(n, r) <= crude
+                assert (norm_bound(n, r) == crude) == (n == 4)
+
+    @given(st.sampled_from(BOUND_CONDUCTORS), st.integers(1, 4), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_random_box_rows(self, n, radius, data):
+        d = ring_degree(n)
+        coord = st.integers(-radius, radius)
+        rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=20))
+        assert all(abs(int(v)) <= norm_bound(n, radius) for v in norm_array(n, np.array(rows)))
+
+    @pytest.mark.parametrize("n", BOUND_CONDUCTORS)
+    def test_box_corners(self, n):
+        d = ring_degree(n)
+        if d <= ALL_CORNERS_UP_TO_DEGREE:
+            rows = corners(d, 1)
+        else:
+            rows = corners(d, 1, np.random.default_rng(n).integers(0, 1 << d, 4096))
+        norms = np.abs(norm_array(n, rows))
+        assert norms.max() <= norm_bound(n, 1)
+        if n == 13:  # the bound is attained
+            assert norms.max() == norm_bound(n, 1)
+        if d <= 8:  # N(r x) = r^d N(x), and the bound scales alike
+            assert np.array_equal(np.abs(norm_array(n, corners(d, 3))), 3**d * norms)
+            assert 3**d * norms.max() <= norm_bound(n, 3)
 
 
 class TestSieve:
@@ -103,10 +155,10 @@ class TestSieve:
             sieve_box(4, 2, 0)
 
 
-# Conductors up to 15 whose sieve runs in well under a second; 11 and 13
-# are left out because their (d*r)^d norm bounds reach 10^10 and 10^13
-# already at radius 1.
-SIEVE_RADIUS = {3: 6, 4: 6, 5: 2, 7: 1, 8: 2, 9: 1, 12: 2, 15: 1}
+# Conductors up to 20 whose sieve runs in about half a second or less
+# (sieve_box(11, 2, 1) sieves in about 0.5 s); 13 is left out, because
+# sieve_box(13, 2, 1) consults 332 prime ideals and takes about 6.5 s.
+SIEVE_RADIUS = {3: 6, 4: 6, 5: 2, 7: 1, 8: 2, 9: 1, 11: 1, 12: 2, 15: 1, 16: 1, 20: 1}
 
 
 @given(st.sampled_from(sorted(SIEVE_RADIUS)), st.integers(2, 3), st.integers(1, 6), st.data())

@@ -255,6 +255,50 @@ class TestPointBlocks:
         assert block_points(lat, 10) == sorted(lattice_walk(lat, 10))
         assert block_points(lat, 10) == [(5 * c, 3 * c) for c in range(-2, 3)]
 
+    @staticmethod
+    def tail_start(lat):
+        """t, one past the last diagonal entry above 1."""
+        return max((i + 1 for i in range(lat.d) if lat.basis[i][i] > 1), default=0)
+
+    def test_every_diagonal_above_one(self):
+        lat = ideal_lattice(split_prime(2, 5)[0], 2)  # 2 is inert: P^2 = (4)
+        assert self.tail_start(lat) == lat.d == 4
+        assert block_points(lat, 5) == sorted(lattice_walk(lat, 5))
+        assert len(block_points(lat, 5)) == 3**4
+
+    def test_several_points_per_prefix(self):
+        lat = ideal_lattice(ideal_above(7, 3), 1)  # norm 7, diagonal (7, 1)
+        assert self.tail_start(lat) == 1 and lat.index == 7
+        expected = sorted(lattice_walk(lat, 40))
+        assert block_points(lat, 40) == expected
+        assert len(expected) > 10 * 81  # about 81 / 7 points per tail row
+
+    @pytest.mark.parametrize(
+        "generators",
+        [
+            [[1, 0, 0], [0, 3, 0], [0, 2, 1]],  # diagonal (1, 3, 1)
+            [[2, 0, 0, 0], [1, 1, 0, 0], [1, 0, 3, 0], [1, 2, 2, 1]],
+            [[1, 0], [0, 1]],  # Z^2: the walk is the tail box itself
+        ],
+    )
+    def test_plain_lattices(self, generators):
+        lat = hnf(generators)
+        assert lat.n == 0
+        for radius in (1, 4):
+            assert block_points(lat, radius) == sorted(lattice_walk(lat, radius))
+
+    @pytest.mark.parametrize("block_rows", [5, 300, lattices.BLOCK_ROWS])
+    def test_lattices_walked_together(self, monkeypatch, block_rows):
+        monkeypatch.setattr(lattices, "BLOCK_ROWS", block_rows)
+        group = [ideal_lattice(P, k) for P in enumerate_prime_ideals(5, 200) for k in (1, 2)]
+        group.append(hnf([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
+        assert {self.tail_start(lat) for lat in group} >= {0, 1, 2, 4}
+        together = lattices.lattice_point_blocks(group, 3)
+        assert sorted(tuple(p) for block in together for p in block.tolist()) == sorted(
+            p for lat in group for p in block_points(lat, 3)
+        )
+        assert all(len(block) <= 2 * block_rows for block in lattices.lattice_point_blocks(group, 3))
+
     def test_points_in_box_yields_tuples(self):
         lat = ideal_lattice(ideal_above(5, 4), 2)
         points = list(lat.points_in_box(9))
