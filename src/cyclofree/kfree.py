@@ -314,18 +314,21 @@ def is_admissible(points: Iterable[Sequence[int]], n: int, k: int) -> bool:
     every lattice of an ideal power P^k.
 
     Only ideals with N(P)^k <= |set| can be covered, since the coset
-    count of the others already exceeds the set size.  A lattice is
-    covered when the points take all of its index coset codes.
+    count of the others already exceeds the set size (repeated points
+    only raise that cap).  A lattice is covered when the points take all
+    of its index coset codes, counted as the steps of the sorted codes.
     """
     validate_conductor(n)
-    distinct = {tuple(int(v) for v in p) for p in points}
-    if not distinct:
+    if k < 2:
+        raise ValueError("k must be >= 2")
+    pts = np.array(list(points))
+    if not len(pts):
         return True
-    pts = np.array(list(distinct))
     cap = integer_kth_root(len(pts), k)
     for ideal in enumerate_prime_ideals(n, cap):
         lattice = ideal_lattice(ideal, k)
-        if np.unique(lattice.coset_codes(pts)).size == lattice.index:
+        codes = np.sort(lattice.coset_codes(pts))
+        if 1 + np.count_nonzero(codes[1:] != codes[:-1]) == lattice.index:
             return False
     return True
 
@@ -339,9 +342,9 @@ def hereditary_check(box: KFreeBox, trials: int, seed: int = 0) -> bool:
     import random
 
     rng = random.Random(seed)
-    pts = box.sorted_points()
+    pts = box.point_array()
     for _ in range(trials):
-        subset = [p for p in pts if rng.random() < 0.5]
-        if not is_admissible(subset, box.n, box.k):
+        keep = np.array([rng.random() < 0.5 for _ in range(len(pts))], dtype=bool)
+        if not is_admissible(pts[keep], box.n, box.k):
             return False
     return True

@@ -8,7 +8,6 @@ the product of the diagonal.
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -66,21 +65,6 @@ class IdealLattice:
     d: int
     basis: tuple[tuple[int, ...], ...]
     index: int
-
-    def member(self, point: Sequence[int]) -> bool:
-        """Is the point an integer combination of the basis rows?"""
-        if len(point) != self.d:
-            raise ValueError(f"point has length {len(point)}, lattice rank {self.d}")
-        residue = list(point)
-        for j in range(self.d - 1, -1, -1):
-            q, r = divmod(residue[j], self.basis[j][j])
-            if r:
-                return False
-            if q:
-                row = self.basis[j]
-                for t in range(j + 1):
-                    residue[t] -= q * row[t]
-        return True
 
     def coset_id(self, point: Sequence[int]) -> tuple[int, ...]:
         """Canonical coset representative with 0 <= r[j] < diagonal[j]."""
@@ -156,23 +140,23 @@ def lattice_point_blocks(lattices: Sequence[IdealLattice], radius: int) -> Itera
     coordinate j in [-radius, radius].  Past the last diagonal entry above 1,
     at row t - 1, row j is e_j plus entries in columns below t (0 <= b_j[i] <
     b_ii = 1 clears the rest), so the walk starts at row t - 1 from the tail
-    box [-radius, radius]^(d-t) with head tail @ basis[t:, :t].  Frontier rows
-    carry their lattice, so all lattices walk together.  Seeds come in blocks
-    of about BLOCK_ROWS rows, and a larger frontier is split in halves.
+    box [-radius, radius]^(d-t) (box_blocks) with head tail @ basis[t:, :t].
+    Frontier rows carry their lattice, so all lattices walk together.  Seeds
+    come in blocks of about BLOCK_ROWS rows, and a larger frontier is split
+    in halves.
     """
     if not lattices or not lattices[0].d:
         return
-    d, side = lattices[0].d, 2 * radius + 1
+    d = lattices[0].d
     # The coefficients have sum |c_i| < radius * 2^d and no basis entry
     # exceeds the index, so partial sums stay below their product.
     dtype = _exact_dtype((radius << d) * max(lat.index for lat in lattices))
     bases = np.array([lat.basis for lat in lattices], dtype=dtype)
     tails = np.array([max((i + 1 for i in range(d) if lat.basis[i][i] > 1), default=0) for lat in lattices])
     for t in sorted(set(tails.tolist())):
-        group, count = np.flatnonzero(tails == t), side ** (d - t)
-        digits = side ** np.arange(d - t - 1, -1, -1, dtype=np.int64)
-        for first in range(0, count, BLOCK_ROWS):
-            tail = (np.arange(first, min(first + BLOCK_ROWS, count))[:, None] // digits % side - radius).astype(dtype)
+        group = np.flatnonzero(tails == t)
+        for tail in box_blocks(radius, d - t):
+            tail = tail.astype(dtype)
             for ids in np.array_split(group, -(-len(group) * len(tail) // BLOCK_ROWS)):
                 head = tail @ bases[ids, t:, :t]
                 seed = np.concatenate([head, np.broadcast_to(tail, head.shape[:2] + tail.shape[1:])], axis=2)
@@ -296,8 +280,13 @@ def ideal_lattice(prime_ideal, m: int = 1) -> IdealLattice:
     return lat
 
 
-def box_points(radius: int, d: int) -> Iterator[tuple[int, ...]]:
-    """All points of [-radius, radius]^d in lexicographic order."""
+def box_blocks(radius: int, d: int) -> Iterator[np.ndarray]:
+    """The points of [-radius, radius]^d in lexicographic order, as int64
+    arrays of at most BLOCK_ROWS rows."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    return itertools.product(range(-radius, radius + 1), repeat=d)
+    side = 2 * radius + 1
+    count = side**d
+    digits = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    for first in range(0, count, BLOCK_ROWS):
+        yield np.arange(first, min(first + BLOCK_ROWS, count))[:, None] // digits % side - radius

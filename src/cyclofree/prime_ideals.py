@@ -7,9 +7,9 @@ g gives the prime ideal (ell, g(zeta_n)), with residue degree deg(g) and
 ramification equal to the multiplicity of g.
 
 Valuations are computed geometrically: v_P(x) is the largest m for which
-the embedded point lies in the lattice of P^m.  The k-free test works on
-arrays of points: exact norms, one factorization per distinct norm, and
-membership in P^k by coset codes.
+the embedded point lies in the lattice of P^m (coset code 0).  The k-free
+and W_k tests work on arrays of points: exact norms, one factorization per
+distinct norm, and membership in P^k by coset codes.
 """
 
 from __future__ import annotations
@@ -162,29 +162,21 @@ def enumerate_prime_ideals(n: int, norm_bound: int) -> Iterator[PrimeIdeal]:
 
 
 def valuation(x: CycInt, ideal: PrimeIdeal) -> int:
-    """v_P(x): the largest m with x in P^m.  Infinite (an error) for x = 0."""
+    """v_P(x): the largest m with x in P^m, that is with coset code 0 in the
+    lattice of P^m.  Infinite (an error) for x = 0."""
     if not x:
         raise ValueError("the valuation of 0 is infinite")
     if x.n != ideal.n:
         raise ValueError("conductor mismatch")
-    point = x.embed()
-    if not ideal_lattice(ideal, 1).member(point):
-        return 0
-    m = 1
-    while ideal_lattice(ideal, m + 1).member(point):
+    row = np.array([x.coeffs], dtype=object)
+    m = 0
+    while ideal_lattice(ideal, m + 1).coset_codes(row)[0] == 0:
         m += 1
     return m
 
 
-def kfree_mask(points, n: int, k: int = 2) -> np.ndarray:
-    """For each row of an (m, d) integer array, is that element k-free?
-
-    A zero row is not.  v_P(x) >= k forces N(P)^k | N(x), so the only
-    ideals consulted for a row are the P above a prime factor of |N(x)|
-    with N(P)^k dividing it; |N| is factored once per distinct value, and
-    each such P tests all of its rows at once: x lies in P^k exactly when
-    its coset code in the lattice of P^k is 0.
-    """
+def _kfree_with_norms(points, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """kfree_mask of the rows, with the |N(x)| it was read from."""
     if k < 2:
         raise ValueError("k must be >= 2")
     rows = np.asarray(points)
@@ -206,7 +198,30 @@ def kfree_mask(points, n: int, k: int = 2) -> np.ndarray:
         index = np.array(group)
         codes = ideal_lattice(ideal, k).coset_codes(rows[index])
         ok[index[codes == 0]] = False
-    return ok
+    return ok, norms
+
+
+def kfree_mask(points, n: int, k: int = 2) -> np.ndarray:
+    """For each row of an (m, d) integer array, is that element k-free?
+
+    A zero row is not.  v_P(x) >= k forces N(P)^k | N(x), so the only
+    ideals consulted for a row are the P above a prime factor of |N(x)|
+    with N(P)^k dividing it; |N| is factored once per distinct value, and
+    each such P tests all of its rows at once: x lies in P^k exactly when
+    its coset code in the lattice of P^k is 0.
+    """
+    return _kfree_with_norms(points, n, k)[0]
+
+
+def wk_mask(points, n: int, k: int = 2) -> np.ndarray:
+    """For each row of an (m, d) integer array, is that element in W_k:
+    k-free, with only ramified primes (those above the divisors of n)
+    dividing it?  Read from the norms kfree_mask computed: some P above ell
+    divides x exactly when ell divides N = |N(x)|, and every prime factor of
+    N divides n exactly when N divides n^e, e = bit length of N."""
+    ok, norms = _kfree_with_norms(points, n, k)
+    ramified = [v > 0 and pow(n, v.bit_length(), v) == 0 for v in norms.tolist()]
+    return ok & np.array(ramified, dtype=bool)
 
 
 def is_kfree(x: CycInt, k: int = 2) -> bool:
@@ -217,15 +232,8 @@ def is_kfree(x: CycInt, k: int = 2) -> bool:
 
 def is_in_Wk(x: CycInt, k: int = 2) -> bool:
     """True when x is k-free and only ramified primes (those above the
-    divisors of n) divide the ideal (x)."""
-    if not x:
-        return False
-    if not is_kfree(x, k):
-        return False
-    norm = abs(x.norm())
-    if norm == 1:
-        return True
-    return all(x.n % ell == 0 for ell in factor_integer(norm))
+    divisors of n) divide the ideal (x).  One row of wk_mask."""
+    return bool(wk_mask(np.array([x.coeffs], dtype=object), x.n, k)[0])
 
 
 def ramified_primes(n: int) -> list[int]:

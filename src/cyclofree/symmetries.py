@@ -25,9 +25,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .arith import factor_integer, is_prime, primes_up_to
-from .cyclotomic import CycInt, _exact_dtype, ring_degree, validate_conductor
-from .lattices import box_points, determinant
-from .prime_ideals import is_in_Wk, is_kfree, kfree_mask, split_prime, valuation
+from .cyclotomic import CycInt, _exact_dtype, norm_array, ring_degree, validate_conductor
+from .lattices import box_blocks, determinant, ideal_lattice
+from .prime_ideals import is_in_Wk, is_kfree, kfree_mask, split_prime, wk_mask
 from . import kfree as kfree_mod
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -193,6 +193,23 @@ class ActionReport:
         )
 
 
+def _act(rows: np.ndarray, matrix: Matrix) -> np.ndarray:
+    """rows @ matrix.T exactly: the images of (m, d) integer rows."""
+    matrix = np.array(matrix, dtype=object)
+    # An image entry is at most max |entry| times the L1 norm of a matrix row.
+    dtype = _exact_dtype(int(np.abs(rows).max(initial=0)) * int(np.abs(matrix).sum(axis=1).max()))
+    return rows.astype(dtype) @ matrix.T.astype(dtype)
+
+
+def _sample_rows(box: kfree_mod.KFreeBox, sample_size: int, seed: int) -> np.ndarray:
+    """The rows rng.sample(box.sorted_points(), sample_size) picks, or all
+    of them when there are no more than sample_size."""
+    pts = box.point_array()
+    if len(pts) <= sample_size:
+        return pts
+    return pts[random.Random(seed).sample(range(len(pts)), sample_size)]
+
+
 def verify_stabiliser_action(
     element: SymmetryElement,
     box: kfree_mod.KFreeBox,
@@ -204,22 +221,14 @@ def verify_stabiliser_action(
     the sieved box to k-free points; the expected failure count is zero."""
     if box.n != element.n:
         raise ValueError("conductor mismatch")
-    k = box.k
-    pts = box.point_array()
-    rng = random.Random(seed)
-    # Sampling indices picks the rows rng.sample(points, sample_size) picks.
-    sample = pts if len(pts) <= sample_size else pts[rng.sample(range(len(pts)), sample_size)]
+    sample = _sample_rows(box, sample_size, seed)
     maps = [element, element.inverse()] if include_inverse else [element]
     failures = []
     for mapping in maps:
-        matrix = np.array(mapping.matrix, dtype=object)
-        # An image entry is at most r times the L1 norm of a matrix row.
-        dtype = _exact_dtype(box.r * int(np.abs(matrix).sum(axis=1).max()))
-        images = sample.astype(dtype) @ matrix.T.astype(dtype)
-        ok = kfree_mask(images, element.n, k)
+        ok = kfree_mask(_act(sample, mapping.matrix), element.n, box.k)
         failures.extend(map(tuple, sample[~ok].tolist()))
     return ActionReport(
-        n=element.n, k=k, element=element.describe(), checked=len(maps) * len(sample),
+        n=element.n, k=box.k, element=element.describe(), checked=len(maps) * len(sample),
         failures=failures,
     )
 
@@ -227,23 +236,21 @@ def verify_stabiliser_action(
 def scan_for_violation(
     matrix: Matrix, n: int, k: int, radius_cap: int = 100
 ) -> Optional[tuple[int, ...]]:
-    """First k-free point (by growing sup norm) whose image under the raw
-    integer matrix is not k-free; None if none exists up to the cap.
+    """First k-free point (by growing sup norm, then lexicographically)
+    whose image under the raw integer matrix is not k-free; None if none
+    exists up to the cap.
 
     A matrix outside the unit-Galois family is expected to produce one,
     though this scan cannot certify where.
     """
     d = ring_degree(n)
     for radius in range(1, radius_cap + 1):
-        for p in box_points(radius, d):
-            if max(abs(v) for v in p) != radius:
-                continue
-            x = CycInt.unembed(n, p)
-            if not is_kfree(x, k):
-                continue
-            image = tuple(sum(matrix[i][j] * p[j] for j in range(d)) for i in range(d))
-            if not is_kfree(CycInt.unembed(n, image), k):
-                return p
+        for block in box_blocks(radius, d):
+            rows = block[np.abs(block).max(axis=1) == radius]
+            rows = rows[kfree_mask(rows, n, k)]
+            bad = np.flatnonzero(~kfree_mask(_act(rows, matrix), n, k))
+            if len(bad):
+                return tuple(rows[bad[0]].tolist())
     return None
 
 
@@ -253,31 +260,24 @@ def verify_Wk_preservation(
     norm_bound: int,
     search_radius: int = 5,
 ) -> ActionReport:
-    """Image and preimage stay in W_k for every W_k element found in the
-    search box with |norm| <= norm_bound.
+    """Image and preimage, under the element's matrix, stay in W_k for every
+    W_k element found in the search box with |norm| <= norm_bound.
 
     W_k contains infinitely many elements (all roots of unity, for one),
     so the enumeration is box-bounded by construction.
     """
     n = element.n
-    d = ring_degree(n)
     inverse = element.inverse()
     failures = []
     checked = 0
-    for p in box_points(search_radius, d):
-        x = CycInt.unembed(n, p)
-        if not x:
-            continue
-        if abs(x.norm()) > norm_bound or not is_in_Wk(x, k):
-            continue
-        checked += 1
-        if not is_in_Wk(element.apply_element(x), k):
-            failures.append(p)
-        elif not is_in_Wk(inverse.apply_element(x), k):
-            failures.append(p)
-    return ActionReport(
-        n=n, k=k, element=element.describe(), checked=checked, failures=failures
-    )
+    for block in box_blocks(search_radius, ring_degree(n)):
+        norms = np.abs(norm_array(n, block))
+        rows = block[(norms != 0) & (norms <= norm_bound)]
+        rows = rows[wk_mask(rows, n, k)]
+        checked += len(rows)
+        kept = wk_mask(_act(rows, element.matrix), n, k) & wk_mask(_act(rows, inverse.matrix), n, k)
+        failures.extend(map(tuple, rows[~kept].tolist()))
+    return ActionReport(n=n, k=k, element=element.describe(), checked=checked, failures=failures)
 
 
 def verify_coprimality_transport(
@@ -288,29 +288,24 @@ def verify_coprimality_transport(
     sample_size: int = 20,
     seed: int = 0,
 ) -> ActionReport:
-    """Ideal-coprimality with unramified primes survives the action: if no
-    prime ideal above p divides x, none divides the image either."""
+    """Ideal-coprimality with unramified primes survives the action of the
+    element's matrix: if no prime ideal above p divides x, none divides the
+    image either.  x lies in P exactly when its coset code in P is 0."""
     n = element.n
-    box = kfree_mod.sieve_box(n, k, r_box)
-    rng = random.Random(seed)
-    pts = box.sorted_points()
-    sample = pts if len(pts) <= sample_size else rng.sample(pts, sample_size)
-    unramified = [p for p in primes_up_to(prime_bound) if n % p != 0]
+    sample = _sample_rows(kfree_mod.sieve_box(n, k, r_box), sample_size, seed)
+    images = _act(sample, element.matrix)
     failures = []
     checked = 0
-    for p in sample:
-        x = CycInt.unembed(n, p)
-        y = element.apply_element(x)
-        for ell in unramified:
-            ideals = split_prime(ell, n)
-            x_coprime = all(valuation(x, P) == 0 for P in ideals)
-            if not x_coprime:
-                continue
-            checked += 1
-            if not all(valuation(y, P) == 0 for P in ideals):
-                failures.append((p, ell))
+    for ell in (p for p in primes_up_to(prime_bound) if n % p):
+        lattices = [ideal_lattice(P, 1) for P in split_prime(ell, n)]
+        x_coprime = np.logical_and.reduce([lat.coset_codes(sample) != 0 for lat in lattices])
+        y_coprime = np.logical_and.reduce([lat.coset_codes(images) != 0 for lat in lattices])
+        checked += int(np.count_nonzero(x_coprime))
+        failures.extend((int(i), ell) for i in np.flatnonzero(x_coprime & ~y_coprime))
+    failures.sort()
     return ActionReport(
-        n=n, k=k, element=element.describe(), checked=checked, failures=failures
+        n=n, k=k, element=element.describe(), checked=checked,
+        failures=[(tuple(sample[i].tolist()), ell) for i, ell in failures],
     )
 
 

@@ -1,5 +1,6 @@
 """Independent numeric oracles shared by the test modules."""
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -24,6 +25,11 @@ def character_oracle_gaussian(k: int) -> tuple[float, float]:
     l_partial = math.fsum((-1) ** j * (2 * j + 1) ** -float(k) for j in range(m_terms))
     l_err = (2 * m_terms + 1) ** -k + 1e-11
     return zeta_lo * (l_partial - l_err), zeta_hi * (l_partial + l_err)
+
+
+def box_points(radius: int, d: int):
+    """All points of [-radius, radius]^d as tuples, in lexicographic order."""
+    return itertools.product(range(-radius, radius + 1), repeat=d)
 
 
 def lattice_walk(lattice, radius: int):

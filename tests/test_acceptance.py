@@ -6,11 +6,12 @@ import math
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from _oracles import character_oracle_gaussian
 
 from cyclofree.arith import primes_up_to
-from cyclofree.cyclotomic import CycInt, euler_phi, ring_degree
+from cyclofree.cyclotomic import euler_phi, ring_degree
 from cyclofree.kfree import (
     density_estimate,
     hereditary_check,
@@ -18,8 +19,8 @@ from cyclofree.kfree import (
     patch_entropy_estimate,
     sieve_box,
 )
-from cyclofree.lattices import box_points, determinant, ideal_lattice
-from cyclofree.prime_ideals import is_kfree, split_prime
+from cyclofree.lattices import box_blocks, determinant, ideal_lattice
+from cyclofree.prime_ideals import kfree_mask, split_prime
 from cyclofree.symmetries import (
     aq_search,
     generator_elements,
@@ -80,14 +81,11 @@ def test_criterion_03_sieve_equals_pointwise_valuations():
     mismatches = 0
     checked = 0
     for n in (3, 4, 5, 8, 12):
-        d = ring_degree(n)
-        boxes = {k: sieve_box(n, k, 5) for k in (2, 3)}
-        for p in box_points(5, d):
-            x = CycInt.unembed(n, p)
-            for k in (2, 3):
-                checked += 1
-                if boxes[k].contains(p) != is_kfree(x, k):
-                    mismatches += 1
+        points = np.concatenate(list(box_blocks(5, ring_degree(n))))
+        for k in (2, 3):
+            grid = sieve_box(n, k, 5).grid.reshape(-1)  # C order is box_blocks' order
+            checked += len(points)
+            mismatches += int(np.count_nonzero(grid != kfree_mask(points, n, k)))
     report("3", mismatches == 0, f"{checked} point/k pairs compared, {mismatches} discrepancies")
 
 

@@ -123,6 +123,27 @@ class TestAdmissibleCommand:
         code, _, _ = run(tmp_path, "admissible", "--in", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_k_below_two_is_exit_two(self, tmp_path, capsys):
+        patch_file = tmp_path / "patch.json"
+        patch = PatchConfig(shape=((0, 0), (0, 1)), fill=0b11)
+        for k in (1, 0):
+            patch_file.write_text(patch_to_json(patch, 4, k))
+            code, payload, _ = run(tmp_path, "admissible", "--in", str(patch_file))
+            assert code == 2 and payload == b""
+            assert "k must be >= 2" in capsys.readouterr().err
+
+    def test_admissible_does_not_import_numpy_ma(self, tmp_path):
+        shape = tuple((a, b) for a in range(4) for b in range(4))
+        patch_file = tmp_path / "cover.json"
+        patch_file.write_text(patch_to_json(PatchConfig(shape=shape, fill=(1 << 16) - 1), 4, 2))
+        script = (
+            "import sys; from cyclofree.cli import main; "
+            f"code = main(['admissible', '--in', {str(patch_file)!r}, '--out', {str(tmp_path / 'out')!r}]); "
+            "assert code == 0, code; assert 'numpy.ma' not in sys.modules"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
 
 class TestSymcheckCommand:
     def test_gaussian_generators_pass(self, tmp_path):

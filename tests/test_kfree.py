@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from _oracles import box_points
 
 from cyclofree.cyclotomic import CycInt, norm_array, ring_degree
 from cyclofree.kfree import (
@@ -23,7 +24,6 @@ from cyclofree.kfree import (
     patch_to_json,
     sieve_box,
 )
-from cyclofree.lattices import box_points
 from cyclofree.prime_ideals import is_kfree
 
 SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]

@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import lattice_walk
+from _oracles import box_points, lattice_walk
 from cyclofree import lattices
 from cyclofree.cyclotomic import ring_degree
 from cyclofree.lattices import (
     IdealLattice,
     RankError,
-    box_points,
+    box_blocks,
     determinant,
     hnf,
     ideal_lattice,
@@ -111,8 +111,8 @@ class TestIdealLattice:
         lat = ideal_lattice(ideal_above(2, 4), 1)
         assert lat.index == 2
         # the even coordinate-sum sublattice
-        for point in box_points(3, 2):
-            assert lat.member(point) == ((point[0] + point[1]) % 2 == 0)
+        points = np.array(list(box_points(3, 2)))
+        assert np.array_equal(lat.coset_codes(points) == 0, points.sum(axis=1) % 2 == 0)
 
     def test_index_is_norm_for_first_power(self):
         for ell, n in ((2, 4), (5, 4), (3, 4), (7, 5), (13, 12), (3, 8)):
@@ -130,8 +130,7 @@ class TestIdealLattice:
             for m in range(1, 4):
                 outer = ideal_lattice(ideal, m)
                 inner = ideal_lattice(ideal, m + 1)
-                for row in inner.basis:
-                    assert outer.member(row)
+                assert not outer.coset_codes(np.array(inner.basis)).any()
 
     def test_index_of_powers(self):
         for ell, n in ((2, 4), (5, 4), (3, 5), (13, 12)):
@@ -151,21 +150,26 @@ class TestIdealLattice:
 
 
 class TestMembership:
+    """A point lies in the lattice exactly when its coset code is 0."""
+
     def setup_method(self):
         self.lat = ideal_lattice(ideal_above(2, 4), 1)  # the ideal of 1+i
 
+    def member(self, point):
+        return self.lat.coset_codes(np.array([point]))[0] == 0
+
     def test_zero_is_member_everywhere(self):
-        assert self.lat.member((0, 0))
+        assert self.member((0, 0))
 
     def test_generator_is_member(self):
-        assert self.lat.member((1, 1))
+        assert self.member((1, 1))
 
     def test_one_is_not_member(self):
-        assert not self.lat.member((1, 0))
+        assert not self.member((1, 0))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            self.lat.member((1, 0, 0))
+            self.member((1, 0, 0))
 
 
 class TestCosets:
@@ -200,37 +204,56 @@ class TestCosets:
             assert direct == via_ids
 
 
+def box_rows(radius, d):
+    return np.concatenate(list(box_blocks(radius, d)))
+
+
 class TestBoxPoints:
     def test_radius_zero(self):
-        assert list(box_points(0, 3)) == [(0, 0, 0)]
+        assert [block.tolist() for block in box_blocks(0, 3)] == [[[0, 0, 0]]]
 
     def test_radius_one_plane(self):
-        assert len(list(box_points(1, 2))) == 9
+        assert box_rows(1, 2).shape == (9, 2)
 
     def test_radius_two_rank_four(self):
-        assert sum(1 for _ in box_points(2, 4)) == 625
+        assert sum(len(block) for block in box_blocks(2, 4)) == 625
 
     def test_lexicographic_order(self):
-        pts = list(box_points(1, 2))
+        pts = box_rows(1, 2).tolist()
         assert pts == sorted(pts)
-        assert pts[0] == (-1, -1) and pts[-1] == (1, 1)
+        assert pts[0] == [-1, -1] and pts[-1] == [1, 1]
+        assert [tuple(p) for p in box_rows(2, 3).tolist()] == list(box_points(2, 3))
+
+    def test_blocks_of_at_most_block_rows(self, monkeypatch):
+        monkeypatch.setattr(lattices, "BLOCK_ROWS", 7)
+        blocks = list(box_blocks(2, 3))
+        assert [len(block) for block in blocks] == [7] * 17 + [6]
+        assert all(block.dtype == np.int64 for block in blocks)
+        assert np.concatenate(blocks).tolist() == [list(p) for p in box_points(2, 3)]
+
+    def test_negative_radius(self):
+        with pytest.raises(ValueError):
+            list(box_blocks(-1, 2))
 
 
 class TestPointsInBox:
+    """points_in_box against a scan of the box for coset code 0."""
+
+    @staticmethod
+    def scan(lat, radius):
+        rows = box_rows(radius, lat.d)
+        return set(map(tuple, rows[lat.coset_codes(rows) == 0].tolist()))
+
     @given(st.integers(1, 6), st.integers(0, 5), st.integers(1, 6), st.integers(3, 9))
     @settings(max_examples=40, deadline=None)
     def test_matches_member_scan(self, d0, off, d1, radius):
         lat = hnf([[d0, 0], [off, d1]])
-        fast = set(lat.points_in_box(radius))
-        slow = {p for p in box_points(radius, 2) if lat.member(p)}
-        assert fast == slow
+        assert set(lat.points_in_box(radius)) == self.scan(lat, radius)
 
     def test_rank_four_case(self):
         ideal = split_prime(2, 5)[0]  # inert, norm 16
         lat = ideal_lattice(ideal, 1)
-        fast = set(lat.points_in_box(3))
-        slow = {p for p in box_points(3, 4) if lat.member(p)}
-        assert fast == slow
+        assert set(lat.points_in_box(3)) == self.scan(lat, 3)
 
 
 class TestPointBlocks:
@@ -320,7 +343,7 @@ class TestCosetCodes:
 
     def test_every_code_of_a_full_residue_box(self):
         lat = ideal_lattice(ideal_above(5, 4), 2)  # index 25
-        points = np.array(list(box_points(12, 2)))
+        points = box_rows(12, 2)
         assert sorted(set(lat.coset_codes(points).tolist())) == list(range(lat.index))
 
     def test_entries_beyond_int64(self):

@@ -3,11 +3,12 @@ import json
 import random
 
 import pytest
-from _oracles import is_kfree_by_valuations
+from _oracles import box_points, is_kfree_by_valuations
 
+from cyclofree.arith import primes_up_to
 from cyclofree.cyclotomic import CycInt, euler_phi, ring_degree
 from cyclofree.kfree import sieve_box
-from cyclofree.prime_ideals import is_in_Wk, split_prime
+from cyclofree.prime_ideals import is_in_Wk, split_prime, valuation
 from cyclofree.symmetries import (
     AqCandidate,
     AqNotFound,
@@ -161,6 +162,38 @@ class TestStabiliserAction:
         ]
         assert report.failures == expected
         assert report.failures and report.checked == 300
+
+    def test_shear_Wk_and_coprimality_failures_match_the_oracle_loop(self):
+        # Both checks act by the element's matrix, not by (unit, r): here the
+        # matrix is a shear while (unit, r) = (1, 1) is the identity.
+        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        inverse = shear.inverse()
+
+        def in_w2(point):
+            return is_in_Wk(CycInt.unembed(4, point), 2)
+
+        report = verify_Wk_preservation(shear, 2, norm_bound=100, search_radius=4)
+        found = [
+            p for p in box_points(4, 2)
+            if any(p) and abs(CycInt.unembed(4, p).norm()) <= 100 and in_w2(p)
+        ]
+        expected = [p for p in found if not (in_w2(shear.apply(p)) and in_w2(inverse.apply(p)))]
+        assert report.failures == expected and report.checked == len(found)
+        assert (1, 1) in expected  # 1 + i is in W_2, its image 2 + i has norm 5
+
+        report = verify_coprimality_transport(shear, 2, prime_bound=50, r_box=8, sample_size=20)
+        sample = random.Random(0).sample(sieve_box(4, 2, 8).sorted_points(), 20)
+        expected, checked = [], 0
+        for p in sample:
+            x, y = CycInt.unembed(4, p), CycInt.unembed(4, shear.apply(p))
+            for ell in (q for q in primes_up_to(50) if 4 % q):
+                ideals = split_prime(ell, 4)
+                if all(valuation(x, P) == 0 for P in ideals):
+                    checked += 1
+                    if any(valuation(y, P) for P in ideals):
+                        expected.append((p, ell))
+        assert report.failures == expected and report.checked == checked
+        assert len(expected) > len({p for p, _ in expected})  # one point fails at two primes
 
     def test_stabiliser_matrix_has_no_violation_scan(self):
         el = symmetry_element(CycInt.root(4), 1)
