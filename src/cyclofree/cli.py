@@ -86,12 +86,26 @@ def _points_payload(box, fmt: str) -> bytes:
     return (head + sep.join(blocks) + tail).encode("utf-8")
 
 
-def cmd_sieve(args) -> int:
+def _run(args) -> int:
+    """Time a command's body, emit its payload and manifest, then run its
+    follow-up.  Each cmd_* body returns (payload bytes, manifest parameters,
+    follow-up or None); a follow-up writes side reports after the manifest
+    and returns the exit code."""
     t0 = time.perf_counter()
+    payload, params, after = args.func(args)
+    wall = time.perf_counter() - t0
+    _emit(args, args.command, params, payload, seed=args.seed, wall=wall)
+    return after() if after else EXIT_OK
+
+
+def _line(text: str) -> bytes:
+    return (text + "\n").encode("utf-8")
+
+
+def cmd_sieve(args):
     box = sieve_box(args.n, args.k, args.radius)
     payload = _points_payload(box, args.format)
     report = density_estimate(box, prime_bound=args.prime_bound)
-    wall = time.perf_counter() - t0
     params = {
         "n": args.n,
         "k": args.k,
@@ -99,74 +113,56 @@ def cmd_sieve(args) -> int:
         "format": args.format,
         "prime_bound": args.prime_bound,
     }
-    _emit(args, "sieve", params, payload, seed=args.seed, wall=wall)
-    if args.out:
-        Path(str(args.out) + ".density.json").write_text(report.to_json() + "\n", encoding="utf-8")
-    else:
-        sys.stderr.write(report.to_json() + "\n")
-    return EXIT_OK
+
+    def side_report() -> int:
+        if args.out:
+            Path(str(args.out) + ".density.json").write_text(report.to_json() + "\n", encoding="utf-8")
+        else:
+            sys.stderr.write(report.to_json() + "\n")
+        return EXIT_OK
+
+    return payload, params, side_report
 
 
-def cmd_density(args) -> int:
-    t0 = time.perf_counter()
+def cmd_density(args):
     box = sieve_box(args.n, args.k, args.radius)
     report = density_estimate(box, prime_bound=args.prime_bound)
-    payload = (report.to_json() + "\n").encode("utf-8")
-    wall = time.perf_counter() - t0
     params = {"n": args.n, "k": args.k, "radius": args.radius, "prime_bound": args.prime_bound}
-    _emit(args, "density", params, payload, seed=args.seed, wall=wall)
-    return EXIT_OK
+    return _line(report.to_json()), params, None
 
 
-def cmd_zeta(args) -> int:
-    t0 = time.perf_counter()
+def cmd_zeta(args):
     value = dedekind_zeta(args.n, args.k, args.prime_bound)
-    payload = (value.to_json() + "\n").encode("utf-8")
-    wall = time.perf_counter() - t0
     params = {"n": args.n, "k": args.k, "prime_bound": args.prime_bound}
-    _emit(args, "zeta", params, payload, seed=args.seed, wall=wall)
-    return EXIT_OK
+    return _line(value.to_json()), params, None
 
 
-def cmd_entropy(args) -> int:
-    t0 = time.perf_counter()
+def cmd_entropy(args):
     interval = entropy_constant(args.n, args.k, args.prime_bound)
-    payload = (
-        interval_to_json(
-            interval, n=args.n, k=args.k, prime_bound=args.prime_bound, constant="entropy"
-        )
-        + "\n"
-    ).encode("utf-8")
-    wall = time.perf_counter() - t0
+    text = interval_to_json(
+        interval, n=args.n, k=args.k, prime_bound=args.prime_bound, constant="entropy"
+    )
     params = {"n": args.n, "k": args.k, "prime_bound": args.prime_bound}
-    _emit(args, "entropy", params, payload, seed=args.seed, wall=wall)
-    return EXIT_OK
+    return _line(text), params, None
 
 
-def cmd_admissible(args) -> int:
-    t0 = time.perf_counter()
+def cmd_admissible(args):
     text = Path(args.infile).read_text(encoding="utf-8")
     patch, n, k = patch_from_json(text)
     cells = patch.occupied
     verdict = is_admissible(cells, n, k)
-    payload = (
-        json.dumps({"admissible": verdict, "n": n, "k": k, "cells": len(cells)}, sort_keys=True)
-        + "\n"
-    ).encode("utf-8")
-    wall = time.perf_counter() - t0
-    _emit(args, "admissible", {"in": str(args.infile)}, payload, seed=args.seed, wall=wall)
-    return EXIT_OK
+    payload = _line(json.dumps({"admissible": verdict, "n": n, "k": k, "cells": len(cells)}, sort_keys=True))
+    return payload, {"in": str(args.infile)}, None
 
 
-def cmd_symcheck(args) -> int:
-    t0 = time.perf_counter()
+def cmd_symcheck(args):
     box = sieve_box(args.n, args.k, args.radius)
     reports = [
         verify_stabiliser_action(element, box, sample_size=args.samples, seed=args.seed)
         for element in generator_elements(args.n)
     ]
     failures = sum(len(r.failures) for r in reports)
-    doc = {
+    payload = _line(json.dumps({
         "n": args.n,
         "k": args.k,
         "radius": args.radius,
@@ -174,33 +170,29 @@ def cmd_symcheck(args) -> int:
         "elements": [json.loads(r.to_json()) for r in reports],
         "total_checked": sum(r.checked for r in reports),
         "total_failures": failures,
-    }
-    payload = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-    wall = time.perf_counter() - t0
+    }, sort_keys=True))
     params = {"n": args.n, "k": args.k, "radius": args.radius, "samples": args.samples}
-    _emit(args, "symcheck", params, payload, seed=args.seed, wall=wall)
-    if failures:
-        sys.stderr.write(f"symcheck: {failures} failures; this falsifies the stabiliser law\n")
-        return EXIT_VERIFY
-    return EXIT_OK
+
+    def verdict() -> int:
+        if failures:
+            sys.stderr.write(f"symcheck: {failures} failures; this falsifies the stabiliser law\n")
+            return EXIT_VERIFY
+        return EXIT_OK
+
+    return payload, params, verdict
 
 
-def cmd_aq(args) -> int:
-    t0 = time.perf_counter()
+def cmd_aq(args):
     candidate = aq_search(args.n, args.q, args.ell_bound, args.a_bound)
-    payload = (candidate.to_json() + "\n").encode("utf-8")
-    wall = time.perf_counter() - t0
     params = {"n": args.n, "q": args.q, "ell_bound": args.ell_bound, "a_bound": args.a_bound}
-    _emit(args, "aq", params, payload, seed=args.seed, wall=wall)
-    return EXIT_OK
+    return _line(candidate.to_json()), params, None
 
 
-def cmd_patches(args) -> int:
-    t0 = time.perf_counter()
+def cmd_patches(args):
     shape = [tuple(off) for off in json.loads(args.shape)]
     box = sieve_box(args.n, args.k, args.radius)
     census = extract_patches(box, shape)
-    doc = {
+    payload = _line(json.dumps({
         "n": args.n,
         "k": args.k,
         "radius": args.radius,
@@ -209,12 +201,9 @@ def cmd_patches(args) -> int:
         "distinct_patterns": len(census),
         "entropy_estimate": patch_entropy_estimate(box, shape),
         "counts": {p.fill_bits: c for p, c in sorted(census.items(), key=lambda t: t[0].fill)},
-    }
-    payload = (json.dumps(doc, sort_keys=True) + "\n").encode("utf-8")
-    wall = time.perf_counter() - t0
+    }, sort_keys=True))
     params = {"n": args.n, "k": args.k, "radius": args.radius, "shape": args.shape}
-    _emit(args, "patches", params, payload, seed=args.seed, wall=wall)
-    return EXIT_OK
+    return payload, params, None
 
 
 def _add_common(parser, radius=False, prime_bound=None):
@@ -292,7 +281,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        return _run(args)
     except (ConductorError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID

@@ -76,12 +76,6 @@ class IntPolynomial:
 
     __rmul__ = __mul__
 
-    def shift(self, k: int) -> "IntPolynomial":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        return IntPolynomial((0,) * k + self.coeffs)
-
     def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
         """Quotient and remainder by a monic divisor, exactly over Z."""
         if divisor.is_zero() or divisor.leading() != 1:
@@ -96,12 +90,6 @@ class IntPolynomial:
                 for j, dc in enumerate(divisor.coeffs):
                     rem[i - dd + j] -= c * dc
         return IntPolynomial(quot), IntPolynomial(rem)
-
-    def evaluate(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def content(self) -> int:
         return math.gcd(*self.coeffs) if self.coeffs else 0
@@ -426,9 +414,6 @@ class CycInt:
     def __bool__(self):
         return any(self.coeffs)
 
-    def is_rational_int(self) -> bool:
-        return not any(self.coeffs[1:])
-
     # ---- field structure ----------------------------------------------
 
     def galois(self, r: int) -> "CycInt":
@@ -449,9 +434,6 @@ class CycInt:
             return 0
         _, phi, _ = _ring_data(self.n)
         return resultant(phi, IntPolynomial(self.coeffs))
-
-    def is_unit(self) -> bool:
-        return bool(self) and abs(self.norm()) == 1
 
     def inverse_unit(self) -> "CycInt":
         """Inverse of a unit: the product of the other conjugates over the norm."""

@@ -246,37 +246,31 @@ def hnf(generators: Sequence[Sequence[int]], n: int = 0, modulus: Optional[int] 
 
 @lru_cache(maxsize=None)
 def ideal_lattice(prime_ideal, m: int = 1) -> IdealLattice:
-    """HNF lattice of the m-th power of a prime ideal under the embedding.
+    """HNF lattice of the m-th power of a prime ideal P = (ell, pi) under the
+    embedding.
 
-    The power is built iteratively: the Z-basis of p^(j-1) is multiplied by
-    the two ideal generators of p and closed under multiplication by zeta,
-    then HNF-reduced.  The index is checked against norm^m.
+    P^m is generated as an ideal by the monomials ell^(m-j) pi^j, 0 <= j <= m,
+    so as a group by their multiples by zeta^t, t < d.  The j = 0 monomial
+    spans ell^m Z^d, which is the HNF modulus; the m*d rows of the others are
+    reduced mod ell^m in one HNF.  The index is checked against N(P)^m.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    n = prime_ideal.n
-    d = len(CycInt.zero(n).coeffs)
-    gens = prime_ideal.generators()
-    if m == 1:
-        basis_elements = gens
-        target = prime_ideal.norm
-    else:
-        prev = ideal_lattice(prime_ideal, m - 1)
-        basis_elements = [
-            CycInt.unembed(n, row) * g for row in prev.basis for g in gens
-        ]
-        target = prime_ideal.norm**m
-    vectors = []
+    n, ell = prime_ideal.n, prime_ideal.ell
+    _, pi = prime_ideal.generators()
     zeta = CycInt.root(n)
-    for x in basis_elements:
-        for _ in range(d):
+    vectors = []
+    power = CycInt.one(n)
+    for j in range(1, m + 1):
+        power = power * pi
+        x = power * ell ** (m - j)
+        for _ in range(len(x.coeffs)):
             vectors.append(x.embed())
             x = x * zeta
-    lat = hnf(vectors, n=n, modulus=target)
+    lat = hnf(vectors, n=n, modulus=ell**m)
+    target = prime_ideal.norm**m
     if lat.index != target:
-        raise ArithmeticError(
-            f"ideal power lattice has index {lat.index}, expected {target}"
-        )
+        raise ArithmeticError(f"ideal power lattice has index {lat.index}, expected {target}")
     return lat
 
 

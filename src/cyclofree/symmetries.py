@@ -125,16 +125,38 @@ class SymmetryElement:
         return self.unit * x.galois(self.r)
 
     def compose(self, other: "SymmetryElement") -> "SymmetryElement":
+        """self after other: the matrix product, with the matching (unit, r)."""
         if other.n != self.n:
             raise ValueError("conductor mismatch")
-        return symmetry_element(self.unit * other.unit.galois(self.r), (self.r * other.r) % self.n)
+        cols = list(zip(*other.matrix))
+        matrix = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.matrix)
+        return SymmetryElement(
+            self.n, self.unit * other.unit.galois(self.r), (self.r * other.r) % self.n, matrix
+        )
 
     def inverse(self) -> "SymmetryElement":
+        """The exact inverse of the unimodular matrix, with the matching (unit, r)."""
         r_inv = pow(self.r, -1, self.n)
-        return symmetry_element(self.unit.inverse_unit().galois(r_inv), r_inv)
+        return SymmetryElement(
+            self.n, self.unit.inverse_unit().galois(r_inv), r_inv, _unimodular_inverse(self.matrix)
+        )
 
     def describe(self) -> dict:
         return {"unit_coeffs": list(self.unit.coeffs), "r": self.r}
+
+
+def _unimodular_inverse(matrix: Matrix) -> Matrix:
+    """Inverse of an integer matrix of determinant +-1: det times the adjugate."""
+    det = determinant(matrix)
+    if abs(det) != 1:
+        raise ArithmeticError(f"symmetry matrix has determinant {det}")
+    d = len(matrix)
+
+    def cofactor(i: int, j: int) -> int:
+        minor = [row[:j] + row[j + 1 :] for t, row in enumerate(matrix) if t != i]
+        return (-1) ** (i + j) * determinant(minor)
+
+    return tuple(tuple(det * cofactor(j, i) for j in range(d)) for i in range(d))
 
 
 def symmetry_element(unit: CycInt, r: int) -> SymmetryElement:

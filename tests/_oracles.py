@@ -6,6 +6,7 @@ from fractions import Fraction
 
 from cyclofree.arith import factor_integer, primes_up_to
 from cyclofree.cyclotomic import CycInt, IntPolynomial, cyclotomic_polynomial, ring_degree
+from cyclofree.lattices import hnf
 from cyclofree.prime_ideals import enumerate_prime_ideals, split_prime, splitting_type, valuation
 from cyclofree.zeta import EXACT_HEAD_BOUND, PRECISION_BITS, Interval, ZetaValue, log_interval
 
@@ -71,6 +72,29 @@ def lattice_walk(lattice, radius: int):
 
     if d:
         yield from walk(d - 1)
+
+
+def ideal_power_by_recursion(prime_ideal, m: int):
+    """The recursive construction that ideal_lattice replaced: the HNF basis
+    of P^(j-1) times both generators of P, closed under multiplication by
+    zeta and HNF-reduced mod N(P)^j, for j = 1, ..., m."""
+    n = prime_ideal.n
+    gens = prime_ideal.generators()
+    zeta = CycInt.root(n)
+    lat = None
+    for j in range(1, m + 1):
+        if lat is None:
+            elements = gens
+        else:
+            elements = [CycInt.unembed(n, row) * g for row in lat.basis for g in gens]
+        vectors = []
+        for x in elements:
+            for _ in range(len(x.coeffs)):
+                vectors.append(x.embed())
+                x = x * zeta
+        lat = hnf(vectors, n=n, modulus=prime_ideal.norm**j)
+        assert lat.index == prime_ideal.norm**j
+    return lat
 
 
 def norm_valuation_profile(x: CycInt) -> dict[int, int]:

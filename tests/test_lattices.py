@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import box_points, lattice_walk
+from _oracles import box_points, ideal_power_by_recursion, lattice_walk
 from cyclofree import lattices
 from cyclofree.cyclotomic import ring_degree
 from cyclofree.lattices import (
@@ -16,7 +16,7 @@ from cyclofree.lattices import (
     hnf,
     ideal_lattice,
 )
-from cyclofree.prime_ideals import enumerate_prime_ideals, split_prime
+from cyclofree.prime_ideals import enumerate_prime_ideals, ramified_primes, split_prime
 
 
 def ideal_above(ell, n, which=0):
@@ -147,6 +147,25 @@ class TestIdealLattice:
                     b = ideal_lattice(ideals[j], 1)
                     union = hnf(list(a.basis) + list(b.basis))
                     assert union.index == 1
+
+
+class TestDirectPowers:
+    """ideal_lattice against the recursive construction it replaced."""
+
+    @pytest.mark.parametrize("n", [n for n in range(3, 26) if n % 4 != 2])
+    def test_equals_the_recursive_tower(self, n):
+        ramified = {P for ell in ramified_primes(n) for P in split_prime(ell, n)}
+        ideals = set(enumerate_prime_ideals(n, 40)) | ramified
+        for P in sorted(ideals, key=lambda P: P.sort_key()):
+            for m in range(1, 7 if P in ramified else 4):
+                assert ideal_lattice(P, m) == ideal_power_by_recursion(P, m), (n, P, m)
+
+    def test_residue_degree_above_one(self):
+        ideals = split_prime(3, 13)  # 3 has order 3 mod 13: four ideals of norm 27
+        assert [P.f for P in ideals] == [3] * 4
+        for P in ideals:
+            for m in (1, 2, 3):
+                assert ideal_lattice(P, m) == ideal_power_by_recursion(P, m)
 
 
 class TestMembership:

@@ -124,6 +124,13 @@ class TestSymmetryElements:
             for el in generator_elements(n):
                 assert el.compose(el.inverse()).matrix == identity_element(n).matrix
 
+    def test_inverse_and_compose_act_on_the_matrix(self):
+        # (unit, r) = (1, 1) is the identity, but the matrix is a shear.
+        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        assert shear.inverse().matrix == ((1, -1), (0, 1))
+        assert shear.compose(shear.inverse()).matrix == identity_element(4).matrix
+        assert shear.compose(shear).matrix == ((1, 2), (0, 1))
+
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             symmetry_element(CycInt.from_int(4, 2), 1)
