@@ -116,7 +116,10 @@ def factor_integer(m: int) -> dict[int, int]:
             m //= p
         p += wheel[i]
         i = (i + 1) % 8
-    if m > 1:
+    if 1 < m < p * p:
+        # No prime below p divides m, so trial division has proven it prime.
+        factors[m] = factors.get(m, 0) + 1
+    elif m > 1:
         stack = [m]
         while stack:
             v = stack.pop()

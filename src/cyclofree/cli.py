@@ -23,11 +23,10 @@ from . import __version__
 from .cyclotomic import ConductorError
 from .kfree import (
     ResourceCapError,
-    anchor_count,
+    census_entropy,
     density_estimate,
     extract_patches,
     is_admissible,
-    patch_entropy_estimate,
     patch_from_json,
     sieve_box,
 )
@@ -197,9 +196,9 @@ def cmd_patches(args):
         "k": args.k,
         "radius": args.radius,
         "shape": [list(off) for off in shape],
-        "anchors": anchor_count(box, shape),
+        "anchors": sum(census.values()),
         "distinct_patterns": len(census),
-        "entropy_estimate": patch_entropy_estimate(box, shape),
+        "entropy_estimate": census_entropy(census),
         "counts": {p.fill_bits: c for p, c in sorted(census.items(), key=lambda t: t[0].fill)},
     }, sort_keys=True))
     params = {"n": args.n, "k": args.k, "radius": args.radius, "shape": args.shape}

@@ -7,8 +7,8 @@ n != 2 mod 4, so every cyclotomic field appears exactly once.
 
 All coefficients are Python ints (arbitrary precision); every operation
 is exact.  norm_array takes the norms of many elements at once on numpy
-arrays, in 64-bit words where a bound proves it exact and in Python ints
-otherwise.
+arrays, from their values at the n-th roots of unity modulo word-size
+primes, joined by CRT.
 """
 
 from __future__ import annotations
@@ -19,6 +19,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+
+from .arith import factor_integer, is_prime
 
 
 @dataclass(frozen=True)
@@ -91,72 +93,8 @@ class IntPolynomial:
                     rem[i - dd + j] -= c * dc
         return IntPolynomial(quot), IntPolynomial(rem)
 
-    def content(self) -> int:
-        return math.gcd(*self.coeffs) if self.coeffs else 0
-
     def __repr__(self):
         return f"IntPolynomial({self.coeffs})"
-
-
-def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
-    # lc(b)^(deg a - deg b + 1) * a = q*b + r with deg r < deg b
-    lb = b.leading()
-    rem = list(a.coeffs)
-    db = b.degree
-    for i in range(a.degree, db - 1, -1):
-        c = rem[i]
-        for j in range(len(rem)):
-            rem[j] *= lb
-        if c:
-            # after scaling, the top coefficient is c*lb; cancel with c*lb/lb * b
-            top = rem[i]
-            for j, bc in enumerate(b.coeffs):
-                rem[i - db + j] -= (top // lb) * bc
-        rem[i] = 0
-    return IntPolynomial(rem)
-
-
-def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
-    """Res(a, b) over Z via the subresultant remainder sequence.
-
-    Exact with controlled coefficient growth; agrees with the determinant
-    of the Sylvester matrix.
-    """
-    if a.is_zero() or b.is_zero():
-        return 0
-    sign = 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
-            sign = -1
-        a, b = b, a
-    if b.degree == 0:
-        return sign * b.coeffs[0] ** a.degree
-    ca, cb = a.content(), b.content()
-    scale = ca ** b.degree * cb ** a.degree
-    a = IntPolynomial(tuple(c // ca for c in a.coeffs))
-    b = IntPolynomial(tuple(c // cb for c in b.coeffs))
-    g = h = 1
-    while True:
-        da, db = a.degree, b.degree
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        r = _pseudo_remainder(a, b)
-        a = b
-        denom = g * h**delta
-        b = IntPolynomial(tuple(c // denom for c in r.coeffs))
-        g = a.leading()
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = g**delta // h ** (delta - 1)
-        if b.is_zero():
-            return 0
-        if b.degree == 0:
-            break
-    da = a.degree
-    value = b.coeffs[0] ** da // h ** (da - 1) if da > 0 else 1
-    return sign * scale * value
 
 
 @lru_cache(maxsize=None)
@@ -212,8 +150,8 @@ def validate_conductor(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ring_data(n: int) -> tuple[int, IntPolynomial, tuple[tuple[int, ...], ...]]:
-    """(degree d, Phi_n, table of zeta^t mod Phi_n for t = 0..n-1)."""
+def _ring_data(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(degree d, table of zeta^t mod Phi_n for t = 0..n-1)."""
     validate_conductor(n)
     phi = cyclotomic_polynomial(n)
     d = phi.degree
@@ -227,7 +165,7 @@ def _ring_data(n: int) -> tuple[int, IntPolynomial, tuple[tuple[int, ...], ...]]
         row = [0] + row[:-1]
         if top:
             row = [c - top * pc for c, pc in zip(row, phi.coeffs)]
-    return d, phi, tuple(powers)
+    return d, tuple(powers)
 
 
 def ring_degree(n: int) -> int:
@@ -248,66 +186,85 @@ def norm_ceiling(n: int, squares: int) -> int:
     return (n * squares) ** half // (2 * half) ** half
 
 
+# A sum of d products of two residues mod p stays below this bound when
+# d (p - 1)^2 < _WORD_BOUND, so the evaluations run in int64.
+_WORD_BOUND = 1 << 63
+
+
 @lru_cache(maxsize=None)
-def _norm_tables(n: int) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...]]:
-    """(the n x d table of zeta^t, its rows t mod n for t < 2d - 1, which
-    reduce a product of two elements, and for r = -1 and each unit
-    1 < r < n/2 the rows i r mod n of sigma_r)."""
-    d, _, powers = _ring_data(n)
-    table = np.array(powers, dtype=np.int64)
-    reduce = table[np.arange(2 * d - 1) % n]
-    units = [n - 1] + [r for r in range(2, (n + 1) // 2) if math.gcd(r, n) == 1]
-    galois = tuple(np.arange(d) * r % n for r in units)
-    for array in (table, reduce, *galois):
-        array.setflags(write=False)
-    return table, reduce, galois
+def _exponents(n: int) -> np.ndarray:
+    """The d x d index i r mod n, for i < d and the units r of Z/n in order."""
+    units = [r for r in range(1, n) if math.gcd(r, n) == 1]
+    index = np.outer(np.arange(ring_degree(n)), units) % n
+    index.setflags(write=False)
+    return index
+
+
+@lru_cache(maxsize=None)
+def _evaluation_prime(n: int, i: int) -> tuple[int, np.ndarray]:
+    """The i-th prime p = 1 mod n below the word bound, counting down, and
+    the powers h^t mod p for t < n of an h of multiplicative order n.
+
+    Raises ArithmeticError when no such prime is left."""
+    if i:
+        p = _evaluation_prime(n, i - 1)[0] - n
+    else:
+        p = math.isqrt((_WORD_BOUND - 1) // ring_degree(n)) // n * n + 1
+    while p > 1 and not is_prime(p):
+        p -= n
+    if p == 1:
+        raise ArithmeticError(f"no word-size prime p = 1 mod {n} is left for the norm")
+    # F_p^x is cyclic of order p - 1, a multiple of n: a^((p-1)/n) has order
+    # n unless some n/q-th power of it, q a prime factor of n, is 1.
+    primes = list(factor_integer(n))
+    for a in range(2, p):
+        h = pow(a, (p - 1) // n, p)
+        if all(pow(h, n // q, p) != 1 for q in primes):
+            break
+    powers = [1]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * h % p)
+    powers = np.array(powers, dtype=np.int64)
+    powers.setflags(write=False)
+    return p, powers
 
 
 def norm_array(n: int, points) -> np.ndarray:
     """The exact field norm of every row of an (m, d) integer array.
 
-    N(x) is the product of the phi(n) Galois conjugates of x.  Conjugates
-    pair up under sigma_-1, so N(x) = prod sigma_r(y) over the units
-    0 < r < n/2, with y = x sigma_-1(x): phi/2 products in all.  sigma_r
-    sends the row c to c @ G_r, where row i of G_r is zeta^(i r mod n).  A
-    product is a convolution into 2d - 1 coefficients, reduced through
-    zeta^(t mod n) as CycInt.__mul__ does; memory and work per product are
-    O(m d^2).
-
-    Every step is a ring operation, so the same steps in Z/2^64 (uint64,
-    which wraps by definition) give N(x) mod 2^64.  N(x) >= 0 since the
-    field is totally complex, and N(x) <= norm_ceiling(n, |x|_2^2).  When
-    that bound is below 2^62 the residue is N(x) itself, and otherwise the
-    steps run in Python ints.  The resultant in CycInt.norm is the scalar
-    reference.
+    zeta -> h, with h of order n mod a prime p = 1 mod n, is a ring map
+    Z[zeta_n] -> F_p, and the h^r over the units r of Z/n are the roots of
+    Phi_n mod p; so prod_r x(h^r) = N(x) mod p.  The evaluations are one
+    int64 product of the residues with the table h^(i r) per prime.
+    N(x) >= 0 since the field is totally complex, and N(x) <=
+    norm_ceiling(n, |x|_2^2); primes are taken, counting down from the
+    word bound, until their product exceeds that ceiling, and the
+    residues are joined by CRT, one prime at a time.  The result is int64
+    when the ceiling fits, Python ints otherwise.  Raises ArithmeticError
+    when the word-size primes run out before the ceiling.
     """
     d = ring_degree(n)
     rows = np.asarray(points)
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ValueError(f"points have shape {rows.shape}, ring degree {d}")
-    m = len(rows)
-    table, reduce, galois = _norm_tables(n)
     squares = max((sum(v * v for v in row) for row in rows.tolist()), default=0)
-    if _exact_dtype(norm_ceiling(n, squares) + 1) is object:
-        acc, table, reduce = rows.astype(object), table.astype(object), reduce.astype(object)
-    else:
-        acc = rows.astype(np.int64).view(np.uint64)
-        table, reduce = table.view(np.uint64), reduce.view(np.uint64)
-    base = acc
-    # The outer product a_i b_j goes into the first d columns of buf; read
-    # with rows of length 2d - 1, row i starts i places further right, so
-    # the column sums of skewed are the convolution.
-    buf = np.zeros((m, d, 2 * d), dtype=acc.dtype)
-    skewed = buf.reshape(m, 2 * d * d)[:, : d * (2 * d - 1)].reshape(m, d, 2 * d - 1)
-    for step, gather in enumerate(galois):
-        conjugate = base @ table.take(gather, axis=0)
-        np.multiply(acc[:, :, None], conjugate[:, None, :], out=buf[:, :, :d])
-        acc = np.add.reduce(skewed, axis=1) @ reduce
-        if step == 0:
-            base = acc
-    if acc[:, 1:].any():
-        raise ArithmeticError("a product of all Galois conjugates is not rational")
-    return acc[:, 0] if acc.dtype == object else acc[:, 0].view(np.int64)
+    ceiling = norm_ceiling(n, squares)
+    norms = np.zeros(len(rows), dtype=_exact_dtype(ceiling + 1))
+    index = _exponents(n)
+    modulus, i = 1, 0
+    while modulus <= ceiling:
+        p, powers = _evaluation_prime(n, i)
+        values = (rows % p).astype(np.int64) @ powers[index] % p
+        # The product of the columns mod p, pairing column j with j + half.
+        width = d
+        while width > 1:
+            half = (width + 1) // 2
+            values[:, : width - half] = values[:, : width - half] * values[:, half:width] % p
+            width = half
+        step = (values[:, 0] - (norms % p).astype(np.int64)) * pow(modulus, -1, p) % p
+        norms += modulus * step.astype(norms.dtype)
+        modulus, i = modulus * p, i + 1
+    return norms
 
 
 @dataclass(frozen=True)
@@ -339,13 +296,13 @@ class CycInt:
     @staticmethod
     def root(n: int, t: int = 1) -> "CycInt":
         """zeta_n^t."""
-        _, _, powers = _ring_data(n)
+        _, powers = _ring_data(n)
         return CycInt(n, powers[t % n])
 
     @staticmethod
     def from_polynomial(n: int, poly: IntPolynomial) -> "CycInt":
         """The canonical representative of poly(zeta_n)."""
-        d, _, powers = _ring_data(n)
+        d, powers = _ring_data(n)
         out = [0] * d
         for e, c in enumerate(poly.coeffs):
             if not c:
@@ -395,7 +352,7 @@ class CycInt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d, _, powers = _ring_data(self.n)
+        d, powers = _ring_data(self.n)
         raw = [0] * (2 * d - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -420,7 +377,7 @@ class CycInt:
         """Apply the automorphism zeta -> zeta^r; requires gcd(r, n) = 1."""
         if math.gcd(r, self.n) != 1:
             raise ValueError(f"{r} is not invertible modulo {self.n}")
-        d, _, powers = _ring_data(self.n)
+        d, powers = _ring_data(self.n)
         out = [0] * d
         for i, c in enumerate(self.coeffs):
             if c:
@@ -429,11 +386,8 @@ class CycInt:
         return CycInt(self.n, tuple(out))
 
     def norm(self) -> int:
-        """Field norm over Q, exact (resultant with the cyclotomic polynomial)."""
-        if not self:
-            return 0
-        _, phi, _ = _ring_data(self.n)
-        return resultant(phi, IntPolynomial(self.coeffs))
+        """Field norm over Q, exact: the one-row norm_array."""
+        return int(norm_array(self.n, np.array([self.coeffs], dtype=object))[0])
 
     def inverse_unit(self) -> "CycInt":
         """Inverse of a unit: the product of the other conjugates over the norm."""

@@ -22,7 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .arith import integer_kth_root
-from .cyclotomic import CycInt, norm_ceiling, ring_degree, validate_conductor
+from .cyclotomic import norm_ceiling, ring_degree, validate_conductor
 from .lattices import ideal_lattice, lattice_point_blocks
 from .prime_ideals import PrimeIdeal, enumerate_prime_ideals
 from . import zeta as zeta_mod
@@ -89,9 +89,6 @@ class KFreeBox:
     @property
     def empirical_density(self) -> Fraction:
         return Fraction(self.count, self.box_volume)
-
-    def element(self, point: Sequence[int]) -> CycInt:
-        return CycInt.unembed(self.n, point)
 
 
 def sieve_box(
@@ -300,9 +297,12 @@ def anchor_count(box: KFreeBox, shape: Iterable[Sequence[int]]) -> int:
 def patch_entropy_estimate(box: KFreeBox, shape: Iterable[Sequence[int]]) -> float:
     """log(distinct patterns) per shape cell; a slowly converging finite
     size proxy for the per-site patch counting entropy."""
-    census = extract_patches(box, shape)
-    size = len(next(iter(census)).shape)
-    return math.log(len(census)) / size
+    return census_entropy(extract_patches(box, shape))
+
+
+def census_entropy(census: dict[PatchConfig, int]) -> float:
+    """patch_entropy_estimate from a census extract_patches already took."""
+    return math.log(len(census)) / len(next(iter(census)).shape)
 
 
 # ---------------------------------------------------------------------------

@@ -176,11 +176,11 @@ def valuation(x: CycInt, ideal: PrimeIdeal) -> int:
 
 
 def _kfree_with_norms(points, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """kfree_mask of the rows, with the |N(x)| it was read from."""
+    """kfree_mask of the rows, with the norms N(x) >= 0 it was read from."""
     if k < 2:
         raise ValueError("k must be >= 2")
     rows = np.asarray(points)
-    norms = np.abs(norm_array(n, rows))
+    norms = norm_array(n, rows)
     ok = norms != 0
     by_norm: dict[int, list[int]] = {}
     for i, value in enumerate(norms.tolist()):

@@ -142,7 +142,18 @@ class SymmetryElement:
         )
 
     def describe(self) -> dict:
-        return {"unit_coeffs": list(self.unit.coeffs), "r": self.r}
+        """(unit, r), plus the matrix when it is not the map of (unit, r)."""
+        out = {"unit_coeffs": list(self.unit.coeffs), "r": self.r}
+        if self.matrix != _map_matrix(self.unit, self.r):
+            out["matrix"] = [list(row) for row in self.matrix]
+        return out
+
+
+def _map_matrix(unit: CycInt, r: int) -> Matrix:
+    """The matrix of x -> unit * sigma_r(x) on the power basis."""
+    n = unit.n
+    cols = [(unit * CycInt.root(n, (i * r) % n)).embed() for i in range(ring_degree(n))]
+    return tuple(zip(*cols))
 
 
 def _unimodular_inverse(matrix: Matrix) -> Matrix:
@@ -166,9 +177,7 @@ def symmetry_element(unit: CycInt, r: int) -> SymmetryElement:
         raise ValueError(f"{r} is not invertible modulo {n}")
     if abs(unit.norm()) != 1:
         raise ValueError("multiplier must be a unit")
-    d = ring_degree(n)
-    cols = [(unit * CycInt.root(n, (i * r) % n)).embed() for i in range(d)]
-    matrix = tuple(tuple(cols[j][i] for j in range(d)) for i in range(d))
+    matrix = _map_matrix(unit, r)
     det = determinant(matrix)
     if abs(det) != 1:
         raise ArithmeticError(f"symmetry matrix has determinant {det}")
@@ -293,7 +302,7 @@ def verify_Wk_preservation(
     failures = []
     checked = 0
     for block in box_blocks(search_radius, ring_degree(n)):
-        norms = np.abs(norm_array(n, block))
+        norms = norm_array(n, block)
         rows = block[(norms != 0) & (norms <= norm_bound)]
         rows = rows[wk_mask(rows, n, k)]
         checked += len(rows)

@@ -97,6 +97,77 @@ def ideal_power_by_recursion(prime_ideal, m: int):
     return lat
 
 
+def content(poly: IntPolynomial) -> int:
+    return math.gcd(*poly.coeffs) if poly.coeffs else 0
+
+
+def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+    # lc(b)^(deg a - deg b + 1) * a = q*b + r with deg r < deg b
+    lb = b.leading()
+    rem = list(a.coeffs)
+    db = b.degree
+    for i in range(a.degree, db - 1, -1):
+        c = rem[i]
+        for j in range(len(rem)):
+            rem[j] *= lb
+        if c:
+            # after scaling, the top coefficient is c*lb; cancel with c*lb/lb * b
+            top = rem[i]
+            for j, bc in enumerate(b.coeffs):
+                rem[i - db + j] -= (top // lb) * bc
+        rem[i] = 0
+    return IntPolynomial(rem)
+
+
+def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
+    """Res(a, b) over Z via the subresultant remainder sequence.
+
+    Exact with controlled coefficient growth; agrees with the determinant
+    of the Sylvester matrix.
+    """
+    if a.is_zero() or b.is_zero():
+        return 0
+    sign = 1
+    if a.degree < b.degree:
+        if a.degree % 2 == 1 and b.degree % 2 == 1:
+            sign = -1
+        a, b = b, a
+    if b.degree == 0:
+        return sign * b.coeffs[0] ** a.degree
+    ca, cb = content(a), content(b)
+    scale = ca ** b.degree * cb ** a.degree
+    a = IntPolynomial(tuple(c // ca for c in a.coeffs))
+    b = IntPolynomial(tuple(c // cb for c in b.coeffs))
+    g = h = 1
+    while True:
+        da, db = a.degree, b.degree
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
+            sign = -sign
+        r = _pseudo_remainder(a, b)
+        a = b
+        denom = g * h**delta
+        b = IntPolynomial(tuple(c // denom for c in r.coeffs))
+        g = a.leading()
+        if delta == 1:
+            h = g
+        elif delta > 1:
+            h = g**delta // h ** (delta - 1)
+        if b.is_zero():
+            return 0
+        if b.degree == 0:
+            break
+    da = a.degree
+    value = b.coeffs[0] ** da // h ** (da - 1) if da > 0 else 1
+    return sign * scale * value
+
+
+def norm_by_resultant(n: int, coeffs) -> int:
+    """N(x) = Res(Phi_n, x) for the element with these power-basis
+    coefficients: the reference that norm_array is tested against."""
+    return resultant(cyclotomic_polynomial(n), IntPolynomial(tuple(int(c) for c in coeffs)))
+
+
 def norm_valuation_profile(x: CycInt) -> dict[int, int]:
     """Exponent of each rational prime in |N(x)|, from ideal valuations.
 
@@ -105,7 +176,7 @@ def norm_valuation_profile(x: CycInt) -> dict[int, int]:
     """
     if not x:
         raise ValueError("x must be nonzero")
-    norm = abs(x.norm())
+    norm = abs(norm_by_resultant(x.n, x.coeffs))
     profile: dict[int, int] = {}
     if norm == 1:
         return profile
@@ -132,7 +203,7 @@ def is_kfree_by_valuations(x: CycInt, k: int) -> bool:
     with N(P)^k <= |N(x)|."""
     if not x:
         return False
-    norm = abs(x.norm())
+    norm = abs(norm_by_resultant(x.n, x.coeffs))
     if norm == 1:
         return True
     for ell in factor_integer(norm):
@@ -146,7 +217,7 @@ def is_kfree_bruteforce(x: CycInt, k: int) -> bool:
     """Test every prime ideal of norm <= |N(x)|."""
     if not x:
         return False
-    norm = abs(x.norm())
+    norm = abs(norm_by_resultant(x.n, x.coeffs))
     if norm == 1:
         return True
     for ideal in enumerate_prime_ideals(x.n, norm):

@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from _oracles import powers_by_division
+from _oracles import powers_by_division, resultant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,9 +13,10 @@ from cyclofree.cyclotomic import (
     cyclotomic_polynomial,
     euler_phi,
     reduce_polynomial,
-    resultant,
     ring_degree,
 )
+from cyclofree import cyclotomic
+from cyclofree.arith import factor_integer, is_prime
 from cyclofree.lattices import determinant
 
 CONDUCTORS = [3, 4, 5, 8, 12]
@@ -199,6 +200,35 @@ class TestNorm:
         for n, p in ((5, 5), (8, 2), (9, 3)):
             u = CycInt.one(n) - CycInt.root(n)
             assert abs(u.norm()) == p
+
+    def test_evaluation_primes(self):
+        # Distinct primes p = 1 mod n, counting down, small enough that a sum
+        # of d products of residues fits in int64, each with h of order n.
+        for n in (3, 12, 31, 257):
+            d = ring_degree(n)
+            found = [cyclotomic._evaluation_prime(n, i) for i in range(4)]
+            ps = [p for p, _ in found]
+            assert ps == sorted(set(ps), reverse=True)
+            for p, powers in found:
+                assert is_prime(p) and p % n == 1 and d * (p - 1) ** 2 < 1 << 63
+                h = int(powers[1])
+                assert powers.tolist() == [pow(h, t, p) for t in range(n)]
+                assert pow(h, n, p) == 1
+                assert all(pow(h, n // q, p) != 1 for q in factor_integer(n))
+
+    def test_running_out_of_primes_raises(self, monkeypatch):
+        # Below a word bound of 2^20 only the 60 primes p = 1 mod 3 under 724
+        # remain, about 470 bits: a 400-bit norm is still joined exactly, and
+        # a row whose ceiling needs more raises instead of returning a residue.
+        monkeypatch.setattr(cyclotomic, "_WORD_BOUND", 1 << 20)
+        cyclotomic._evaluation_prime.cache_clear()
+        try:
+            x = CycInt(3, (3**120 + 5, -(7**70)))
+            assert x.norm() == resultant(cyclotomic_polynomial(3), IntPolynomial(x.coeffs))
+            with pytest.raises(ArithmeticError):
+                CycInt(3, (1 << 240, 1)).norm()
+        finally:
+            cyclotomic._evaluation_prime.cache_clear()
 
 
 class TestResultantAgainstSylvester:

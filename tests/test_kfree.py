@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _oracles import box_points
+from _oracles import box_points, norm_by_resultant
 
-from cyclofree.cyclotomic import CycInt, norm_array, ring_degree
+from cyclofree.cyclotomic import CycInt, ring_degree
 from cyclofree.kfree import (
     PatchConfig,
     ResourceCapError,
@@ -30,10 +30,15 @@ SQUARE = [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 BOUND_CONDUCTORS = (3, 4, 5, 7, 8, 9, 11, 12, 13, 15, 16, 20, 21, 25)
-# Up to this degree norm_array takes all 2^d box corners in well under a
-# second (4,096 rows at d = 12); the 2^20 corners at n = 25 would take about
-# 90 s, so 4,096 random ones stand in there.
+# Up to this degree the resultant takes all 2^d box corners in about a
+# second (4,096 rows at d = 12); the 2^20 corners at n = 25 would take
+# minutes, so 4,096 random ones stand in there.
 ALL_CORNERS_UP_TO_DEGREE = 12
+
+
+def resultant_norms(n, rows):
+    """|N(x)| of every row by the resultant, independent of norm_array."""
+    return np.array([abs(norm_by_resultant(n, row)) for row in np.asarray(rows).tolist()], dtype=object)
 
 
 def corners(d, radius, rows=None):
@@ -67,7 +72,7 @@ class TestNormBound:
         d = ring_degree(n)
         coord = st.integers(-radius, radius)
         rows = data.draw(st.lists(st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=20))
-        assert all(abs(int(v)) <= norm_bound(n, radius) for v in norm_array(n, np.array(rows)))
+        assert all(v <= norm_bound(n, radius) for v in resultant_norms(n, rows))
 
     @pytest.mark.parametrize("n", BOUND_CONDUCTORS)
     def test_box_corners(self, n):
@@ -76,12 +81,12 @@ class TestNormBound:
             rows = corners(d, 1)
         else:
             rows = corners(d, 1, np.random.default_rng(n).integers(0, 1 << d, 4096))
-        norms = np.abs(norm_array(n, rows))
+        norms = resultant_norms(n, rows)
         assert norms.max() <= norm_bound(n, 1)
         if n == 13:  # the bound is attained
             assert norms.max() == norm_bound(n, 1)
         if d <= 8:  # N(r x) = r^d N(x), and the bound scales alike
-            assert np.array_equal(np.abs(norm_array(n, corners(d, 3))), 3**d * norms)
+            assert np.array_equal(resultant_norms(n, corners(d, 3)), 3**d * norms)
             assert 3**d * norms.max() <= norm_bound(n, 3)
 
 

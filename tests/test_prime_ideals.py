@@ -4,10 +4,16 @@ import random
 
 import numpy as np
 import pytest
-from _oracles import is_kfree_bruteforce, is_kfree_by_valuations, norm_valuation_profile
+from _oracles import (
+    is_kfree_bruteforce,
+    is_kfree_by_valuations,
+    norm_by_resultant,
+    norm_valuation_profile,
+)
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cyclofree import arith
 from cyclofree.arith import (
     FACTOR_LIMIT,
     factor_integer,
@@ -62,6 +68,17 @@ class TestIntegerArithmetic:
         factors = factor_integer(m)
         assert math.prod(p**e for p, e in factors.items()) == m
         assert all(is_prime(p) for p in factors)
+
+    def test_trial_division_proves_the_cofactor_prime(self, monkeypatch):
+        # 221 = 13 * 17: once 17 < 17^2 is left, no Miller-Rabin is needed.
+        calls = []
+        monkeypatch.setattr(arith, "is_prime", lambda m: calls.append(m) or is_prime(m))
+        assert factor_integer(13 * 17) == {13: 1, 17: 1}
+        assert factor_integer(2**3 * 99_991) == {2: 3, 99_991: 1}
+        assert calls == []
+        # Past the trial bound the cofactor still goes through is_prime.
+        assert factor_integer(1_000_000_007 * 999_999_937) == {999_999_937: 1, 1_000_000_007: 1}
+        assert calls
 
     def test_large_semiprime(self):
         p, q = 1_000_000_007, 999_999_937
@@ -251,11 +268,11 @@ class TestKFree:
     def test_norm_array_matches_resultant(self, case):
         n, _, xs = case
         rows = np.array([x.coeffs for x in xs], dtype=object)
-        assert [int(v) for v in norm_array(n, rows)] == [x.norm() for x in xs]
+        assert [int(v) for v in norm_array(n, rows)] == [norm_by_resultant(n, x.coeffs) for x in xs]
 
     def test_norm_array_across_the_word_size(self):
         # Coefficients of 1 to 40 bits put the norms on both sides of 2^63,
-        # where norm_array leaves 64-bit words for Python ints.
+        # where norm_array returns Python ints in place of int64.
         for n in (5, 12, 13):
             rng = random.Random(n)
             d = ring_degree(n)
@@ -265,11 +282,24 @@ class TestKFree:
             ]
             rows = np.array([x.coeffs for x in xs], dtype=object)
             got = [int(norm_array(n, rows[i : i + 1])[0]) for i in range(len(xs))]
-            assert got == [x.norm() for x in xs], n
+            assert got == [norm_by_resultant(n, x.coeffs) for x in xs], n
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from([31, 101]), st.data())
+    def test_norm_array_over_several_primes(self, n, data):
+        # Entries up to 2^60 put norms of up to about 6,000 bits together
+        # from up to about 200 word-size primes, with zero rows among them.
+        d = ring_degree(n)
+        coords = st.lists(st.integers(-(1 << 60), 1 << 60), min_size=d, max_size=d)
+        rows = data.draw(st.lists(coords, min_size=1, max_size=2))
+        rows += [[0] * d] * data.draw(st.integers(0, 1))
+        rows = data.draw(st.permutations(rows))
+        got = norm_array(n, np.array(rows, dtype=object))
+        assert [int(v) for v in got] == [norm_by_resultant(n, row) for row in rows]
 
     def test_mask_and_norms_at_degree_ten_and_more(self):
-        # Small rows run in wrapping 64-bit words, powers of a unit in Python
-        # ints; a batch takes the dtype of its largest row.
+        # Small rows need few primes and come out in int64, powers of a unit
+        # need many and Python ints; a batch takes the dtype of its largest row.
         for n in (11, 13, 25):
             rng = random.Random(n)
             d = ring_degree(n)
@@ -284,7 +314,7 @@ class TestKFree:
                     xs += [power, power * xs[j % 8]]
             xs += [unit, CycInt.zero(n)]
             rows = np.array([x.coeffs for x in xs], dtype=object)
-            norms = [x.norm() for x in xs]
+            norms = [norm_by_resultant(n, x.coeffs) for x in xs]
             assert [int(v) for v in norm_array(n, rows)] == norms, n
             # One row at a time, each row's own bound picks the dtype.
             assert [int(norm_array(n, rows[i : i + 1])[0]) for i in range(len(xs))] == norms, n

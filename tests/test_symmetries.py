@@ -131,6 +131,14 @@ class TestSymmetryElements:
         assert shear.compose(shear.inverse()).matrix == identity_element(4).matrix
         assert shear.compose(shear).matrix == ((1, 2), (0, 1))
 
+    def test_describe_names_a_matrix_that_is_not_the_map(self):
+        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        report = verify_stabiliser_action(shear, sieve_box(4, 2, 5), sample_size=20)
+        assert report.element == {"unit_coeffs": [1, 0], "r": 1, "matrix": [[1, 1], [0, 1]]}
+        for n in CONDUCTORS:
+            for el in generator_elements(n):
+                assert el.describe() == {"unit_coeffs": list(el.unit.coeffs), "r": el.r}
+
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
             symmetry_element(CycInt.from_int(4, 2), 1)
