@@ -4,126 +4,89 @@ The package materializes the k-free elements of Z[zeta_n] as point sets
 in Z^d (d = phi(n)), computes their density and entropy constants from
 rigorous Dedekind zeta enclosures, and constructs and verifies the
 unit-times-Galois symmetries that stabilise them.
+
+Each exported name resolves on first access from the submodule that
+defines it (PEP 562), so importing the package, or one submodule such
+as ``cyclofree.cli``, loads no other submodule and neither numpy nor
+mpmath.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from .cyclotomic import (
-    ConductorError,
-    CycInt,
-    IntPolynomial,
-    cyclotomic_polynomial,
-    euler_phi,
-    reduce_polynomial,
-    ring_degree,
-    validate_conductor,
-)
-from .gfpoly import factor_mod_p
-from .prime_ideals import (
-    PrimeIdeal,
-    enumerate_prime_ideals,
-    factor_poly_mod_p,
-    is_in_Wk,
-    is_kfree,
-    ramified_primes,
-    split_prime,
-    splitting_type,
-    valuation,
-)
-from .lattices import IdealLattice, RankError, determinant, hnf, ideal_lattice
-from .kfree import (
-    DensityReport,
-    KFreeBox,
-    PatchConfig,
-    ResourceCapError,
-    density_estimate,
-    extract_patches,
-    hereditary_check,
-    is_admissible,
-    norm_bound,
-    patch_entropy_estimate,
-    sieve_box,
-)
-from .zeta import Interval, ZetaValue, dedekind_zeta, density_constant, entropy_constant
-from .symmetries import (
-    AqCandidate,
-    AqNotFound,
-    FourSumsReport,
-    GaloisGroup,
-    SplittingPrimeSet,
-    SymmetryElement,
-    aq_search,
-    galois_group,
-    generator_elements,
-    identity_element,
-    scan_for_violation,
-    splitting_primes,
-    symmetry_element,
-    unit_generators,
-    vanishing_four_sums,
-    verify_Wk_preservation,
-    verify_coprimality_transport,
-    verify_lemma_factors,
-    verify_stabiliser_action,
-)
+# Each exported name and the submodule that defines it.
+_EXPORTS = {
+    "AqCandidate": "symmetries",
+    "AqNotFound": "symmetries",
+    "ConductorError": "cyclotomic",
+    "CycInt": "cyclotomic",
+    "DensityReport": "kfree",
+    "FourSumsReport": "symmetries",
+    "GaloisGroup": "symmetries",
+    "IdealLattice": "lattices",
+    "IntPolynomial": "cyclotomic",
+    "Interval": "zeta",
+    "KFreeBox": "kfree",
+    "PatchConfig": "kfree",
+    "PrimeIdeal": "prime_ideals",
+    "RankError": "lattices",
+    "ResourceCapError": "kfree",
+    "SplittingPrimeSet": "symmetries",
+    "SymmetryElement": "symmetries",
+    "ZetaValue": "zeta",
+    "aq_search": "symmetries",
+    "cyclotomic_polynomial": "cyclotomic",
+    "dedekind_zeta": "zeta",
+    "density_constant": "zeta",
+    "density_estimate": "kfree",
+    "determinant": "lattices",
+    "enumerate_prime_ideals": "prime_ideals",
+    "entropy_constant": "zeta",
+    "euler_phi": "cyclotomic",
+    "extract_patches": "kfree",
+    "factor_mod_p": "gfpoly",
+    "factor_poly_mod_p": "prime_ideals",
+    "galois_group": "symmetries",
+    "generator_elements": "symmetries",
+    "hereditary_check": "kfree",
+    "hnf": "lattices",
+    "ideal_lattice": "lattices",
+    "identity_element": "symmetries",
+    "is_admissible": "kfree",
+    "is_in_Wk": "prime_ideals",
+    "is_kfree": "prime_ideals",
+    "norm_bound": "kfree",
+    "patch_entropy_estimate": "kfree",
+    "ramified_primes": "prime_ideals",
+    "reduce_polynomial": "cyclotomic",
+    "ring_degree": "cyclotomic",
+    "scan_for_violation": "symmetries",
+    "sieve_box": "kfree",
+    "split_prime": "prime_ideals",
+    "splitting_primes": "symmetries",
+    "splitting_type": "prime_ideals",
+    "symmetry_element": "symmetries",
+    "unit_generators": "symmetries",
+    "valuation": "prime_ideals",
+    "validate_conductor": "cyclotomic",
+    "vanishing_four_sums": "symmetries",
+    "verify_Wk_preservation": "symmetries",
+    "verify_coprimality_transport": "symmetries",
+    "verify_lemma_factors": "symmetries",
+    "verify_stabiliser_action": "symmetries",
+}
 
-__all__ = [
-    "AqCandidate",
-    "AqNotFound",
-    "ConductorError",
-    "CycInt",
-    "DensityReport",
-    "FourSumsReport",
-    "GaloisGroup",
-    "IdealLattice",
-    "IntPolynomial",
-    "Interval",
-    "KFreeBox",
-    "PatchConfig",
-    "PrimeIdeal",
-    "RankError",
-    "ResourceCapError",
-    "SplittingPrimeSet",
-    "SymmetryElement",
-    "ZetaValue",
-    "aq_search",
-    "cyclotomic_polynomial",
-    "dedekind_zeta",
-    "density_constant",
-    "density_estimate",
-    "determinant",
-    "enumerate_prime_ideals",
-    "entropy_constant",
-    "euler_phi",
-    "extract_patches",
-    "factor_mod_p",
-    "factor_poly_mod_p",
-    "galois_group",
-    "generator_elements",
-    "hereditary_check",
-    "hnf",
-    "ideal_lattice",
-    "identity_element",
-    "is_admissible",
-    "is_in_Wk",
-    "is_kfree",
-    "norm_bound",
-    "patch_entropy_estimate",
-    "ramified_primes",
-    "reduce_polynomial",
-    "ring_degree",
-    "scan_for_violation",
-    "sieve_box",
-    "split_prime",
-    "splitting_primes",
-    "splitting_type",
-    "symmetry_element",
-    "unit_generators",
-    "valuation",
-    "validate_conductor",
-    "vanishing_four_sums",
-    "verify_Wk_preservation",
-    "verify_coprimality_transport",
-    "verify_lemma_factors",
-    "verify_stabiliser_action",
-]
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    # An unknown name raises AttributeError, so ``from cyclofree import kfree``
+    # falls back to importing the submodule.
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -8,6 +8,10 @@ reproduces the digest.
 
 Exit codes: 0 success, 2 invalid parameters, 3 resource limit, 4
 verification failure (a failed symmetry check is loud by design).
+
+Only the standard library is imported at module level; each command
+imports the library functions it runs, so ``admissible`` loads neither
+mpmath nor the symmetry module, and no command pays for another's.
 """
 
 from __future__ import annotations
@@ -20,18 +24,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .cyclotomic import ConductorError
-from .kfree import (
-    ResourceCapError,
-    census_entropy,
-    density_estimate,
-    extract_patches,
-    is_admissible,
-    patch_from_json,
-    sieve_box,
-)
-from .symmetries import AqNotFound, aq_search, generator_elements, verify_stabiliser_action
-from .zeta import dedekind_zeta, entropy_constant, interval_to_json
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -102,6 +94,8 @@ def _line(text: str) -> bytes:
 
 
 def cmd_sieve(args):
+    from .kfree import density_estimate, sieve_box
+
     box = sieve_box(args.n, args.k, args.radius)
     payload = _points_payload(box, args.format)
     report = density_estimate(box, prime_bound=args.prime_bound)
@@ -124,6 +118,8 @@ def cmd_sieve(args):
 
 
 def cmd_density(args):
+    from .kfree import density_estimate, sieve_box
+
     box = sieve_box(args.n, args.k, args.radius)
     report = density_estimate(box, prime_bound=args.prime_bound)
     params = {"n": args.n, "k": args.k, "radius": args.radius, "prime_bound": args.prime_bound}
@@ -131,12 +127,16 @@ def cmd_density(args):
 
 
 def cmd_zeta(args):
+    from .zeta import dedekind_zeta
+
     value = dedekind_zeta(args.n, args.k, args.prime_bound)
     params = {"n": args.n, "k": args.k, "prime_bound": args.prime_bound}
     return _line(value.to_json()), params, None
 
 
 def cmd_entropy(args):
+    from .zeta import entropy_constant, interval_to_json
+
     interval = entropy_constant(args.n, args.k, args.prime_bound)
     text = interval_to_json(
         interval, n=args.n, k=args.k, prime_bound=args.prime_bound, constant="entropy"
@@ -146,6 +146,8 @@ def cmd_entropy(args):
 
 
 def cmd_admissible(args):
+    from .kfree import is_admissible, patch_from_json
+
     text = Path(args.infile).read_text(encoding="utf-8")
     patch, n, k = patch_from_json(text)
     cells = patch.occupied
@@ -155,6 +157,9 @@ def cmd_admissible(args):
 
 
 def cmd_symcheck(args):
+    from .kfree import sieve_box
+    from .symmetries import generator_elements, verify_stabiliser_action
+
     box = sieve_box(args.n, args.k, args.radius)
     reports = [
         verify_stabiliser_action(element, box, sample_size=args.samples, seed=args.seed)
@@ -182,12 +187,16 @@ def cmd_symcheck(args):
 
 
 def cmd_aq(args):
+    from .symmetries import aq_search
+
     candidate = aq_search(args.n, args.q, args.ell_bound, args.a_bound)
     params = {"n": args.n, "q": args.q, "ell_bound": args.ell_bound, "a_bound": args.a_bound}
     return _line(candidate.to_json()), params, None
 
 
 def cmd_patches(args):
+    from .kfree import census_entropy, extract_patches, sieve_box
+
     shape = [tuple(off) for off in json.loads(args.shape)]
     box = sieve_box(args.n, args.k, args.radius)
     census = extract_patches(box, shape)
@@ -276,18 +285,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _loaded_error(module: str, name: str):
+    """The exception class ``name`` of the package's ``module`` once that
+    module is loaded, else () which matches nothing: no code can have
+    raised an instance of it before."""
+    owner = sys.modules.get(f"{__package__}.{module}")
+    return () if owner is None else getattr(owner, name)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         return _run(args)
-    except (ConductorError, ValueError) as exc:
+    except ValueError as exc:  # cyclotomic.ConductorError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except ResourceCapError as exc:
+    except _loaded_error("kfree", "ResourceCapError") as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
-    except AqNotFound as exc:
+    except _loaded_error("symmetries", "AqNotFound") as exc:
         sys.stderr.write(f"search exhausted: {exc}\n")
         return EXIT_RESOURCE
     except FileNotFoundError as exc:

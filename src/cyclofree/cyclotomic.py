@@ -247,8 +247,9 @@ def norm_array(n: int, points) -> np.ndarray:
     rows = np.asarray(points)
     if rows.ndim != 2 or rows.shape[1] != d:
         raise ValueError(f"points have shape {rows.shape}, ring degree {d}")
-    squares = max((sum(v * v for v in row) for row in rows.tolist()), default=0)
-    ceiling = norm_ceiling(n, squares)
+    big = int(np.abs(rows).max(initial=0))
+    rows = rows.astype(_exact_dtype(d * big * big + 1))
+    ceiling = norm_ceiling(n, int((rows * rows).sum(axis=1).max(initial=0)))
     norms = np.zeros(len(rows), dtype=_exact_dtype(ceiling + 1))
     index = _exponents(n)
     modulus, i = 1, 0

@@ -25,7 +25,6 @@ from .arith import integer_kth_root
 from .cyclotomic import norm_ceiling, ring_degree, validate_conductor
 from .lattices import ideal_lattice, lattice_point_blocks
 from .prime_ideals import PrimeIdeal, enumerate_prime_ideals
-from . import zeta as zeta_mod
 
 DEFAULT_MAX_POINTS = 20_000_000
 
@@ -185,6 +184,8 @@ class DensityReport:
 
 def density_estimate(box: KFreeBox, prime_bound: int = 100_000) -> DensityReport:
     """Empirical density of the box against the zeta reference interval."""
+    from . import zeta as zeta_mod  # here, so commands that take no density skip the module
+
     reference = zeta_mod.density_constant(box.n, box.k, prime_bound)
     return DensityReport(
         n=box.n,
@@ -237,7 +238,10 @@ def patch_to_json(patch: PatchConfig, n: int, k: int) -> str:
 
 def patch_from_json(text: str) -> tuple[PatchConfig, int, int]:
     data = json.loads(text)
-    shape = tuple(tuple(int(v) for v in off) for off in data["shape"])
+    shape = tuple(map(tuple, data["shape"]))
+    # type(...) is int: a float, a string or a bool is not read as a cell.
+    if not all(type(v) is int for off in shape for v in off):
+        raise ValueError("shape offsets must be lists of integers")
     bits = data["fill"]
     if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
         raise ValueError("fill must be a string of 0s and 1s")

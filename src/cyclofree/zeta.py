@@ -18,7 +18,8 @@ norm >= ell, and -log(1-x) <= 2x for x <= 1/2.  The enclosure of
 zeta_K(k) is therefore rigorous, and shrinks as the bound grows.
 
 Logarithms of the rational endpoints are taken in interval arithmetic
-(mpmath.iv), so the logarithmic bounds are rigorous as well.
+(mpmath.iv), so the logarithmic bounds are rigorous as well.  mpmath is
+imported on the first logarithm, so code that takes none does not load it.
 """
 
 from __future__ import annotations
@@ -27,8 +28,6 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-
-import mpmath
 
 from .arith import primes_up_to
 from .cyclotomic import ring_degree, validate_conductor
@@ -88,11 +87,15 @@ def _raw_mpf_to_fraction(raw) -> Fraction:
 
 
 def _fraction_to_iv(x: Fraction):
+    import mpmath
+
     return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
 
 
 def log_interval(interval: Interval, precision: int = 256) -> Interval:
     """Rigorous enclosure of [log lower, log upper]."""
+    import mpmath
+
     old = mpmath.iv.prec
     try:
         mpmath.iv.prec = precision

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from cyclofree.cli import main
 from cyclofree.kfree import PatchConfig, patch_to_json
 
@@ -132,6 +134,13 @@ class TestAdmissibleCommand:
             assert code == 2 and payload == b""
             assert "k must be >= 2" in capsys.readouterr().err
 
+    def test_non_integer_offset_is_exit_two(self, tmp_path, capsys):
+        patch_file = tmp_path / "patch.json"
+        patch_file.write_text(json.dumps({"n": 4, "k": 2, "shape": [[0, 0], [0, 1.5]], "fill": "11"}))
+        code, payload, _ = run(tmp_path, "admissible", "--in", str(patch_file))
+        assert code == 2 and payload == b""
+        assert capsys.readouterr().err == "error: shape offsets must be lists of integers\n"
+
     def test_admissible_does_not_import_numpy_ma(self, tmp_path):
         shape = tuple((a, b) for a in range(4) for b in range(4))
         patch_file = tmp_path / "cover.json"
@@ -157,7 +166,6 @@ class TestSymcheckCommand:
         assert doc["total_checked"] > 0
 
     def test_box_is_sieved_once(self, tmp_path, monkeypatch):
-        import cyclofree.cli as cli_mod
         import cyclofree.kfree as kfree_mod
 
         calls = []
@@ -167,7 +175,6 @@ class TestSymcheckCommand:
             calls.append(args)
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli_mod, "sieve_box", counting)
         monkeypatch.setattr(kfree_mod, "sieve_box", counting)
         code, _, _ = run(
             tmp_path, "symcheck", "--n", "12", "--k", "2", "--radius", "2",
@@ -179,7 +186,7 @@ class TestSymcheckCommand:
     def test_failures_exit_four(self, tmp_path, monkeypatch):
         # the mathematics cannot produce a failure, so fake one to pin the
         # exit-code contract
-        import cyclofree.cli as cli_mod
+        import cyclofree.symmetries as symmetries_mod
         from cyclofree.symmetries import ActionReport
 
         def broken(element, box, sample_size, seed):
@@ -188,7 +195,7 @@ class TestSymcheckCommand:
                 failures=[(0, 1)],
             )
 
-        monkeypatch.setattr(cli_mod, "verify_stabiliser_action", broken)
+        monkeypatch.setattr(symmetries_mod, "verify_stabiliser_action", broken)
         code, _, _ = run(
             tmp_path, "symcheck", "--n", "4", "--k", "2", "--radius", "5",
             "--samples", "5",
@@ -246,3 +253,68 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["n"] == 4
+
+
+def fresh_run(tmp_path, *argv):
+    """(exit code, stderr, loaded module names) of one CLI command run in a
+    fresh interpreter; with no argv, of a bare ``import cyclofree.cli``."""
+    script = (
+        "import json, sys\n"
+        "from cyclofree.cli import main\n"
+        "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "sys.stdout.write(json.dumps([code, sorted(sys.modules)]))\n"
+    )
+    args = [*argv, "--out", str(tmp_path / "payload.out")] if argv else []
+    done = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    code, modules = json.loads(done.stdout)
+    return code, done.stderr, set(modules)
+
+
+class TestImports:
+    def test_cli_import_loads_neither_numpy_nor_mpmath(self, tmp_path):
+        _, _, modules = fresh_run(tmp_path)
+        assert not {"numpy", "mpmath"} & modules
+
+    def test_admissible_loads_neither_mpmath_nor_symmetries(self, tmp_path):
+        patch_file = tmp_path / "patch.json"
+        patch_file.write_text(patch_to_json(PatchConfig(shape=((0, 0), (0, 1)), fill=0b11), 4, 2))
+        code, _, modules = fresh_run(tmp_path, "admissible", "--in", str(patch_file))
+        assert code == 0
+        assert not {"mpmath", "cyclofree.symmetries", "cyclofree.zeta"} & modules
+
+    def test_symcheck_loads_no_mpmath(self, tmp_path):
+        code, _, modules = fresh_run(
+            tmp_path, "symcheck", "--n", "4", "--k", "2", "--radius", "5", "--samples", "5"
+        )
+        assert code == 0 and "cyclofree.symmetries" in modules
+        assert not {"mpmath", "cyclofree.zeta"} & modules
+
+    def test_density_loads_mpmath(self, tmp_path):
+        code, _, modules = fresh_run(
+            tmp_path, "density", "--n", "4", "--k", "2", "--radius", "5", "--prime-bound", "1000"
+        )
+        assert code == 0
+        assert {"mpmath", "cyclofree.zeta"} <= modules
+
+    def test_exhausted_aq_search_is_exit_three(self, tmp_path):
+        code, err, modules = fresh_run(
+            tmp_path, "aq", "--n", "12", "--q", "13", "--ell-bound", "500", "--a-bound", "4"
+        )
+        assert code == 3
+        assert err.startswith("search exhausted: ")
+        assert "mpmath" not in modules
+
+    def test_exports_are_the_defining_modules_objects(self):
+        import importlib
+
+        import cyclofree
+
+        listed = dir(cyclofree)
+        for name in cyclofree.__all__:
+            value = getattr(cyclofree, name)
+            assert value.__module__.startswith("cyclofree."), name
+            assert getattr(importlib.import_module(value.__module__), name) is value, name
+            assert name in listed
+        with pytest.raises(AttributeError):
+            cyclofree.no_such_export

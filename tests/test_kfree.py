@@ -301,6 +301,13 @@ class TestPatches:
             with pytest.raises(ValueError):
                 patch_from_json(text)
 
+    def test_patch_offsets_must_be_integers(self):
+        # 1.5 is not read as cell 1, nor "3" as cell 3, nor true as cell 1.
+        for bad in (1.5, "3", True):
+            text = json.dumps({"n": 4, "k": 2, "shape": [[0, 0], [0, bad]], "fill": "11"})
+            with pytest.raises(ValueError, match="integers"):
+                patch_from_json(text)
+
 
 class TestAdmissibility:
     def test_empty_patch(self):

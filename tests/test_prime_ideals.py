@@ -297,6 +297,20 @@ class TestKFree:
         got = norm_array(n, np.array(rows, dtype=object))
         assert [int(v) for v in got] == [norm_by_resultant(n, row) for row in rows]
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([3, 4, 5, 12, 13]), st.data())
+    def test_norm_array_mixes_small_and_huge_rows(self, n, data):
+        # Small rows, zero rows and rows with entries up to 10^30 share one
+        # batch, in any order; the batch is evaluated up to its largest ceiling.
+        d = ring_degree(n)
+        small = st.lists(st.integers(-4, 4), min_size=d, max_size=d)
+        huge = st.lists(st.integers(-(10**30), 10**30), min_size=d, max_size=d)
+        rows = data.draw(st.lists(small, min_size=1, max_size=20))
+        rows += data.draw(st.lists(huge, min_size=1, max_size=3))
+        rows = data.draw(st.permutations(rows))
+        got = norm_array(n, np.array(rows, dtype=object))
+        assert [int(v) for v in got] == [norm_by_resultant(n, row) for row in rows]
+
     def test_mask_and_norms_at_degree_ten_and_more(self):
         # Small rows need few primes and come out in int64, powers of a unit
         # need many and Python ints; a batch takes the dtype of its largest row.
