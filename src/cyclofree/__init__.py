@@ -7,8 +7,9 @@ unit-times-Galois symmetries that stabilise them.
 
 Each exported name resolves on first access from the submodule that
 defines it (PEP 562), so importing the package, or one submodule such
-as ``cyclofree.cli``, loads no other submodule and neither numpy nor
-mpmath.
+as ``cyclofree.cli``, loads no other submodule and not numpy.  The
+package's only run-time dependency is numpy; zeta logarithms are enclosed
+in exact integer arithmetic.
 """
 
 import importlib

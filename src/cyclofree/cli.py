@@ -11,7 +11,7 @@ verification failure (a failed symmetry check is loud by design).
 
 Only the standard library is imported at module level; each command
 imports the library functions it runs, so ``admissible`` loads neither
-mpmath nor the symmetry module, and no command pays for another's.
+the zeta nor the symmetry module, and no command pays for another's.
 """
 
 from __future__ import annotations
@@ -58,23 +58,36 @@ def _emit(args, command: str, params: dict, payload: bytes, seed: int, wall: flo
 
 def _points_payload(box, fmt: str) -> bytes:
     """CSV rows or a JSON document of the box's points, in lexicographic
-    order.  Rows are formatted PAYLOAD_BLOCK at a time, by one %-format
-    per block, straight from the point array."""
+    order.  Each value -r..r of column j has its text, with the column's
+    separators, in one NUL-padded row of a byte table; a block of
+    PAYLOAD_BLOCK points gathers its rows of the table and drops the
+    padding with one mask."""
+    import numpy as np
+
     pts = box.point_array()
-    d = box.d
+    d, r = box.d, box.r
     if fmt == "csv":
         head = ",".join(f"x{i+1}" for i in range(d)) + "\n"
-        row, sep, tail = ",".join(["%d"] * d) + "\n", "", ""
+        before, after, tail = [""] + [","] * (d - 1), [""] * (d - 1) + ["\n"], ""
     else:
         doc = {"n": box.n, "k": box.k, "radius": box.r, "count": len(pts), "points": "@"}
         head, tail = json.dumps(doc, sort_keys=True).split('"@"')
         head, tail = head + "[", "]" + tail + "\n"
-        row, sep = "[" + ", ".join(["%d"] * d) + "]", ", "
-    blocks = (
-        sep.join([row] * len(block)) % tuple(block.ravel().tolist())
-        for block in (pts[i : i + PAYLOAD_BLOCK] for i in range(0, len(pts), PAYLOAD_BLOCK))
+        # every row ends in "], "; the last row's ", " is cut below
+        before, after = ["["] + [", "] * (d - 1), [""] * (d - 1) + ["], "]
+    table = np.array(
+        [[f"{pre}{v}{post}".encode() for v in range(-r, r + 1)] for pre, post in zip(before, after)]
     )
-    return (head + sep.join(blocks) + tail).encode("utf-8")
+    glyphs = table.view(np.uint8).reshape(d, 2 * r + 1, -1)
+    columns = np.arange(d)
+    parts = [head.encode()]
+    for i in range(0, len(pts), PAYLOAD_BLOCK):
+        block = glyphs[columns, pts[i : i + PAYLOAD_BLOCK] + r]
+        parts.append(block[block != 0].tobytes())
+    if fmt == "json" and len(pts):
+        parts[-1] = parts[-1][:-2]
+    parts.append(tail.encode())
+    return b"".join(parts)
 
 
 def _run(args) -> int:

@@ -237,18 +237,31 @@ def patch_to_json(patch: PatchConfig, n: int, k: int) -> str:
 
 
 def patch_from_json(text: str) -> tuple[PatchConfig, int, int]:
+    """Read a patch file; a malformed one raises ValueError."""
     data = json.loads(text)
-    shape = tuple(map(tuple, data["shape"]))
-    # type(...) is int: a float, a string or a bool is not read as a cell.
-    if not all(type(v) is int for off in shape for v in off):
+    if not isinstance(data, dict):
+        raise ValueError("a patch file holds one JSON object")
+    missing = [key for key in ("n", "k", "shape", "fill") if key not in data]
+    if missing:
+        raise ValueError(f"patch file lacks {', '.join(missing)}")
+    # type(...) is int: a float, a string or a bool is not read as n, k or a cell.
+    if type(data["n"]) is not int or type(data["k"]) is not int:
+        raise ValueError("n and k must be integers")
+    offsets = data["shape"]
+    if not (
+        type(offsets) is list
+        and all(type(off) is list for off in offsets)
+        and all(type(v) is int for off in offsets for v in off)
+    ):
         raise ValueError("shape offsets must be lists of integers")
+    shape = tuple(map(tuple, offsets))
     bits = data["fill"]
     if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
         raise ValueError("fill must be a string of 0s and 1s")
     if len(bits) != len(shape):
         raise ValueError("fill bitstring length must match the shape")
     fill = int(bits[::-1] or "0", 2)
-    return PatchConfig(shape=shape, fill=fill), int(data["n"]), int(data["k"])
+    return PatchConfig(shape=shape, fill=fill), data["n"], data["k"]
 
 
 def _normalize_shape(shape: Iterable[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:

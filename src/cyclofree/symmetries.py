@@ -20,13 +20,13 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .arith import factor_integer, is_prime, primes_up_to
 from .cyclotomic import CycInt, _exact_dtype, norm_array, ring_degree, validate_conductor
-from .lattices import box_blocks, determinant, ideal_lattice
+from .lattices import BLOCK_ROWS, box_blocks, determinant, ideal_lattice
 from .prime_ideals import is_in_Wk, is_kfree, kfree_mask, split_prime, wk_mask
 from . import kfree as kfree_mod
 
@@ -264,6 +264,46 @@ def verify_stabiliser_action(
     )
 
 
+def _shell_blocks(radius: int, d: int) -> Iterator[np.ndarray]:
+    """The points of Z^d with sup norm radius >= 1, in lexicographic order,
+    as int64 blocks.  A first coordinate of -radius or radius leads the
+    whole (d-1)-box; each value between leads the (d-1)-shell, which is
+    built once and tiled when it fits in a block."""
+    if d == 1:
+        yield np.array([[-radius], [radius]], dtype=np.int64)
+        return
+
+    def led_by(firsts, rows):
+        # each first coordinate in turn, ahead of every row
+        return np.column_stack((np.repeat(firsts, len(rows)), np.tile(rows, (len(firsts), 1))))
+
+    yield from (led_by([-radius], block) for block in box_blocks(radius, d - 1))
+    middle = np.arange(1 - radius, radius, dtype=np.int64)
+    if (2 * radius + 1) ** (d - 1) - (2 * radius - 1) ** (d - 1) <= BLOCK_ROWS:
+        inner = np.concatenate(list(_shell_blocks(radius, d - 1)))
+        step = BLOCK_ROWS // len(inner)
+        for i in range(0, len(middle), step):
+            yield led_by(middle[i : i + step], inner)
+    else:
+        for first in middle:
+            yield from (led_by([first], block) for block in _shell_blocks(radius, d - 1))
+    yield from (led_by([radius], block) for block in box_blocks(radius, d - 1))
+
+
+def _joined(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
+    """Consecutive blocks joined, in order, into arrays of at least
+    BLOCK_ROWS rows (the last may hold fewer)."""
+    pending, size = [], 0
+    for block in blocks:
+        pending.append(block)
+        size += len(block)
+        if size >= BLOCK_ROWS:
+            yield np.concatenate(pending)
+            pending, size = [], 0
+    if pending:
+        yield np.concatenate(pending)
+
+
 def scan_for_violation(
     matrix: Matrix, n: int, k: int, radius_cap: int = 100
 ) -> Optional[tuple[int, ...]]:
@@ -276,9 +316,8 @@ def scan_for_violation(
     """
     d = ring_degree(n)
     for radius in range(1, radius_cap + 1):
-        for block in box_blocks(radius, d):
-            rows = block[np.abs(block).max(axis=1) == radius]
-            rows = rows[kfree_mask(rows, n, k)]
+        for block in _joined(_shell_blocks(radius, d)):
+            rows = block[kfree_mask(block, n, k)]
             bad = np.flatnonzero(~kfree_mask(_act(rows, matrix), n, k))
             if len(bad):
                 return tuple(rows[bad[0]].tolist())

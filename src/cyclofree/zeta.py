@@ -17,9 +17,12 @@ because at most phi(n) ideals sit above each rational prime, each of
 norm >= ell, and -log(1-x) <= 2x for x <= 1/2.  The enclosure of
 zeta_K(k) is therefore rigorous, and shrinks as the bound grows.
 
-Logarithms of the rational endpoints are taken in interval arithmetic
-(mpmath.iv), so the logarithmic bounds are rigorous as well.  mpmath is
-imported on the first logarithm, so code that takes none does not load it.
+Logarithms of the rational endpoints are enclosed in exact integer
+arithmetic: x = 2^e y with y near 1, log x = e log 2 + 2 atanh((y-1)/(y+1)),
+and the atanh series is summed in fixed point with every rounding error and
+the truncated tail counted (Brent, J. ACM 23, 1976).  The logarithmic
+bounds are therefore rigorous as well, and no floating-point library is
+involved.
 """
 
 from __future__ import annotations
@@ -77,33 +80,72 @@ class Interval:
         return Interval(self.lower * other.lower, self.upper * other.upper)
 
 
-def _raw_mpf_to_fraction(raw) -> Fraction:
-    sign, man, exp, _ = raw
-    man = int(man)
-    if man == 0:
-        return Fraction(0)
-    value = Fraction(man << exp) if exp >= 0 else Fraction(man, 1 << -exp)
-    return -value if sign else value
+GUARD_BITS = 16
 
 
-def _fraction_to_iv(x: Fraction):
-    import mpmath
+def _atanh_fixed(u: int, v: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= atanh(u/v) * 2^bits <= hi, for 0 <= u/v <= 1/3.
 
-    return mpmath.iv.mpf(x.numerator) / mpmath.iv.mpf(x.denominator)
+    The series sum_j t^(2j+1) / (2j+1) is summed in fixed point with
+    floor division.  The power of t is carried as P_(j+1) = floor(P_j T2 /
+    2^bits) with T2 = floor(t^2 2^bits); by induction it is low by less
+    than 2 / (1 - t^2) <= 9/4 units, so each of the N terms summed is low
+    by less than 4.  The loop stops at the first power that rounds to 0,
+    which leaves a true power below 9/4 units and a tail below
+    (9/4) / (1 - t^2) < 4 units.
+    """
+    if u == 0:
+        return 0, 0
+    t2 = (u * u << bits) // (v * v)
+    power = (u << bits) // v
+    total = terms = 0
+    while power:
+        total += power // (2 * terms + 1)
+        terms += 1
+        power = power * t2 >> bits
+    return total, total + 4 * (terms + 1)
+
+
+@lru_cache(maxsize=None)
+def _log2_fixed(bits: int) -> tuple[int, int]:
+    """log 2 = 2 atanh(1/3), as integers lo <= log(2) * 2^bits <= hi."""
+    lo, hi = _atanh_fixed(1, 3, bits)
+    return 2 * lo, 2 * hi
+
+
+def _log_fixed(x: Fraction, bits: int) -> tuple[int, int]:
+    """Integers lo <= log(x) * 2^bits <= hi for a rational x > 0.
+
+    With x = 2^e y and y = a/b in [1/sqrt 2, sqrt 2], log x = e log 2 +
+    2 atanh(t) for t = (a - b)/(a + b), and |t| <= 3 - 2 sqrt 2 < 0.172.
+    """
+    num, den = x.numerator, x.denominator
+    e = num.bit_length() - den.bit_length()
+    a, b = (num, den << e) if e >= 0 else (num << -e, den)
+    # a/b now lies in (1/2, 2); one halving or doubling brings it into range
+    if a * a > 2 * b * b:
+        e, b = e + 1, 2 * b
+    elif 2 * a * a < b * b:
+        e, a = e - 1, 2 * a
+    lo2, hi2 = _log2_fixed(bits)
+    lo, hi = (e * lo2, e * hi2) if e >= 0 else (e * hi2, e * lo2)
+    at_lo, at_hi = _atanh_fixed(abs(a - b), a + b, bits)
+    if a < b:  # atanh is odd
+        at_lo, at_hi = -at_hi, -at_lo
+    return lo + 2 * at_lo, hi + 2 * at_hi
 
 
 def log_interval(interval: Interval, precision: int = 256) -> Interval:
-    """Rigorous enclosure of [log lower, log upper]."""
-    import mpmath
-
-    old = mpmath.iv.prec
-    try:
-        mpmath.iv.prec = precision
-        lo = mpmath.iv.log(_fraction_to_iv(interval.lower))
-        hi = mpmath.iv.log(_fraction_to_iv(interval.upper))
-        return Interval(_raw_mpf_to_fraction(lo._mpi_[0]), _raw_mpf_to_fraction(hi._mpi_[1]))
-    finally:
-        mpmath.iv.prec = old
+    """Rigorous enclosure of [log lower, log upper]: each endpoint is
+    summed with GUARD_BITS extra bits, then rounded outward to a multiple
+    of 2^-precision."""
+    if interval.lower <= 0:
+        raise ValueError("log needs a positive interval")
+    bits = precision + GUARD_BITS
+    lo, _ = _log_fixed(interval.lower, bits)
+    _, hi = _log_fixed(interval.upper, bits)
+    one = 1 << precision
+    return Interval(Fraction(lo >> GUARD_BITS, one), Fraction(-(-hi >> GUARD_BITS), one))
 
 
 @lru_cache(maxsize=1)

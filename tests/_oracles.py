@@ -1,13 +1,24 @@
 """Independent numeric oracles shared by the test modules."""
 
 import itertools
+import json
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from cyclofree.arith import factor_integer, primes_up_to
 from cyclofree.cyclotomic import CycInt, IntPolynomial, cyclotomic_polynomial, ring_degree
-from cyclofree.lattices import hnf
-from cyclofree.prime_ideals import enumerate_prime_ideals, split_prime, splitting_type, valuation
+from cyclofree.cli import PAYLOAD_BLOCK
+from cyclofree.lattices import box_blocks, hnf
+from cyclofree.prime_ideals import (
+    enumerate_prime_ideals,
+    kfree_mask,
+    split_prime,
+    splitting_type,
+    valuation,
+)
+from cyclofree.symmetries import _act
 from cyclofree.zeta import EXACT_HEAD_BOUND, PRECISION_BITS, Interval, ZetaValue, log_interval
 
 
@@ -252,3 +263,48 @@ def dedekind_zeta_by_fractions(n: int, k: int, prime_bound: int) -> ZetaValue:
     zeta_upper = (1 / Fraction(lo, one)) * (1 / (1 - tail))
     logs = log_interval(Interval(zeta_lower, zeta_upper))
     return ZetaValue(n, k, prime_bound, zeta_lower, zeta_upper, logs.lower, logs.upper)
+
+
+def log_by_mpmath(x: Fraction, bits: int = 600) -> Fraction:
+    """log x by mpmath at the given working precision, as an exact Fraction
+    of the rounded binary result."""
+    import mpmath
+
+    with mpmath.workprec(bits):
+        value = mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
+    sign, man, exp, _ = value._mpf_
+    return (-1) ** sign * Fraction(int(man)) * Fraction(2) ** exp
+
+
+def points_payload_by_format(box, fmt: str) -> bytes:
+    """The point payload as the CLI wrote it before the byte-table encoder:
+    rows formatted PAYLOAD_BLOCK at a time, by one %-format per block."""
+    pts = box.point_array()
+    d = box.d
+    if fmt == "csv":
+        head = ",".join(f"x{i+1}" for i in range(d)) + "\n"
+        row, sep, tail = ",".join(["%d"] * d) + "\n", "", ""
+    else:
+        doc = {"n": box.n, "k": box.k, "radius": box.r, "count": len(pts), "points": "@"}
+        head, tail = json.dumps(doc, sort_keys=True).split('"@"')
+        head, tail = head + "[", "]" + tail + "\n"
+        row, sep = "[" + ", ".join(["%d"] * d) + "]", ", "
+    blocks = (
+        sep.join([row] * len(block)) % tuple(block.ravel().tolist())
+        for block in (pts[i : i + PAYLOAD_BLOCK] for i in range(0, len(pts), PAYLOAD_BLOCK))
+    )
+    return (head + sep.join(blocks) + tail).encode("utf-8")
+
+
+def scan_for_violation_by_box(matrix, n: int, k: int, radius_cap: int = 100):
+    """The violation scan that walks the whole box [-r, r]^d at every radius
+    r and keeps the rows of sup norm r."""
+    d = ring_degree(n)
+    for radius in range(1, radius_cap + 1):
+        for block in box_blocks(radius, d):
+            rows = block[np.abs(block).max(axis=1) == radius]
+            rows = rows[kfree_mask(rows, n, k)]
+            bad = np.flatnonzero(~kfree_mask(_act(rows, matrix), n, k))
+            if len(bad):
+                return tuple(rows[bad[0]].tolist())
+    return None

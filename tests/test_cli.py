@@ -3,9 +3,10 @@ import subprocess
 import sys
 
 import pytest
+from _oracles import points_payload_by_format
 
-from cyclofree.cli import main
-from cyclofree.kfree import PatchConfig, patch_to_json
+from cyclofree.cli import PAYLOAD_BLOCK, _points_payload, main
+from cyclofree.kfree import PatchConfig, patch_to_json, sieve_box
 
 
 def run(tmp_path, *argv):
@@ -103,6 +104,26 @@ class TestZetaCommands:
         assert doc["relative_gap"] < 0.05
 
 
+class TestPointsPayload:
+    """The byte-table encoder against the %-format one it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, radius",
+        # one-, two- and three-digit coordinates; d = 2 at n = 3, 4 and d = 4 at n = 5, 12
+        [(3, 4), (3, 15), (4, 3), (4, 40), (4, 120), (5, 3), (5, 10), (12, 2), (12, 9)],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_bytes_match_the_format_oracle(self, n, radius, fmt):
+        box = sieve_box(n, 2, radius)
+        assert _points_payload(box, fmt) == points_payload_by_format(box, fmt)
+
+    def test_box_past_one_block(self):
+        box = sieve_box(3, 3, 150)
+        assert len(box.point_array()) > 2 * PAYLOAD_BLOCK
+        for fmt in ("csv", "json"):
+            assert _points_payload(box, fmt) == points_payload_by_format(box, fmt)
+
+
 class TestAdmissibleCommand:
     def test_empty_patch_is_admissible(self, tmp_path):
         patch_file = tmp_path / "patch.json"
@@ -140,6 +161,22 @@ class TestAdmissibleCommand:
         code, payload, _ = run(tmp_path, "admissible", "--in", str(patch_file))
         assert code == 2 and payload == b""
         assert capsys.readouterr().err == "error: shape offsets must be lists of integers\n"
+
+    @pytest.mark.parametrize(
+        "document, message",
+        [
+            ({"n": 4, "k": 2, "shape": [[0, 0], 5], "fill": "11"}, "shape offsets must be lists of integers"),
+            ({"n": 4, "k": 2, "fill": "11"}, "patch file lacks shape"),
+            ([{"n": 4, "k": 2, "shape": [[0, 0]], "fill": "1"}], "a patch file holds one JSON object"),
+        ],
+        ids=["offset-not-a-list", "no-shape", "top-level-list"],
+    )
+    def test_malformed_patch_file_is_exit_two(self, tmp_path, capsys, document, message):
+        patch_file = tmp_path / "patch.json"
+        patch_file.write_text(json.dumps(document))
+        code, payload, _ = run(tmp_path, "admissible", "--in", str(patch_file))
+        assert code == 2 and payload == b""
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_admissible_does_not_import_numpy_ma(self, tmp_path):
         shape = tuple((a, b) for a in range(4) for b in range(4))
@@ -290,12 +327,20 @@ class TestImports:
         assert code == 0 and "cyclofree.symmetries" in modules
         assert not {"mpmath", "cyclofree.zeta"} & modules
 
-    def test_density_loads_mpmath(self, tmp_path):
-        code, _, modules = fresh_run(
-            tmp_path, "density", "--n", "4", "--k", "2", "--radius", "5", "--prime-bound", "1000"
-        )
-        assert code == 0
-        assert {"mpmath", "cyclofree.zeta"} <= modules
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("density", "--n", "4", "--k", "2", "--radius", "5", "--prime-bound", "1000"),
+            ("sieve", "--n", "4", "--k", "2", "--radius", "5", "--prime-bound", "1000"),
+            ("zeta", "--n", "4", "--k", "2", "--prime-bound", "1000"),
+            ("entropy", "--n", "4", "--k", "2", "--prime-bound", "1000"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_zeta_commands_load_no_mpmath(self, tmp_path, argv):
+        code, _, modules = fresh_run(tmp_path, *argv)
+        assert code == 0 and "cyclofree.zeta" in modules
+        assert "mpmath" not in modules
 
     def test_exhausted_aq_search_is_exit_three(self, tmp_path):
         code, err, modules = fresh_run(

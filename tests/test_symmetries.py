@@ -2,8 +2,9 @@ import cmath
 import json
 import random
 
+import numpy as np
 import pytest
-from _oracles import box_points, is_kfree_by_valuations
+from _oracles import box_points, is_kfree_by_valuations, scan_for_violation_by_box
 
 from cyclofree.arith import primes_up_to
 from cyclofree.cyclotomic import CycInt, euler_phi, ring_degree
@@ -17,6 +18,7 @@ from cyclofree.symmetries import (
     galois_group,
     generator_elements,
     identity_element,
+    _shell_blocks,
     scan_for_violation,
     splitting_primes,
     symmetry_element,
@@ -27,7 +29,7 @@ from cyclofree.symmetries import (
     verify_lemma_factors,
     verify_stabiliser_action,
 )
-from cyclofree.lattices import determinant
+from cyclofree.lattices import box_blocks, determinant
 
 CONDUCTORS = [3, 4, 5, 8, 12]
 
@@ -213,6 +215,29 @@ class TestStabiliserAction:
     def test_stabiliser_matrix_has_no_violation_scan(self):
         el = symmetry_element(CycInt.root(4), 1)
         assert scan_for_violation(el.matrix, 4, 2, radius_cap=6) is None
+
+    @pytest.mark.parametrize("d, radius", [(1, 3), (2, 1), (2, 9), (3, 30), (4, 1), (4, 20), (5, 2)])
+    def test_shell_is_the_box_rows_of_sup_norm_radius(self, d, radius):
+        # (3, 30) tiles a 2-shell; (4, 20) walks a 3-shell past BLOCK_ROWS per first value
+        box = np.concatenate(list(box_blocks(radius, d)))
+        shell = np.concatenate(list(_shell_blocks(radius, d)))
+        assert np.array_equal(shell, box[np.abs(box).max(axis=1) == radius])
+
+    @pytest.mark.parametrize(
+        "n, matrix, stabilises",
+        [
+            (4, symmetry_element(CycInt.root(4), 1).matrix, True),
+            (4, ((1, 1), (0, 1)), False),
+            (5, symmetry_element(CycInt.root(5), 2).matrix, True),
+            (5, ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), False),
+        ],
+        ids=["n4-stabiliser", "n4-shear", "n5-stabiliser", "n5-shear"],
+    )
+    def test_shell_scan_matches_the_box_scan(self, n, matrix, stabilises):
+        cap = 12 if n == 4 else 4
+        witness = scan_for_violation(matrix, n, 2, radius_cap=cap)
+        assert witness == scan_for_violation_by_box(matrix, n, 2, radius_cap=cap)
+        assert (witness is None) == stabilises
 
     def test_box_of_another_conductor_rejected(self):
         with pytest.raises(ValueError, match="conductor"):

@@ -1,9 +1,10 @@
 import json
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from _oracles import character_oracle_gaussian, dedekind_zeta_by_fractions
+from _oracles import character_oracle_gaussian, dedekind_zeta_by_fractions, log_by_mpmath
 
 from cyclofree.zeta import (
     Interval,
@@ -153,3 +154,55 @@ class TestIntervalHelpers:
         iv = log_interval(Interval(Fraction(2), Fraction(2)))
         assert float(iv.lower) <= math.log(2) <= float(iv.upper)
         assert iv.upper - iv.lower < Fraction(1, 10**50)
+
+
+def _random_rationals(kind: str, count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        if kind == "below-one":
+            den = rng.randrange(2, 10**40)
+            yield Fraction(rng.randrange(1, den), den)
+        elif kind == "near-one":
+            yield 1 + Fraction(rng.randrange(-10**9, 10**9), 10 ** rng.randrange(10, 60))
+        else:
+            yield Fraction(rng.randrange(1, 10**100), rng.randrange(1, 10**6))
+
+
+class TestIntegerLog:
+    """log_interval against mpmath at 600 bits, a test-only oracle."""
+
+    def assert_encloses(self, x: Fraction):
+        iv = log_interval(Interval(x, x))
+        assert iv.lower <= log_by_mpmath(x) <= iv.upper, x
+        assert iv.width < Fraction(1, 2**240), x
+        # endpoints are multiples of 2^-256, the default precision
+        assert (iv.lower * 2**256).denominator == 1 and (iv.upper * 2**256).denominator == 1
+
+    @pytest.mark.parametrize("kind", ["below-one", "near-one", "up-to-1e100"])
+    def test_random_rationals(self, kind):
+        for x in _random_rationals(kind, 60, seed=len(kind)):
+            self.assert_encloses(x)
+
+    def test_powers_of_two_and_one(self):
+        for e in (-300, -64, -1, 1, 2, 63, 300):
+            self.assert_encloses(Fraction(2) ** e)
+        assert log_interval(Interval(Fraction(1), Fraction(1))) == Interval(Fraction(0), Fraction(0))
+
+    def test_interval_endpoints_round_outward(self):
+        x, y = Fraction(3, 7), Fraction(10**30 + 1, 10**29)
+        iv = log_interval(Interval(x, y))
+        assert iv.lower <= log_by_mpmath(x) and log_by_mpmath(y) <= iv.upper
+
+    def test_precision_sets_the_grid(self):
+        iv = log_interval(Interval(Fraction(5), Fraction(5)), precision=64)
+        assert iv.lower <= log_by_mpmath(Fraction(5)) <= iv.upper
+        assert iv.width <= Fraction(2, 2**64)
+
+    def test_non_positive_interval_rejected(self):
+        with pytest.raises(ValueError, match="positive"):
+            log_interval(Interval(Fraction(0), Fraction(1)))
+
+    def test_log2_interval_against_float_log(self):
+        log2 = log2_interval()
+        assert float(log2.lower) <= math.log(2) <= float(log2.upper)
+        assert log2.width < Fraction(1, 2**240)
