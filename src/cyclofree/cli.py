@@ -171,13 +171,11 @@ def cmd_admissible(args):
 
 def cmd_symcheck(args):
     from .kfree import sieve_box
-    from .symmetries import generator_elements, verify_stabiliser_action
+    from .symmetries import generator_elements, sample_rows, verify_stabiliser_action
 
     box = sieve_box(args.n, args.k, args.radius)
-    reports = [
-        verify_stabiliser_action(element, box, sample_size=args.samples, seed=args.seed)
-        for element in generator_elements(args.n)
-    ]
+    sample = sample_rows(box, args.samples, args.seed)
+    reports = [verify_stabiliser_action(element, box, sample=sample) for element in generator_elements(args.n)]
     failures = sum(len(r.failures) for r in reports)
     payload = _line(json.dumps({
         "n": args.n,
@@ -208,9 +206,9 @@ def cmd_aq(args):
 
 
 def cmd_patches(args):
-    from .kfree import census_entropy, extract_patches, sieve_box
+    from .kfree import census_entropy, extract_patches, shape_offsets, sieve_box
 
-    shape = [tuple(off) for off in json.loads(args.shape)]
+    shape = shape_offsets(json.loads(args.shape))
     box = sieve_box(args.n, args.k, args.radius)
     census = extract_patches(box, shape)
     payload = _line(json.dumps({

@@ -6,6 +6,14 @@ Survivors are exactly the k-free points: a point x killed by no consulted
 lattice cannot have v_P(x) >= k for any P, because N(P)^k would then
 divide |N(x)|, which the norm bound caps (norm_bound).
 
+Each lattice's points come from lattices.lattice_point_blocks.  A cyclic
+lattice, HNF diagonal (N, 1, ..., 1) as for every unramified degree-1 P^k,
+holds x exactly when x_0 = sum_{j >= 1} b_j x_j (mod N), b_j = basis[j][0];
+its points come from a meet-in-the-middle join of that congruence over two
+halves of coordinates 1..d-1, at about |B| + (2r+1)|A| table rows.  The
+other lattices, and every lattice when the (2r+1)^(d-1) rows of the tail
+box are fewer (d = 2), are walked.
+
 Patch extraction, admissibility, and heredity checks operate on the
 same occupancy grid.
 """
@@ -100,9 +108,9 @@ def sieve_box(
     """Sieve [-r, r]^d down to the k-free points.
 
     The lattices of P^k for every P with N(P)^k <= norm_bound(n, r) =
-    (n r^2)^(d/2) walk together (lattices.lattice_point_blocks) and clear
-    their points from a flat occupancy array, a block at a time, through
-    the flat indices (x + r) . (side^(d-1), ..., side, 1).  Raises
+    (n r^2)^(d/2) are enumerated together (lattices.lattice_point_blocks)
+    and clear their points from a flat occupancy array, a block at a time,
+    through the flat indices (x + r) . (side^(d-1), ..., side, 1).  Raises
     ResourceCapError when the box has more points than the cap
     (CYCLOFREE_MAX_POINTS or the built-in default).
 
@@ -244,17 +252,10 @@ def patch_from_json(text: str) -> tuple[PatchConfig, int, int]:
     missing = [key for key in ("n", "k", "shape", "fill") if key not in data]
     if missing:
         raise ValueError(f"patch file lacks {', '.join(missing)}")
-    # type(...) is int: a float, a string or a bool is not read as n, k or a cell.
+    # type(...) is int: a float, a string or a bool is not read as n or k.
     if type(data["n"]) is not int or type(data["k"]) is not int:
         raise ValueError("n and k must be integers")
-    offsets = data["shape"]
-    if not (
-        type(offsets) is list
-        and all(type(off) is list for off in offsets)
-        and all(type(v) is int for off in offsets for v in off)
-    ):
-        raise ValueError("shape offsets must be lists of integers")
-    shape = tuple(map(tuple, offsets))
+    shape = shape_offsets(data["shape"])
     bits = data["fill"]
     if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
         raise ValueError("fill must be a string of 0s and 1s")
@@ -264,8 +265,22 @@ def patch_from_json(text: str) -> tuple[PatchConfig, int, int]:
     return PatchConfig(shape=shape, fill=fill), data["n"], data["k"]
 
 
-def _normalize_shape(shape: Iterable[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
-    out = tuple(tuple(int(v) for v in off) for off in shape)
+def shape_offsets(shape) -> tuple[tuple[int, ...], ...]:
+    """The offsets of a shape as tuples; ValueError unless shape is a list
+    or tuple of lists or tuples of values of type int: a float, a string or
+    a bool is not read as a cell.  Each check is one flat pass over a set
+    of types, because a patch file can list tens of thousands of offsets."""
+    if not (
+        isinstance(shape, (list, tuple))
+        and set(map(type, shape)) <= {list, tuple}
+        and {type(v) for off in shape for v in off} <= {int}
+    ):
+        raise ValueError("shape offsets must be lists of integers")
+    return tuple(map(tuple, shape))
+
+
+def _normalize_shape(shape: Sequence[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
+    out = shape_offsets(shape)
     if not out:
         raise ValueError("shape must contain at least one offset")
     if any(len(off) != d for off in out):
@@ -277,7 +292,7 @@ def _normalize_shape(shape: Iterable[Sequence[int]], d: int) -> tuple[tuple[int,
     return out
 
 
-def extract_patches(box: KFreeBox, shape: Iterable[Sequence[int]]) -> dict[PatchConfig, int]:
+def extract_patches(box: KFreeBox, shape: Sequence[Sequence[int]]) -> dict[PatchConfig, int]:
     """Census of the fill patterns the shape takes over all anchors that
     keep it inside the box.  Counts divided by the anchor total are the
     empirical patch frequencies."""
@@ -300,7 +315,7 @@ def extract_patches(box: KFreeBox, shape: Iterable[Sequence[int]]) -> dict[Patch
     }
 
 
-def anchor_count(box: KFreeBox, shape: Iterable[Sequence[int]]) -> int:
+def anchor_count(box: KFreeBox, shape: Sequence[Sequence[int]]) -> int:
     offsets = _normalize_shape(shape, box.d)
     side = box.side
     total = 1
@@ -311,7 +326,7 @@ def anchor_count(box: KFreeBox, shape: Iterable[Sequence[int]]) -> int:
     return total
 
 
-def patch_entropy_estimate(box: KFreeBox, shape: Iterable[Sequence[int]]) -> float:
+def patch_entropy_estimate(box: KFreeBox, shape: Sequence[Sequence[int]]) -> float:
     """log(distinct patterns) per shape cell; a slowly converging finite
     size proxy for the per-site patch counting entropy."""
     return census_entropy(extract_patches(box, shape))

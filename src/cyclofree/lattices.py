@@ -19,8 +19,9 @@ import numpy as np
 from .arith import xgcd
 from .cyclotomic import CycInt, _exact_dtype
 
-# Frontier rows per step of lattice_point_blocks; larger blocks of several
-# lattices' tail boxes raise peak memory and are no faster.
+# Rows per step of lattice_point_blocks: walk frontier rows, join key and
+# target rows per lattice group, and points per block.  Larger blocks raise
+# peak memory and are no faster.
 BLOCK_ROWS = 1 << 12
 
 
@@ -134,25 +135,98 @@ def lattice_point_blocks(lattices: Sequence[IdealLattice], radius: int) -> Itera
     """The points with sup norm <= radius of lattices of one rank d, as
     (m, d) int64 arrays.
 
-    Breadth first over the basis rows from the last one down: the
-    coefficient of row j fixes coordinate j, so each prefix (a partial sum
-    of the rows below j) expands to the run of coefficients that keeps
-    coordinate j in [-radius, radius].  Past the last diagonal entry above 1,
-    at row t - 1, row j is e_j plus entries in columns below t (0 <= b_j[i] <
-    b_ii = 1 clears the rest), so the walk starts at row t - 1 from the tail
-    box [-radius, radius]^(d-t) (box_blocks) with head tail @ basis[t:, :t].
-    Frontier rows carry their lattice, so all lattices walk together.  Seeds
-    come in blocks of about BLOCK_ROWS rows, and a larger frontier is split
-    in halves.
+    Let t be one past the last diagonal entry above 1.  Rows from t on are
+    e_j plus entries in columns below t (0 <= b_j[i] < b_ii = 1 clears the
+    rest), so the points come from the tail box [-radius, radius]^(d-t).
+
+    A cyclic lattice, t = 1 with HNF diagonal (N, 1, ..., 1), holds x exactly
+    when x_0 = sum_{j >= 1} b_j x_j (mod N), b_j = basis[j][0].  Split
+    coordinates 1..d-1 into a half A (the first floor((d-1)/2)) and a half
+    B; then x is a point when (x_0 - A . b_A) mod N equals B . b_B mod N.
+    The join (_join_blocks) tabulates about |B| + (2r+1)|A| rows per lattice
+    where the walk expands the (2r+1)^(d-1) = |A||B| rows of the tail box,
+    and it is taken whenever that count is smaller: from d = 4 on, never at
+    d = 2.  Other lattices walk (_walk_blocks).
     """
     if not lattices or not lattices[0].d:
         return
+    d = lattices[0].d
+    side = 2 * radius + 1
+    half = (d - 1) // 2
+    join = side ** (d - 1 - half) + side ** (half + 1) < side ** (d - 1)
+    tails = [max((i + 1 for i in range(d) if lat.basis[i][i] > 1), default=0) for lat in lattices]
+    joined = [join and t == 1 for t in tails]
+    yield from _join_blocks([lat for lat, j in zip(lattices, joined) if j], radius, half)
+    walked = [(lat, t) for lat, t, j in zip(lattices, tails, joined) if not j]
+    if walked:
+        yield from _walk_blocks(*zip(*walked), radius)
+
+
+def _join_blocks(lattices: Sequence[IdealLattice], radius: int, half: int) -> Iterator[np.ndarray]:
+    """The points of cyclic lattices by a sort-merge join of the congruence
+    x_0 = sum_j b_j x_j (mod N), split at coordinate half (Horowitz and
+    Sahni, J. ACM 21, 1974).
+
+    For a group of lattices, keys lattice * N_max + (B . b_B mod N) over the
+    box B of coordinates half+1..d-1 are sorted once; for every x_0 in
+    [-radius, radius] and row of the box A of coordinates 1..half, the
+    matching keys lattice * N_max + (x_0 - A . b_A) mod N form one run found
+    by searchsorted.  Groups hold about BLOCK_ROWS key and target rows, and
+    the runs expand into blocks of at most BLOCK_ROWS points.
+    """
+    if not lattices:
+        return
+    d = lattices[0].d
+    heads = np.concatenate(list(box_blocks(radius, half)))
+    rest = np.concatenate(list(box_blocks(radius, d - 1 - half)))
+    x0 = np.arange(-radius, radius + 1)[:, None, None]
+    size = max(1, BLOCK_ROWS // max(len(rest), len(x0) * len(heads)))
+    for first in range(0, len(lattices), size):
+        group = lattices[first : first + size]
+        n_max = max(lat.index for lat in group)
+        # Keys stay below len(group) * N_max, and A . b_A below half * radius * N_max.
+        if _exact_dtype(max(len(group), half * radius) * n_max) is object:
+            raise OverflowError(f"cyclic lattice of index {n_max} has join keys beyond int64")
+        modulus = np.array([lat.index for lat in group])
+        columns = np.array([[row[0] for row in lat.basis[1:]] for lat in group]).T
+        offsets = np.arange(len(group)) * n_max
+        # Key i * |B| + beta belongs to lattice i and row beta of B; target
+        # (x_0 + radius, i, alpha) is flat in the same way.
+        keys = ((rest @ columns[half:]) % modulus + offsets).T.ravel()
+        # The stable sort pages in less of numpy than the default one: about
+        # 0.1 MB of peak RSS against 0.35 MB in a density command.
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        s_a = ((heads @ columns[:half]) % modulus).T
+        targets = ((x0 - s_a) % modulus[:, None] + offsets[:, None]).ravel()
+        lo = np.searchsorted(keys, targets, "left")
+        counts = np.searchsorted(keys, targets, "right") - lo
+        ends = np.cumsum(counts)
+        for start in range(0, int(ends[-1]), BLOCK_ROWS):
+            pos = np.arange(start, min(start + BLOCK_ROWS, int(ends[-1])))
+            target = np.searchsorted(ends, pos, "right")
+            key = order[lo[target] + pos - (ends[target] - counts[target])]
+            head = target // (len(group) * len(heads)) - radius
+            yield np.concatenate([head[:, None], heads[target % len(heads)], rest[key % len(rest)]], axis=1)
+
+
+def _walk_blocks(lattices: Sequence[IdealLattice], tails: Sequence[int], radius: int) -> Iterator[np.ndarray]:
+    """The points of lattices with tail starts t, breadth first over the
+    basis rows from row t - 1 down.
+
+    The coefficient of row j fixes coordinate j, so each prefix (a partial
+    sum of the rows below j) expands to the run of coefficients that keeps
+    coordinate j in [-radius, radius].  The walk starts from the tail box
+    (box_blocks) with head tail @ basis[t:, :t].  Frontier rows carry their
+    lattice, so all lattices walk together.  Seeds come in blocks of about
+    BLOCK_ROWS rows, and a larger frontier is split in halves.
+    """
     d = lattices[0].d
     # The coefficients have sum |c_i| < radius * 2^d and no basis entry
     # exceeds the index, so partial sums stay below their product.
     dtype = _exact_dtype((radius << d) * max(lat.index for lat in lattices))
     bases = np.array([lat.basis for lat in lattices], dtype=dtype)
-    tails = np.array([max((i + 1 for i in range(d) if lat.basis[i][i] > 1), default=0) for lat in lattices])
+    tails = np.array(tails)
     for t in sorted(set(tails.tolist())):
         group = np.flatnonzero(tails == t)
         for tail in box_blocks(radius, d - t):

@@ -232,7 +232,7 @@ def _act(rows: np.ndarray, matrix: Matrix) -> np.ndarray:
     return rows.astype(dtype) @ matrix.T.astype(dtype)
 
 
-def _sample_rows(box: kfree_mod.KFreeBox, sample_size: int, seed: int) -> np.ndarray:
+def sample_rows(box: kfree_mod.KFreeBox, sample_size: int, seed: int) -> np.ndarray:
     """The rows rng.sample(box.sorted_points(), sample_size) picks, or all
     of them when there are no more than sample_size."""
     pts = box.point_array()
@@ -247,12 +247,18 @@ def verify_stabiliser_action(
     sample_size: int = 1000,
     seed: int = 0,
     include_inverse: bool = True,
+    sample: Optional[np.ndarray] = None,
 ) -> ActionReport:
     """Check that the element and its inverse map k-free points sampled from
-    the sieved box to k-free points; the expected failure count is zero."""
+    the sieved box to k-free points; the expected failure count is zero.
+
+    sample, when given, is the rows to check in place of
+    sample_rows(box, sample_size, seed), so that checks of several elements
+    draw one sample."""
     if box.n != element.n:
         raise ValueError("conductor mismatch")
-    sample = _sample_rows(box, sample_size, seed)
+    if sample is None:
+        sample = sample_rows(box, sample_size, seed)
     maps = [element, element.inverse()] if include_inverse else [element]
     failures = []
     for mapping in maps:
@@ -362,7 +368,7 @@ def verify_coprimality_transport(
     element's matrix: if no prime ideal above p divides x, none divides the
     image either.  x lies in P exactly when its coset code in P is 0."""
     n = element.n
-    sample = _sample_rows(kfree_mod.sieve_box(n, k, r_box), sample_size, seed)
+    sample = sample_rows(kfree_mod.sieve_box(n, k, r_box), sample_size, seed)
     images = _act(sample, element.matrix)
     failures = []
     checked = 0

@@ -226,7 +226,7 @@ class TestSymcheckCommand:
         import cyclofree.symmetries as symmetries_mod
         from cyclofree.symmetries import ActionReport
 
-        def broken(element, box, sample_size, seed):
+        def broken(element, box, sample):
             return ActionReport(
                 n=element.n, k=box.k, element=element.describe(), checked=1,
                 failures=[(0, 1)],
@@ -277,6 +277,12 @@ class TestPatchesCommand:
         doc = json.loads(payload)
         assert doc["distinct_patterns"] == len(doc["counts"])
         assert sum(doc["counts"].values()) == doc["anchors"]
+
+    @pytest.mark.parametrize("shape", ["[[0,0],5]", "[[0,0],[0,1.5]]"], ids=["offset-not-a-list", "float-offset"])
+    def test_malformed_shape_is_exit_two(self, tmp_path, capsys, shape):
+        code, payload, _ = run(tmp_path, "patches", "--n", "4", "--k", "2", "--radius", "5", "--shape", shape)
+        assert code == 2 and payload == b""
+        assert capsys.readouterr().err == "error: shape offsets must be lists of integers\n"
 
 
 class TestEntryPoint:

@@ -331,15 +331,29 @@ class TestPointBlocks:
 
     @pytest.mark.parametrize("block_rows", [5, 300, lattices.BLOCK_ROWS])
     def test_lattices_walked_together(self, monkeypatch, block_rows):
+        """Cyclic lattices (t = 1) join and the others walk, in mixed groups
+        at d = 4, 6 and 8; the one-point walk is the oracle for both."""
         monkeypatch.setattr(lattices, "BLOCK_ROWS", block_rows)
-        group = [ideal_lattice(P, k) for P in enumerate_prime_ideals(5, 200) for k in (1, 2)]
-        group.append(hnf([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]))
-        assert {self.tail_start(lat) for lat in group} >= {0, 1, 2, 4}
-        together = lattices.lattice_point_blocks(group, 3)
-        assert sorted(tuple(p) for block in together for p in block.tolist()) == sorted(
-            p for lat in group for p in block_points(lat, 3)
-        )
-        assert all(len(block) <= 2 * block_rows for block in lattices.lattice_point_blocks(group, 3))
+        for n, radius, cap in [(5, 3, 200), (9, 2, 100), (16, 1, 100)]:
+            d = ring_degree(n)
+            group = [ideal_lattice(P, k) for P in enumerate_prime_ideals(n, cap) for k in (1, 2)]
+            group.append(hnf([[int(i == j) for j in range(d)] for i in range(d)]))  # Z^d, t = 0
+            diagonal = [2, 1, 1, 3] + [1] * (d - 4)  # t = 4
+            group.append(hnf([[diagonal[i] if i == j else int(j == 0 < i) for j in range(d)] for i in range(d)]))
+            assert {self.tail_start(lat) for lat in group} >= {0, 1, 2, 4}
+            cyclic = [lat.index for lat in group if self.tail_start(lat) == 1]
+            assert min(cyclic) < 2 * radius + 1 < max(cyclic)  # a ramified prime's norm is below the side
+            blocks = list(lattices.lattice_point_blocks(group, radius))
+            assert sorted(tuple(p) for block in blocks for p in block.tolist()) == sorted(
+                p for lat in group for p in lattice_walk(lat, radius)
+            )
+            assert all(len(block) <= 2 * block_rows for block in blocks)
+
+    def test_join_keys_beyond_int64(self):
+        lat = hnf([[2**62, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert self.tail_start(lat) == 1
+        with pytest.raises(OverflowError):
+            list(lattices.lattice_point_blocks([lat], 1))
 
     def test_points_in_box_yields_tuples(self):
         lat = ideal_lattice(ideal_above(5, 4), 2)
