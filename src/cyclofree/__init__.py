@@ -44,7 +44,6 @@ _EXPORTS = {
     "determinant": "lattices",
     "enumerate_prime_ideals": "prime_ideals",
     "entropy_constant": "zeta",
-    "euler_phi": "cyclotomic",
     "extract_patches": "kfree",
     "factor_mod_p": "gfpoly",
     "factor_poly_mod_p": "prime_ideals",
@@ -60,7 +59,6 @@ _EXPORTS = {
     "norm_bound": "kfree",
     "patch_entropy_estimate": "kfree",
     "ramified_primes": "prime_ideals",
-    "reduce_polynomial": "cyclotomic",
     "ring_degree": "cyclotomic",
     "scan_for_violation": "symmetries",
     "sieve_box": "kfree",

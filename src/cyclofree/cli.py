@@ -90,14 +90,21 @@ def _points_payload(box, fmt: str) -> bytes:
     return b"".join(parts)
 
 
+# Parsed arguments the manifest does not list as parameters: the command
+# and the seed have fields of their own, func is the handler, and where the
+# payload goes does not change its bytes.
+_NOT_PARAMETERS = ("command", "func", "out", "seed")
+
+
 def _run(args) -> int:
     """Time a command's body, emit its payload and manifest, then run its
-    follow-up.  Each cmd_* body returns (payload bytes, manifest parameters,
-    follow-up or None); a follow-up writes side reports after the manifest
-    and returns the exit code."""
+    follow-up.  Each cmd_* body returns (payload bytes, follow-up or None);
+    a follow-up writes side reports after the manifest and returns the exit
+    code.  The manifest parameters are the command's parsed options."""
     t0 = time.perf_counter()
-    payload, params, after = args.func(args)
+    payload, after = args.func(args)
     wall = time.perf_counter() - t0
+    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     _emit(args, args.command, params, payload, seed=args.seed, wall=wall)
     return after() if after else EXIT_OK
 
@@ -112,13 +119,6 @@ def cmd_sieve(args):
     box = sieve_box(args.n, args.k, args.radius)
     payload = _points_payload(box, args.format)
     report = density_estimate(box, prime_bound=args.prime_bound)
-    params = {
-        "n": args.n,
-        "k": args.k,
-        "radius": args.radius,
-        "format": args.format,
-        "prime_bound": args.prime_bound,
-    }
 
     def side_report() -> int:
         if args.out:
@@ -127,7 +127,7 @@ def cmd_sieve(args):
             sys.stderr.write(report.to_json() + "\n")
         return EXIT_OK
 
-    return payload, params, side_report
+    return payload, side_report
 
 
 def cmd_density(args):
@@ -135,16 +135,14 @@ def cmd_density(args):
 
     box = sieve_box(args.n, args.k, args.radius)
     report = density_estimate(box, prime_bound=args.prime_bound)
-    params = {"n": args.n, "k": args.k, "radius": args.radius, "prime_bound": args.prime_bound}
-    return _line(report.to_json()), params, None
+    return _line(report.to_json()), None
 
 
 def cmd_zeta(args):
     from .zeta import dedekind_zeta
 
     value = dedekind_zeta(args.n, args.k, args.prime_bound)
-    params = {"n": args.n, "k": args.k, "prime_bound": args.prime_bound}
-    return _line(value.to_json()), params, None
+    return _line(value.to_json()), None
 
 
 def cmd_entropy(args):
@@ -154,19 +152,18 @@ def cmd_entropy(args):
     text = interval_to_json(
         interval, n=args.n, k=args.k, prime_bound=args.prime_bound, constant="entropy"
     )
-    params = {"n": args.n, "k": args.k, "prime_bound": args.prime_bound}
-    return _line(text), params, None
+    return _line(text), None
 
 
 def cmd_admissible(args):
     from .kfree import is_admissible, patch_from_json
 
-    text = Path(args.infile).read_text(encoding="utf-8")
+    text = Path(vars(args)["in"]).read_text(encoding="utf-8")
     patch, n, k = patch_from_json(text)
     cells = patch.occupied
     verdict = is_admissible(cells, n, k)
     payload = _line(json.dumps({"admissible": verdict, "n": n, "k": k, "cells": len(cells)}, sort_keys=True))
-    return payload, {"in": str(args.infile)}, None
+    return payload, None
 
 
 def cmd_symcheck(args):
@@ -186,7 +183,6 @@ def cmd_symcheck(args):
         "total_checked": sum(r.checked for r in reports),
         "total_failures": failures,
     }, sort_keys=True))
-    params = {"n": args.n, "k": args.k, "radius": args.radius, "samples": args.samples}
 
     def verdict() -> int:
         if failures:
@@ -194,15 +190,14 @@ def cmd_symcheck(args):
             return EXIT_VERIFY
         return EXIT_OK
 
-    return payload, params, verdict
+    return payload, verdict
 
 
 def cmd_aq(args):
     from .symmetries import aq_search
 
     candidate = aq_search(args.n, args.q, args.ell_bound, args.a_bound)
-    params = {"n": args.n, "q": args.q, "ell_bound": args.ell_bound, "a_bound": args.a_bound}
-    return _line(candidate.to_json()), params, None
+    return _line(candidate.to_json()), None
 
 
 def cmd_patches(args):
@@ -221,8 +216,7 @@ def cmd_patches(args):
         "entropy_estimate": census_entropy(census),
         "counts": {p.fill_bits: c for p, c in sorted(census.items(), key=lambda t: t[0].fill)},
     }, sort_keys=True))
-    params = {"n": args.n, "k": args.k, "radius": args.radius, "shape": args.shape}
-    return payload, params, None
+    return payload, None
 
 
 def _add_common(parser, radius=False, prime_bound=None):
@@ -267,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_entropy)
 
     p = sub.add_parser("admissible", help="admissibility of a patch file")
-    p.add_argument("--in", dest="infile", type=str, required=True)
+    p.add_argument("--in", dest="in", type=str, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_admissible)
 
@@ -318,7 +312,7 @@ def main(argv=None) -> int:
     except _loaded_error("symmetries", "AqNotFound") as exc:
         sys.stderr.write(f"search exhausted: {exc}\n")
         return EXIT_RESOURCE
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing --in file, a directory as --in or --out
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
 

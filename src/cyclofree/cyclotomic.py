@@ -118,21 +118,6 @@ def cyclotomic_polynomial(n: int) -> IntPolynomial:
     return quot
 
 
-def euler_phi(n: int) -> int:
-    phi = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            phi -= phi // p
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        phi -= phi // m
-    return phi
-
-
 class ConductorError(ValueError):
     pass
 
@@ -170,6 +155,19 @@ def _ring_data(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 def ring_degree(n: int) -> int:
     return _ring_data(n)[0]
+
+
+def _reduce(n: int, raw) -> "CycInt":
+    """The element sum_e raw[e] zeta_n^e: each exponent e >= d adds its
+    coefficient times the row of zeta^(e mod n) in the powers table."""
+    d, powers = _ring_data(n)
+    out = list(raw[:d]) + [0] * (d - len(raw))
+    for e in range(d, len(raw)):
+        c = raw[e]
+        if c:
+            for j, pc in enumerate(powers[e % n]):
+                out[j] += c * pc
+    return CycInt(n, tuple(out))
 
 
 def _exact_dtype(bound: int):
@@ -303,18 +301,7 @@ class CycInt:
     @staticmethod
     def from_polynomial(n: int, poly: IntPolynomial) -> "CycInt":
         """The canonical representative of poly(zeta_n)."""
-        d, powers = _ring_data(n)
-        out = [0] * d
-        for e, c in enumerate(poly.coeffs):
-            if not c:
-                continue
-            e %= n
-            if e < d:
-                out[e] += c
-            else:
-                for j, pc in enumerate(powers[e]):
-                    out[j] += c * pc
-        return CycInt(n, tuple(out))
+        return _reduce(n, poly.coeffs)
 
     # ---- ring structure -----------------------------------------------
 
@@ -353,19 +340,13 @@ class CycInt:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        d, powers = _ring_data(self.n)
+        d = ring_degree(self.n)
         raw = [0] * (2 * d - 1)
         for i, a in enumerate(self.coeffs):
             if a:
                 for j, b in enumerate(other.coeffs):
                     raw[i + j] += a * b
-        out = list(raw[:d])
-        for e in range(d, 2 * d - 1):
-            c = raw[e]
-            if c:
-                for j, pc in enumerate(powers[e % self.n]):
-                    out[j] += c * pc
-        return CycInt(self.n, tuple(out))
+        return _reduce(self.n, raw)
 
     __rmul__ = __mul__
 
@@ -378,13 +359,10 @@ class CycInt:
         """Apply the automorphism zeta -> zeta^r; requires gcd(r, n) = 1."""
         if math.gcd(r, self.n) != 1:
             raise ValueError(f"{r} is not invertible modulo {self.n}")
-        d, powers = _ring_data(self.n)
-        out = [0] * d
+        raw = [0] * self.n
         for i, c in enumerate(self.coeffs):
-            if c:
-                for j, pc in enumerate(powers[(i * r) % self.n]):
-                    out[j] += c * pc
-        return CycInt(self.n, tuple(out))
+            raw[(i * r) % self.n] += c
+        return _reduce(self.n, raw)
 
     def norm(self) -> int:
         """Field norm over Q, exact: the one-row norm_array."""
@@ -401,28 +379,11 @@ class CycInt:
                 acc = acc * self.galois(r)
         return acc * nrm
 
-    # ---- embedding and serialization ----------------------------------
-
-    def embed(self) -> tuple[int, ...]:
-        """Coordinates on the power basis (the Cartesian embedding)."""
-        return self.coeffs
-
-    @staticmethod
-    def unembed(n: int, vector) -> "CycInt":
-        return CycInt(n, tuple(int(v) for v in vector))
+    # ---- serialization ------------------------------------------------
 
     def to_json(self) -> str:
         return json.dumps({"n": self.n, "coeffs": [str(c) for c in self.coeffs]})
 
-    @staticmethod
-    def from_json(text: str) -> "CycInt":
-        data = json.loads(text)
-        return CycInt(int(data["n"]), tuple(int(c) for c in data["coeffs"]))
-
     def __repr__(self):
         return f"CycInt({self.n}, {self.coeffs})"
 
-
-def reduce_polynomial(poly: IntPolynomial, n: int) -> CycInt:
-    """Canonical representative of poly modulo the n-th cyclotomic polynomial."""
-    return CycInt.from_polynomial(n, poly)

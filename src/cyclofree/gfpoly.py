@@ -10,7 +10,6 @@ a fixed seed makes the whole factorization reproducible.
 from __future__ import annotations
 
 import random
-from functools import lru_cache
 
 Poly = tuple[int, ...]
 
@@ -210,23 +209,3 @@ def factor_mod_p(coeffs, p: int, seed: int = 0) -> list[tuple[Poly, int]]:
     factors.sort(key=lambda fm: (gf_degree(fm[0]), fm[0]))
     return factors
 
-
-@lru_cache(maxsize=None)
-def is_irreducible(f: Poly, p: int) -> bool:
-    """Rabin's test on a monic polynomial."""
-    f = gf_monic(f, p)
-    n = gf_degree(f)
-    if n <= 0:
-        return False
-    if n == 1:
-        return True
-    h = gf_pow_mod(X, p**n, f, p)
-    if gf_sub(h, X, p):
-        return False
-    from .arith import factor_integer
-
-    for q in factor_integer(n):
-        h = gf_pow_mod(X, p ** (n // q), f, p)
-        if gf_degree(gf_gcd(gf_sub(h, X, p), f, p)) != 0:
-            return False
-    return True

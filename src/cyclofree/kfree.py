@@ -80,11 +80,6 @@ class KFreeBox:
     def count(self) -> int:
         return int(np.count_nonzero(self.grid))
 
-    def contains(self, point: Sequence[int]) -> bool:
-        if any(abs(v) > self.r for v in point):
-            return False
-        return bool(self.grid[tuple(v + self.r for v in point)])
-
     def point_array(self) -> np.ndarray:
         """The k-free points as an (m, d) int64 array in lexicographic order
         (np.argwhere scans the grid in C order)."""
@@ -313,17 +308,6 @@ def extract_patches(box: KFreeBox, shape: Sequence[Sequence[int]]) -> dict[Patch
         for fill, cnt in enumerate(counts)
         if cnt
     }
-
-
-def anchor_count(box: KFreeBox, shape: Sequence[Sequence[int]]) -> int:
-    offsets = _normalize_shape(shape, box.d)
-    side = box.side
-    total = 1
-    for t in range(box.d):
-        lo = max(0, -min(off[t] for off in offsets))
-        hi = side - max(0, max(off[t] for off in offsets))
-        total *= max(0, hi - lo)
-    return total
 
 
 def patch_entropy_estimate(box: KFreeBox, shape: Sequence[Sequence[int]]) -> float:

@@ -8,7 +8,6 @@ the product of the diagonal.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,13 +55,8 @@ class RankError(ValueError):
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """A full-rank sublattice of Z^d with its canonical HNF basis.
+    """A full-rank sublattice of Z^d with its canonical HNF basis."""
 
-    n is the conductor of the ambient cyclotomic ring when the lattice
-    came from an ideal, and 0 for a plain geometric lattice.
-    """
-
-    n: int
     d: int
     basis: tuple[tuple[int, ...], ...]
     index: int
@@ -102,33 +96,9 @@ class IdealLattice:
             code = code * row[j] + residue[:, j]
         return code
 
-    def point_blocks(self, radius: int) -> Iterator[np.ndarray]:
-        """All lattice points with sup norm <= radius (lattice_point_blocks)."""
-        return lattice_point_blocks((self,), radius)
-
     def points_in_box(self, radius: int) -> Iterator[tuple[int, ...]]:
-        """The points of point_blocks, one tuple at a time."""
-        return (tuple(p) for block in self.point_blocks(radius) for p in block.tolist())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "d": self.d,
-                "basis": [list(row) for row in self.basis],
-                "index": str(self.index),
-            }
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "IdealLattice":
-        data = json.loads(text)
-        return IdealLattice(
-            int(data["n"]),
-            int(data["d"]),
-            tuple(tuple(int(v) for v in row) for row in data["basis"]),
-            int(data["index"]),
-        )
+        """The points of lattice_point_blocks, one tuple at a time."""
+        return (tuple(p) for block in lattice_point_blocks((self,), radius) for p in block.tolist())
 
 
 def lattice_point_blocks(lattices: Sequence[IdealLattice], radius: int) -> Iterator[np.ndarray]:
@@ -256,7 +226,7 @@ def _walk_blocks(lattices: Sequence[IdealLattice], tails: Sequence[int], radius:
                         stack.append((j - 1, points, owners))
 
 
-def hnf(generators: Sequence[Sequence[int]], n: int = 0, modulus: Optional[int] = None) -> IdealLattice:
+def hnf(generators: Sequence[Sequence[int]], modulus: Optional[int] = None) -> IdealLattice:
     """Canonical lower-triangular HNF lattice spanned by the generators.
 
     Raises RankError unless the generators span a full-rank subgroup.
@@ -315,7 +285,7 @@ def hnf(generators: Sequence[Sequence[int]], n: int = 0, modulus: Optional[int] 
                 for t in range(j + 1):
                     basis[i][t] -= q * basis[j][t]
     index = math.prod(basis[j][j] for j in range(d))
-    return IdealLattice(n, d, tuple(tuple(row) for row in basis), index)
+    return IdealLattice(d, tuple(tuple(row) for row in basis), index)
 
 
 @lru_cache(maxsize=None)
@@ -339,9 +309,9 @@ def ideal_lattice(prime_ideal, m: int = 1) -> IdealLattice:
         power = power * pi
         x = power * ell ** (m - j)
         for _ in range(len(x.coeffs)):
-            vectors.append(x.embed())
+            vectors.append(x.coeffs)
             x = x * zeta
-    lat = hnf(vectors, n=n, modulus=ell**m)
+    lat = hnf(vectors, modulus=ell**m)
     target = prime_ideal.norm**m
     if lat.index != target:
         raise ArithmeticError(f"ideal power lattice has index {lat.index}, expected {target}")

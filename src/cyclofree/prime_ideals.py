@@ -14,7 +14,6 @@ distinct norm, and membership in P^k by coset codes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -56,19 +55,6 @@ class PrimeIdeal:
 
     def sort_key(self):
         return (self.norm, self.ell, self.g_poly)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"ell": self.ell, "n": self.n, "e": self.e, "f": self.f, "g_poly": list(self.g_poly)}
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "PrimeIdeal":
-        data = json.loads(text)
-        return PrimeIdeal(
-            int(data["ell"]), int(data["n"]), int(data["e"]), int(data["f"]),
-            tuple(int(c) for c in data["g_poly"]),
-        )
 
 
 def factor_poly_mod_p(poly: IntPolynomial, ell: int, seed: int = 0):

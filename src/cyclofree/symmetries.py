@@ -20,12 +20,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
 from .arith import factor_integer, is_prime, primes_up_to
-from .cyclotomic import CycInt, _exact_dtype, norm_array, ring_degree, validate_conductor
+from .cyclotomic import CycInt, IntPolynomial, _exact_dtype, norm_array, ring_degree, validate_conductor
 from .lattices import BLOCK_ROWS, box_blocks, determinant, ideal_lattice
 from .prime_ideals import is_in_Wk, is_kfree, kfree_mask, split_prime, wk_mask
 from . import kfree as kfree_mod
@@ -46,9 +46,6 @@ class GaloisGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def multiply(self, r: int, s: int) -> int:
-        return (r * s) % self.n
 
 
 def galois_group(n: int) -> GaloisGroup:
@@ -84,19 +81,13 @@ def unit_generators(n: int) -> list[CycInt]:
         for a in range(2, n // 2 + 1):
             if math.gcd(a, n) != 1:
                 continue
-            u = CycInt.from_polynomial(n, _geometric_sum(a))
+            u = CycInt.from_polynomial(n, IntPolynomial((1,) * a))
             if u not in roots:
                 gens.append(u)
     for u in gens:
         if abs(u.norm()) != 1:
             raise ArithmeticError(f"generator {u} is not a unit")
     return gens
-
-
-def _geometric_sum(a: int):
-    from .cyclotomic import IntPolynomial
-
-    return IntPolynomial((1,) * a)
 
 
 # ---------------------------------------------------------------------------
@@ -115,14 +106,6 @@ class SymmetryElement:
     @property
     def d(self) -> int:
         return len(self.matrix)
-
-    def apply(self, point: Sequence[int]) -> tuple[int, ...]:
-        return tuple(
-            sum(self.matrix[i][j] * point[j] for j in range(self.d)) for i in range(self.d)
-        )
-
-    def apply_element(self, x: CycInt) -> CycInt:
-        return self.unit * x.galois(self.r)
 
     def compose(self, other: "SymmetryElement") -> "SymmetryElement":
         """self after other: the matrix product, with the matching (unit, r)."""
@@ -152,7 +135,7 @@ class SymmetryElement:
 def _map_matrix(unit: CycInt, r: int) -> Matrix:
     """The matrix of x -> unit * sigma_r(x) on the power basis."""
     n = unit.n
-    cols = [(unit * CycInt.root(n, (i * r) % n)).embed() for i in range(ring_degree(n))]
+    cols = [(unit * CycInt.root(n, (i * r) % n)).coeffs for i in range(ring_degree(n))]
     return tuple(zip(*cols))
 
 

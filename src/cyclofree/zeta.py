@@ -6,9 +6,9 @@ local factor prod_{P | ell} (1 - N(P)^-k) = ((q-1)/q)^g, with q = ell^(fk),
 is the integer pair ((q-1)^g, q^g).  For ell not dividing n, f and g depend
 only on ell mod n and are read from a per-conductor residue table; the
 primes come from the Eratosthenes sieve, so none is re-tested for
-primality.  Below 10^4 the pairs are multiplied exactly and applied once;
-above, each factor is applied in 192-bit fixed point with floor/ceil
-rounding.  The omitted tail satisfies
+primality.  Below 10^4 the pairs are multiplied exactly, by a balanced
+product tree, and applied once; above, each factor is applied in 192-bit
+fixed point with floor/ceil rounding.  The omitted tail satisfies
 
     0 <= log(tail of zeta) <= phi(n) * sum_{m > B} 2 m^-k
                            <= 2 phi(n) B^(1-k) / (k-1),
@@ -209,6 +209,16 @@ def _local_factor(ell: int, n: int, k: int) -> tuple[int, int]:
     return (q - 1) ** g, q**g
 
 
+def _tree_product(values: list[int]) -> int:
+    """The product of the values, multiplied in pairs, level by level, so
+    that each product joins factors of about equal size: a running product
+    would multiply the whole head into each new factor."""
+    while len(values) > 1:
+        pairs = [a * b for a, b in zip(values[::2], values[1::2])]
+        values = pairs + values[2 * len(pairs) :]
+    return values[0] if values else 1
+
+
 @lru_cache(maxsize=None)
 def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     """Enclose zeta_K(k) using all primes ell <= prime_bound.
@@ -231,17 +241,18 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
         )
     one = 1 << PRECISION_BITS
     lo = hi = one
-    # The head stays unreduced: a common factor of num and den does not
-    # change the floor or ceiling of lo * num / den.
-    num = den = 1
+    nums, dens = [], []
     for ell in primes_up_to(prime_bound):
         p, q = _local_factor(ell, n, k)
         if ell <= EXACT_HEAD_BOUND:
-            num *= p
-            den *= q
+            nums.append(p)
+            dens.append(q)
         else:
             lo = (lo * p) // q
             hi = -((-hi * p) // q)
+    # The head stays unreduced: a common factor of num and den does not
+    # change the floor or ceiling of lo * num / den.
+    num, den = _tree_product(nums), _tree_product(dens)
     lo = (lo * num) // den
     hi = -((-hi * num) // den)
     partial = Interval(Fraction(lo, one), Fraction(hi, one))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from cyclofree import gfpoly
 from cyclofree.arith import factor_integer, primes_up_to
 from cyclofree.cyclotomic import CycInt, IntPolynomial, cyclotomic_polynomial, ring_degree
 from cyclofree.cli import PAYLOAD_BLOCK
@@ -37,6 +38,59 @@ def character_oracle_gaussian(k: int) -> tuple[float, float]:
     l_partial = math.fsum((-1) ** j * (2 * j + 1) ** -float(k) for j in range(m_terms))
     l_err = (2 * m_terms + 1) ** -k + 1e-11
     return zeta_lo * (l_partial - l_err), zeta_hi * (l_partial + l_err)
+
+
+def euler_phi(n: int) -> int:
+    """phi(n) by trial division, independent of the cyclotomic polynomial."""
+    phi = n
+    m = n
+    p = 2
+    while p * p <= m:
+        if m % p == 0:
+            phi -= phi // p
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        phi -= phi // m
+    return phi
+
+
+def is_irreducible(f, p: int) -> bool:
+    """Rabin's irreducibility test of a polynomial over F_p: f of degree n
+    divides x^(p^n) - x and is coprime to x^(p^(n/q)) - x for each prime
+    q dividing n."""
+    f = gfpoly.gf_monic(f, p)
+    n = gfpoly.gf_degree(f)
+    if n <= 0:
+        return False
+    if n == 1:
+        return True
+    x = gfpoly.X
+    if gfpoly.gf_sub(gfpoly.gf_pow_mod(x, p**n, f, p), x, p):
+        return False
+    for q in factor_integer(n):
+        h = gfpoly.gf_pow_mod(x, p ** (n // q), f, p)
+        if gfpoly.gf_degree(gfpoly.gf_gcd(gfpoly.gf_sub(h, x, p), f, p)) != 0:
+            return False
+    return True
+
+
+def apply(element, point) -> tuple[int, ...]:
+    """The element's matrix times the point, one coordinate at a time."""
+    return tuple(sum(a * v for a, v in zip(row, point)) for row in element.matrix)
+
+
+def apply_element(element, x: CycInt) -> CycInt:
+    """unit * sigma_r(x) in the ring: the map the element's matrix encodes."""
+    return element.unit * x.galois(element.r)
+
+
+def box_contains(box, point) -> bool:
+    """Is the point one of the box's k-free points, read from its grid."""
+    if any(abs(v) > box.r for v in point):
+        return False
+    return bool(box.grid[tuple(v + box.r for v in point)])
 
 
 def box_points(radius: int, d: int):
@@ -97,13 +151,13 @@ def ideal_power_by_recursion(prime_ideal, m: int):
         if lat is None:
             elements = gens
         else:
-            elements = [CycInt.unembed(n, row) * g for row in lat.basis for g in gens]
+            elements = [CycInt(n, row) * g for row in lat.basis for g in gens]
         vectors = []
         for x in elements:
             for _ in range(len(x.coeffs)):
-                vectors.append(x.embed())
+                vectors.append(x.coeffs)
                 x = x * zeta
-        lat = hnf(vectors, n=n, modulus=prime_ideal.norm**j)
+        lat = hnf(vectors, modulus=prime_ideal.norm**j)
         assert lat.index == prime_ideal.norm**j
     return lat
 

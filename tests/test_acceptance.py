@@ -8,10 +8,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from _oracles import character_oracle_gaussian
+from _oracles import character_oracle_gaussian, euler_phi
 
 from cyclofree.arith import primes_up_to
-from cyclofree.cyclotomic import euler_phi, ring_degree
+from cyclofree.cyclotomic import ring_degree
 from cyclofree.kfree import (
     density_estimate,
     hereditary_check,

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from _oracles import points_payload_by_format
@@ -146,6 +148,11 @@ class TestAdmissibleCommand:
         code, _, _ = run(tmp_path, "admissible", "--in", str(tmp_path / "nope.json"))
         assert code == 2
 
+    def test_directory_as_input_is_exit_two(self, tmp_path, capsys):
+        code, payload, _ = run(tmp_path, "admissible", "--in", str(tmp_path))
+        assert code == 2 and payload == b""
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_k_below_two_is_exit_two(self, tmp_path, capsys):
         patch_file = tmp_path / "patch.json"
         patch = PatchConfig(shape=((0, 0), (0, 1)), fill=0b11)
@@ -285,6 +292,44 @@ class TestPatchesCommand:
         assert capsys.readouterr().err == "error: shape offsets must be lists of integers\n"
 
 
+# Each command with its manifest parameters: every option it parsed but
+# --out and --seed, under the option's name ("{patch}" is a patch file).
+MANIFEST_CASES = [
+    (["sieve", "--n", "4", "--k", "2", "--radius", "3"],
+     {"n": 4, "k": 2, "radius": 3, "format": "csv", "prime_bound": 10_000}),
+    (["density", "--n", "4", "--k", "2", "--radius", "3", "--prime-bound", "1000"],
+     {"n": 4, "k": 2, "radius": 3, "prime_bound": 1000}),
+    (["zeta", "--n", "5", "--k", "3"], {"n": 5, "k": 3, "prime_bound": 100_000}),
+    (["entropy", "--n", "4", "--k", "2", "--prime-bound", "1000"], {"n": 4, "k": 2, "prime_bound": 1000}),
+    (["admissible", "--in", "{patch}"], {"in": "{patch}"}),
+    (["symcheck", "--n", "4", "--k", "2", "--radius", "3", "--samples", "5", "--seed", "2"],
+     {"n": 4, "k": 2, "radius": 3, "samples": 5}),
+    (["aq", "--n", "12", "--q", "13", "--ell-bound", "500", "--a-bound", "100000"],
+     {"n": 12, "q": 13, "ell_bound": 500, "a_bound": 100_000}),
+    (["patches", "--n", "4", "--k", "2", "--radius", "5", "--shape", "[[0,0],[0,1]]"],
+     {"n": 4, "k": 2, "radius": 5, "shape": "[[0,0],[0,1]]"}),
+]
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv, parameters", MANIFEST_CASES, ids=[argv[0] for argv, _ in MANIFEST_CASES])
+    def test_parameters_of_every_command(self, tmp_path, argv, parameters):
+        patch_file = tmp_path / "patch.json"
+        patch_file.write_text(patch_to_json(PatchConfig(shape=((0, 0), (0, 1)), fill=0b01), 4, 2))
+        argv = [arg.format(patch=patch_file) for arg in argv]
+        parameters = {key: value.format(patch=patch_file) if isinstance(value, str) else value
+                      for key, value in parameters.items()}
+        code, _, manifest = run(tmp_path, *argv)
+        assert code == 0
+        assert manifest["command"] == argv[0] and manifest["parameters"] == parameters
+        assert manifest["seed"] == (2 if argv[0] == "symcheck" else 0)
+
+    def test_directory_as_output_is_exit_two(self, tmp_path, capsys):
+        code = main(["zeta", "--n", "4", "--k", "2", "--prime-bound", "1000", "--out", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         out = tmp_path / "z.json"
@@ -355,6 +400,17 @@ class TestImports:
         assert code == 3
         assert err.startswith("search exhausted: ")
         assert "mpmath" not in modules
+
+    def test_benchmark_tracer_installs(self):
+        # bench/tracer.py wraps library names it looks up by getattr; a
+        # renamed or deleted one fails here, not only in a benchmark run.
+        root = Path(__file__).resolve().parents[1]
+        script = f"import sys; sys.path.insert(0, {str(root / 'bench')!r}); import tracer; tracer.install()"
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_exports_are_the_defining_modules_objects(self):
         import importlib

@@ -9,7 +9,6 @@ from _oracles import box_points, ideal_power_by_recursion, lattice_walk
 from cyclofree import lattices
 from cyclofree.cyclotomic import ring_degree
 from cyclofree.lattices import (
-    IdealLattice,
     RankError,
     box_blocks,
     determinant,
@@ -35,8 +34,8 @@ def power_lattice(n, which, k):
 
 
 def block_points(lat, radius):
-    """point_blocks as a sorted list of tuples, duplicates kept."""
-    return sorted(tuple(p) for block in lat.point_blocks(radius) for p in block.tolist())
+    """lattice_point_blocks of one lattice as a sorted list of tuples, duplicates kept."""
+    return sorted(tuple(p) for block in lattices.lattice_point_blocks((lat,), radius) for p in block.tolist())
 
 
 def mixed_radix(lat, residue):
@@ -290,7 +289,7 @@ class TestPointBlocks:
         assert len(expected) == 31 * 31
         assert block_points(lat, 30) == expected
         # a frontier splits down to single prefixes, whose runs span the side
-        assert all(len(block) <= 61 for block in lat.point_blocks(30))
+        assert all(len(block) <= 61 for block in lattices.lattice_point_blocks((lat,), 30))
 
     def test_entries_beyond_int64(self):
         lat = hnf([[2**64, 0], [5, 3]])
@@ -325,7 +324,6 @@ class TestPointBlocks:
     )
     def test_plain_lattices(self, generators):
         lat = hnf(generators)
-        assert lat.n == 0
         for radius in (1, 4):
             assert block_points(lat, radius) == sorted(lattice_walk(lat, radius))
 
@@ -385,9 +383,3 @@ class TestCosetCodes:
         codes = lat.coset_codes(np.array(points, dtype=object))
         assert list(codes) == [mixed_radix(lat, lat.coset_id(p)) for p in points]
 
-
-class TestSerialization:
-    def test_roundtrip(self):
-        lat = ideal_lattice(ideal_above(5, 4), 2)
-        again = IdealLattice.from_json(lat.to_json())
-        assert again == lat

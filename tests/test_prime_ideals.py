@@ -1,10 +1,10 @@
-import json
 import math
 import random
 
 import numpy as np
 import pytest
 from _oracles import (
+    euler_phi,
     is_kfree_bruteforce,
     is_kfree_by_valuations,
     norm_by_resultant,
@@ -26,7 +26,6 @@ from cyclofree.cyclotomic import (
     CycInt,
     IntPolynomial,
     cyclotomic_polynomial,
-    euler_phi,
     norm_array,
     ring_degree,
 )
@@ -382,16 +381,6 @@ class TestWk:
 
     def test_ramified_square_is_not(self):
         assert not is_in_Wk(CycInt.from_int(4, 2), 2)  # (2) = P^2 fails 2-freeness
-
-
-class TestSerialization:
-    def test_prime_ideal_roundtrip(self):
-        from cyclofree.prime_ideals import PrimeIdeal
-
-        for P in split_prime(13, 12) + split_prime(2, 4):
-            doc = json.loads(P.to_json())
-            assert set(doc) == {"ell", "n", "e", "f", "g_poly"}
-            assert PrimeIdeal.from_json(P.to_json()) == P
 
 
 class TestEnumeration:
