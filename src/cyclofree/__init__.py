@@ -45,8 +45,6 @@ _EXPORTS = {
     "enumerate_prime_ideals": "prime_ideals",
     "entropy_constant": "zeta",
     "extract_patches": "kfree",
-    "factor_mod_p": "gfpoly",
-    "factor_poly_mod_p": "prime_ideals",
     "galois_group": "symmetries",
     "generator_elements": "symmetries",
     "hereditary_check": "kfree",

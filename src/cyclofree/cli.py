@@ -46,9 +46,14 @@ def _emit(args, command: str, params: dict, payload: bytes, seed: int, wall: flo
     out = getattr(args, "out", None)
     if out:
         Path(out).write_bytes(payload)
-        Path(str(out) + ".manifest.json").write_text(
-            json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        try:
+            Path(str(out) + ".manifest.json").write_text(
+                json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
+            )
+        except OSError:
+            # no payload is left without its manifest
+            Path(out).unlink(missing_ok=True)
+            raise
     else:
         sys.stdout.write(payload.decode("utf-8"))
         if not payload.endswith(b"\n"):

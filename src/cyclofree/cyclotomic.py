@@ -13,7 +13,6 @@ primes, joined by CRT.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -378,11 +377,6 @@ class CycInt:
             if math.gcd(r, self.n) == 1:
                 acc = acc * self.galois(r)
         return acc * nrm
-
-    # ---- serialization ------------------------------------------------
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.n, "coeffs": [str(c) for c in self.coeffs]})
 
     def __repr__(self):
         return f"CycInt({self.n}, {self.coeffs})"

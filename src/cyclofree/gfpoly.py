@@ -1,10 +1,11 @@
-"""Dense univariate polynomial arithmetic and factorization over F_p.
+"""Dense univariate polynomial arithmetic over F_p and the equal-degree split.
 
 A polynomial is a tuple of ints in [0, p), constant coefficient first,
-with no trailing zeros.  Factorization runs squarefree decomposition,
-then distinct-degree splitting, then equal-degree splitting.  The
-equal-degree stage draws random polynomials from a seeded generator, so
-a fixed seed makes the whole factorization reproducible.
+with no trailing zeros.  The one factorization step is Cantor and
+Zassenhaus's equal-degree split (Math. Comp. 36, 1981): a squarefree
+product of irreducibles that all have one known degree d is split by gcds
+with random polynomials drawn from a caller's seeded generator, so a fixed
+seed makes the split reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import random
 
 Poly = tuple[int, ...]
 
-X: Poly = (0, 1)
 ONE: Poly = (1,)
 
 
@@ -109,57 +109,13 @@ def gf_pow_mod(f: Poly, e: int, mod: Poly, p: int) -> Poly:
     return result
 
 
-def gf_derivative(f: Poly, p: int) -> Poly:
-    return gf_trim((i * f[i]) % p for i in range(1, len(f)))
-
-
-def squarefree_decomposition(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """Monic squarefree parts with multiplicities; f must be monic."""
-    out: list[tuple[Poly, int]] = []
-    c = gf_gcd(f, gf_derivative(f, p), p)
-    w, _ = gf_divmod(f, c, p)
-    i = 1
-    while gf_degree(w) > 0:
-        y = gf_gcd(w, c, p)
-        z, _ = gf_divmod(w, y, p)
-        if gf_degree(z) > 0:
-            out.append((z, i))
-        w = y
-        c, _ = gf_divmod(c, y, p)
-        i += 1
-    if gf_degree(c) > 0:
-        # c = h(x^p); over the prime field the p-th root keeps coefficients
-        root = gf_trim(c[j] for j in range(0, len(c), p))
-        for g, m in squarefree_decomposition(root, p):
-            out.append((g, m * p))
-    return out
-
-
-def distinct_degree_split(f: Poly, p: int) -> list[tuple[Poly, int]]:
-    """(product of irreducible factors of degree d, d) for monic squarefree f."""
-    out: list[tuple[Poly, int]] = []
-    v = f
-    h: Poly = X
-    d = 0
-    while gf_degree(v) >= 2 * (d + 1):
-        d += 1
-        h = gf_pow_mod(h, p, v, p)
-        g = gf_gcd(gf_sub(h, X, p), v, p)
-        if gf_degree(g) > 0:
-            out.append((g, d))
-            v, _ = gf_divmod(v, g, p)
-            h = gf_mod(h, v, p)
-    if gf_degree(v) > 0:
-        out.append((v, gf_degree(v)))
-    return out
-
-
 def _random_poly(degree_below: int, p: int, rng: random.Random) -> Poly:
     return gf_trim(rng.randrange(p) for _ in range(degree_below))
 
 
 def equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
-    """All monic irreducible factors of f, given that each has degree d."""
+    """All monic irreducible factors of a squarefree f, given that each has
+    degree d.  A wrong d never splits: the loop does not end."""
     n = gf_degree(f)
     if n == d:
         return [gf_monic(f, p)]
@@ -185,27 +141,3 @@ def equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly
             break
     other, _ = gf_divmod(f, g, p)
     return equal_degree_split(g, d, p, rng) + equal_degree_split(other, d, p, rng)
-
-
-def factor_mod_p(coeffs, p: int, seed: int = 0) -> list[tuple[Poly, int]]:
-    """Complete factorization of a nonzero polynomial over F_p.
-
-    Returns monic irreducible factors with multiplicities, sorted by
-    (degree, coefficient tuple); the leading coefficient of the input is
-    dropped after monicization.  Deterministic for a fixed seed.
-    """
-    f = gf_from_int_poly(coeffs, p)
-    if not f:
-        raise ValueError("cannot factor the zero polynomial")
-    f = gf_monic(f, p)
-    if gf_degree(f) == 0:
-        return []
-    rng = random.Random(seed)
-    factors: list[tuple[Poly, int]] = []
-    for part, mult in squarefree_decomposition(f, p):
-        for prod, d in distinct_degree_split(part, p):
-            for irr in equal_degree_split(prod, d, p, rng):
-                factors.append((irr, mult))
-    factors.sort(key=lambda fm: (gf_degree(fm[0]), fm[0]))
-    return factors
-

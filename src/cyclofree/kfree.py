@@ -97,7 +97,6 @@ def sieve_box(
     n: int,
     k: int,
     r: int,
-    max_points: int | None = None,
     ideal_norm_cap: int | None = None,
 ) -> KFreeBox:
     """Sieve [-r, r]^d down to the k-free points.
@@ -122,7 +121,7 @@ def sieve_box(
     d = ring_degree(n)
     side = 2 * r + 1
     volume = side**d
-    cap = max_points if max_points is not None else point_cap()
+    cap = point_cap()
     if volume > cap:
         raise ResourceCapError(
             f"box has {volume} points, above the cap of {cap}; "

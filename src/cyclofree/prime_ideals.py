@@ -1,10 +1,11 @@
 """Prime ideal splitting in Z[zeta_n], valuations, and k-free predicates.
 
-Because Z[zeta_n] is the full ring of integers, the splitting of a
-rational prime ell can be read off the factorization of the n-th
-cyclotomic polynomial modulo ell: each distinct monic irreducible factor
-g gives the prime ideal (ell, g(zeta_n)), with residue degree deg(g) and
-ramification equal to the multiplicity of g.
+Because Z[zeta_n] is the full ring of integers, the prime ideals above a
+rational prime ell are read off the factors of the n-th cyclotomic
+polynomial modulo ell: each distinct monic irreducible factor g gives the
+prime ideal (ell, g(zeta_n)), with residue degree deg(g) and ramification
+equal to the multiplicity of g.  The shape (e, f, g) is known beforehand
+(splitting_type), so one equal-degree split finds the factors.
 
 Valuations are computed geometrically: v_P(x) is the largest m for which
 the embedded point lies in the lattice of P^m (coset code 0).  The k-free
@@ -15,6 +16,7 @@ distinct norm, and membership in P^k by coset codes.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -55,17 +57,6 @@ class PrimeIdeal:
 
     def sort_key(self):
         return (self.norm, self.ell, self.g_poly)
-
-
-def factor_poly_mod_p(poly: IntPolynomial, ell: int, seed: int = 0):
-    """Factor an integer polynomial over F_ell into monic irreducibles.
-
-    Thin wrapper over the finite-field kernel; returns (coeff tuple,
-    multiplicity) pairs in the canonical (degree, lex) order.
-    """
-    if not is_prime(ell):
-        raise ValueError(f"{ell} is not prime")
-    return gfpoly.factor_mod_p(poly.coeffs, ell, seed=seed)
 
 
 @lru_cache(maxsize=None)
@@ -123,14 +114,19 @@ def local_degrees(ell: int, n: int) -> tuple[int, int]:
 
 @lru_cache(maxsize=None)
 def split_prime(ell: int, n: int) -> tuple[PrimeIdeal, ...]:
-    """All prime ideals above ell, in canonical order."""
-    e, f, g = splitting_type(ell, n)
-    factors = factor_poly_mod_p(cyclotomic_polynomial(n), ell)
-    ideals = []
-    for coeffs, mult in factors:
-        assert mult == e and len(coeffs) - 1 == f
-        ideals.append(PrimeIdeal(ell=ell, n=n, e=e, f=f, g_poly=coeffs))
-    assert len(ideals) == g
+    """All prime ideals above ell, in canonical order.
+
+    With n = ell^a m and ell not dividing m, Phi_n = Phi_m^e mod ell, and
+    Phi_m mod ell is squarefree with g irreducible factors of degree f, so
+    one equal-degree split of Phi_m mod ell gives every ideal.
+    """
+    e, f, _ = splitting_type(ell, n)
+    m = n
+    while m % ell == 0:
+        m //= ell
+    base = gfpoly.gf_from_int_poly(cyclotomic_polynomial(m).coeffs, ell)
+    factors = gfpoly.equal_degree_split(base, f, ell, random.Random(0))
+    ideals = [PrimeIdeal(ell=ell, n=n, e=e, f=f, g_poly=c) for c in factors]
     return tuple(sorted(ideals, key=PrimeIdeal.sort_key))
 
 

@@ -486,7 +486,7 @@ class LemmaFactorsReport:
     m: int
     j: int
     a: int
-    element_json: str
+    element: CycInt
     norm: int
     prime_factors: tuple[int, ...]
     two_free: bool
@@ -503,26 +503,6 @@ class LemmaFactorsReport:
             and self.outside_W2
             and self.factors_split
             and self.factors_coprime_to_m
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "m": self.m,
-                "j": self.j,
-                "a": self.a,
-                "element": json.loads(self.element_json),
-                "norm": str(self.norm),
-                "prime_factors": [str(p) for p in self.prime_factors],
-                "two_free": self.two_free,
-                "outside_W2": self.outside_W2,
-                "factors_split": self.factors_split,
-                "factors_coprime_to_m": self.factors_coprime_to_m,
-                "complete": self.complete,
-                "passed": self.passed,
-            },
-            sort_keys=True,
         )
 
 
@@ -556,7 +536,7 @@ def verify_lemma_factors(candidate: AqCandidate, m: int, j: int) -> LemmaFactors
         m=m,
         j=j,
         a=a,
-        element_json=y.to_json(),
+        element=y,
         norm=norm,
         prime_factors=factors,
         two_free=two_free,

@@ -66,7 +66,7 @@ def is_irreducible(f, p: int) -> bool:
         return False
     if n == 1:
         return True
-    x = gfpoly.X
+    x = (0, 1)
     if gfpoly.gf_sub(gfpoly.gf_pow_mod(x, p**n, f, p), x, p):
         return False
     for q in factor_integer(n):

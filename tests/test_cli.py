@@ -329,6 +329,14 @@ class TestManifest:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_unwritable_manifest_leaves_no_payload(self, tmp_path, capsys):
+        out = tmp_path / "z.json"
+        (tmp_path / "z.json.manifest.json").mkdir()
+        code = main(["zeta", "--n", "4", "--k", "2", "--prime-bound", "1000", "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):

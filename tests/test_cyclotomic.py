@@ -1,4 +1,3 @@
-import json
 import math
 import random
 
@@ -310,14 +309,6 @@ class TestConductorConvention:
             CycInt.one(6)
         with pytest.raises(ConductorError, match="conductor 5"):
             CycInt.one(10)
-
-
-class TestSerialization:
-    def test_roundtrip_and_shape(self):
-        x = CycInt(12, (10**30, -2, 3, 0))
-        doc = json.loads(x.to_json())
-        assert doc["n"] == 12
-        assert doc["coeffs"] == [str(10**30), "-2", "3", "0"]
 
 
 class TestUnitInverse:

@@ -8,69 +8,57 @@ from _oracles import is_irreducible
 from cyclofree import gfpoly
 
 
-def reconstruct(factors, lc, p):
-    acc = (lc % p,)
-    for poly, mult in factors:
-        for _ in range(mult):
-            acc = gfpoly.gf_mul(acc, poly, p)
-    return acc
+def split(f, d, p, seed=0):
+    return gfpoly.equal_degree_split(f, d, p, random.Random(seed))
+
+
+def random_irreducibles(count, degree, p, rng):
+    """count distinct monic irreducibles of one degree over F_p, drawn at
+    random and kept when Rabin's test passes."""
+    found = set()
+    while len(found) < count:
+        poly = tuple(rng.randrange(p) for _ in range(degree)) + (1,)
+        if is_irreducible(poly, p):
+            found.add(poly)
+    return sorted(found)
 
 
 class TestFactorExamples:
     def test_x2_plus_1_mod_5_splits(self):
-        assert gfpoly.factor_mod_p((1, 0, 1), 5) == [((2, 1), 1), ((3, 1), 1)]
+        assert sorted(split((1, 0, 1), 1, 5)) == [(2, 1), (3, 1)]
 
     def test_x2_plus_1_mod_3_is_irreducible(self):
-        assert gfpoly.factor_mod_p((1, 0, 1), 3) == [((1, 0, 1), 1)]
-
-    def test_x2_plus_1_mod_2_is_a_square(self):
-        assert gfpoly.factor_mod_p((1, 0, 1), 2) == [((1, 1), 2)]
+        assert split((1, 0, 1), 2, 3) == [(1, 0, 1)]
 
     def test_phi5_mod_11_has_four_linear_factors_with_order_five_roots(self):
-        factors = gfpoly.factor_mod_p((1, 1, 1, 1, 1), 11)
+        factors = split((1, 1, 1, 1, 1), 1, 11)
         assert len(factors) == 4
-        for (c0, c1), mult in factors:
-            assert mult == 1 and c1 == 1
+        for c0, c1 in factors:
+            assert c1 == 1
             root = (-c0) % 11
             assert pow(root, 5, 11) == 1 and root != 1
-
-    def test_leading_unit_is_dropped(self):
-        # 3x^2 + 3 mod 5 factors like x^2 + 1
-        assert gfpoly.factor_mod_p((3, 0, 3), 5) == [((2, 1), 1), ((3, 1), 1)]
 
 
 class TestFactorProperties:
     @pytest.mark.parametrize("p", [2, 3, 5, 11, 13])
     def test_reconstruction_on_random_inputs(self, p):
+        # random products of distinct monic irreducibles of one degree come
+        # back factor by factor; p = 2 takes the trace branch
         rng = random.Random(p)
-        for _ in range(30):
-            degree = rng.randrange(1, 9)
-            coeffs = [rng.randrange(p) for _ in range(degree)] + [rng.randrange(1, p)]
-            factors = gfpoly.factor_mod_p(coeffs, p)
-            assert reconstruct(factors, coeffs[-1], p) == gfpoly.gf_from_int_poly(coeffs, p)
-            for poly, _ in factors:
-                assert is_irreducible(poly, p)
+        for _ in range(20):
+            degree = rng.randrange(1, 5)
+            # the number of monic irreducibles of this degree over F_p
+            most = {1: p, 2: (p**2 - p) // 2, 3: (p**3 - p) // 3, 4: (p**4 - p**2) // 4}[degree]
+            factors = random_irreducibles(rng.randrange(1, min(most, 4) + 1), degree, p, rng)
+            product = gfpoly.ONE
+            for poly in factors:
+                product = gfpoly.gf_mul(product, poly, p)
+            assert sorted(split(product, degree, p, seed=rng.randrange(100))) == factors
 
     def test_deterministic_for_fixed_seed(self):
-        coeffs = tuple(range(1, 14))
-        assert gfpoly.factor_mod_p(coeffs, 13, seed=5) == gfpoly.factor_mod_p(coeffs, 13, seed=5)
-
-    def test_multiplicities_survive(self):
-        # (x+1)^3 (x+2)^2 mod 7
-        f = (1,)
-        for c, m in ((1, 3), (2, 2)):
-            for _ in range(m):
-                f = gfpoly.gf_mul(f, (c, 1), 7)
-        assert gfpoly.factor_mod_p(f, 7) == [((1, 1), 3), ((2, 1), 2)]
-
-    def test_characteristic_power_input(self):
-        # x^4 + 2x^2 + 1 = (x^2+1)^2 mod 3, found through the p-th root path
-        f = gfpoly.gf_mul((1, 0, 1), (1, 0, 1), 3)
-        assert gfpoly.factor_mod_p(f, 3) == [((1, 0, 1), 2)]
-
-    def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            gfpoly.factor_mod_p((0,), 5)
+        f = (1,) * 13  # Phi_13 mod 3: four irreducible factors of degree 3
+        assert split(f, 3, 3, seed=5) == split(f, 3, 3, seed=5)
+        assert len(split(f, 3, 3, seed=5)) == 4
 
 
 class TestArithmetic:

@@ -9,8 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from _oracles import box_contains, box_points, norm_by_resultant
 
+from cyclofree import kfree
 from cyclofree.cyclotomic import CycInt, ring_degree
 from cyclofree.kfree import (
+    DEFAULT_MAX_POINTS,
     PatchConfig,
     ResourceCapError,
     density_estimate,
@@ -141,9 +143,14 @@ class TestSieve:
         for p in points:
             assert tuple(-v for v in p) in points
 
-    def test_resource_cap(self):
+    def test_resource_cap(self, monkeypatch):
+        # 7^12 points, above the default cap: refused before the prime
+        # ideals are listed or the occupancy array is allocated
+        monkeypatch.delenv("CYCLOFREE_MAX_POINTS", raising=False)
+        monkeypatch.setattr(kfree, "enumerate_prime_ideals", None)
+        assert 7**12 > DEFAULT_MAX_POINTS
         with pytest.raises(ResourceCapError):
-            sieve_box(4, 2, 10, max_points=100)
+            sieve_box(13, 2, 3)
 
     def test_cap_override_via_env(self, monkeypatch):
         monkeypatch.setenv("CYCLOFREE_MAX_POINTS", "50")

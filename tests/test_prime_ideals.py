@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from _oracles import (
     euler_phi,
+    is_irreducible,
     is_kfree_bruteforce,
     is_kfree_by_valuations,
     norm_by_resultant,
@@ -13,7 +14,7 @@ from _oracles import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclofree import arith
+from cyclofree import arith, gfpoly
 from cyclofree.arith import (
     FACTOR_LIMIT,
     factor_integer,
@@ -32,7 +33,6 @@ from cyclofree.cyclotomic import (
 from cyclofree.symmetries import unit_generators
 from cyclofree.prime_ideals import (
     enumerate_prime_ideals,
-    factor_poly_mod_p,
     is_in_Wk,
     is_kfree,
     kfree_mask,
@@ -103,16 +103,6 @@ class TestIntegerArithmetic:
         assert primes_up_to(1) == []
 
 
-class TestFactorPolyModP:
-    def test_wrapper_examples(self):
-        assert factor_poly_mod_p(IntPolynomial((1, 0, 1)), 5) == [((2, 1), 1), ((3, 1), 1)]
-        assert factor_poly_mod_p(IntPolynomial((1, 0, 1)), 3) == [((1, 0, 1), 1)]
-
-    def test_nonprime_modulus_rejected(self):
-        with pytest.raises(ValueError):
-            factor_poly_mod_p(IntPolynomial((1, 0, 1)), 6)
-
-
 class TestSplitting:
     def test_five_splits_in_gaussians(self):
         ideals = split_prime(5, 4)
@@ -145,15 +135,34 @@ class TestSplitting:
         assert ramified_primes(12) == [2, 3]
 
     def test_splitting_type_matches_factorisation_mod_ell(self):
-        # (e, f, g), read from the residue table when ell does not divide n,
-        # against the factors of Phi_n mod ell
-        for n in CONDUCTORS + [20]:
-            phi = cyclotomic_polynomial(n)
-            for ell in primes_up_to(2000):
+        # The g distinct factors split_prime finds, each monic, irreducible
+        # (Rabin's test) and of degree f, multiply back to Phi_n mod ell when
+        # each is raised to the e-th power; by unique factorisation that also
+        # proves the (e, f, g) of splitting_type.
+        visited = set()
+        for n in range(3, 61):
+            if n % 4 == 2:
+                continue
+            phi = cyclotomic_polynomial(n).coeffs
+            for ell in primes_up_to(200):
                 e, f, g = splitting_type(ell, n)
-                factors = factor_poly_mod_p(phi, ell)
-                assert len(factors) == g, (n, ell)
-                assert all(len(c) - 1 == f and mult == e for c, mult in factors), (n, ell)
+                ideals = split_prime(ell, n)
+                assert len({P.g_poly for P in ideals}) == len(ideals) == g, (n, ell)
+                product = gfpoly.ONE
+                for P in ideals:
+                    assert (P.e, P.f, len(P.g_poly) - 1, P.g_poly[-1]) == (e, f, f, 1), (n, ell)
+                    assert is_irreducible(P.g_poly, ell), (n, ell)
+                    for _ in range(e):
+                        product = gfpoly.gf_mul(product, P.g_poly, ell)
+                assert product == gfpoly.gf_from_int_poly(phi, ell), (n, ell)
+                visited.add((ell, n, e > 1, f > 1))
+        # ell = 2 with f > 1 takes the trace branch of the split; 3 in 33 is
+        # ramified with g = 2
+        assert {(2, 7, False, True), (2, 31, False, True), (3, 33, True, True)} <= visited
+
+    def test_nonprime_modulus_rejected(self):
+        with pytest.raises(ValueError):
+            split_prime(6, 4)
 
     def test_ramified_prime_with_two_distinct_ideals(self):
         # 3 ramifies in conductor 33 yet still splits into two distinct

@@ -355,6 +355,7 @@ class TestLemmaFactors:
 
     def test_all_assertions_for_small_divisor(self, candidate):
         report = verify_lemma_factors(candidate, 3, 1)
+        assert report.element == CycInt.root(3, 1) - candidate.a ** (12 // 3)
         assert report.complete and report.passed
         assert all(ell % 3 == 1 for ell in report.prime_factors)
 
