@@ -32,7 +32,7 @@ _EXPORTS = {
     "PatchConfig": "kfree",
     "PrimeIdeal": "prime_ideals",
     "RankError": "lattices",
-    "ResourceCapError": "kfree",
+    "ResourceCapError": "arith",
     "SplittingPrimeSet": "symmetries",
     "SymmetryElement": "symmetries",
     "ZetaValue": "zeta",

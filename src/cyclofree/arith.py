@@ -3,7 +3,8 @@
 Everything here is deterministic.  Factoring is trial division backed by
 Brent's cycle-finding rho with a fixed parameter schedule, so repeated runs
 produce identical factorizations.  Inputs at or beyond FACTOR_LIMIT are
-rejected instead of being allowed to run for an unbounded time.
+rejected instead of being allowed to run for an unbounded time, and prime
+sieves above PRIME_BOUND_LIMIT instead of allocating gigabytes.
 """
 
 from __future__ import annotations
@@ -14,11 +15,24 @@ from itertools import compress
 
 FACTOR_LIMIT = 1 << 128
 
+# primes_up_to holds one byte per integer up to its bound, and a list of the
+# primes found: about 43 MB at 10^7, so about 0.43 GB at this limit.
+PRIME_BOUND_LIMIT = 10**8
+
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
+class ResourceCapError(RuntimeError):
+    """A request exceeds a fixed cap on points or primes."""
+
+
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, by a plain Eratosthenes byte sieve."""
+    """All primes <= bound, by a plain Eratosthenes byte sieve.
+
+    Raises ResourceCapError, before any allocation, for a bound above
+    PRIME_BOUND_LIMIT."""
+    if bound > PRIME_BOUND_LIMIT:
+        raise ResourceCapError(f"prime bound {bound} is above the limit of {PRIME_BOUND_LIMIT}")
     if bound < 2:
         return []
     sieve = bytearray([1]) * (bound + 1)
@@ -144,6 +158,21 @@ def multiplicative_order(a: int, modulus: int) -> int:
             else:
                 break
     return order
+
+
+def root_of_unity(n: int, p: int) -> int:
+    """The element c^((p-1)/n) of multiplicative order exactly n modulo a
+    prime p = 1 mod n, for the least c >= 2 that gives one.
+
+    F_p^x is cyclic of order p - 1, a multiple of n, so h = c^((p-1)/n) has
+    order dividing n, and exactly n unless h^(n/q) = 1 for some prime q | n.
+    """
+    primes = list(factor_integer(n))
+    for c in range(2, p):
+        h = pow(c, (p - 1) // n, p)
+        if all(pow(h, n // q, p) != 1 for q in primes):
+            return h
+    raise ValueError(f"no element of order {n} modulo {p}")
 
 
 @lru_cache(maxsize=None)

@@ -311,7 +311,7 @@ def main(argv=None) -> int:
     except ValueError as exc:  # cyclotomic.ConductorError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
-    except _loaded_error("kfree", "ResourceCapError") as exc:
+    except _loaded_error("arith", "ResourceCapError") as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
     except _loaded_error("symmetries", "AqNotFound") as exc:

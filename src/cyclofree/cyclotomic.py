@@ -19,7 +19,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factor_integer, is_prime
+from .arith import is_prime, root_of_unity
 
 
 @dataclass(frozen=True)
@@ -211,13 +211,7 @@ def _evaluation_prime(n: int, i: int) -> tuple[int, np.ndarray]:
         p -= n
     if p == 1:
         raise ArithmeticError(f"no word-size prime p = 1 mod {n} is left for the norm")
-    # F_p^x is cyclic of order p - 1, a multiple of n: a^((p-1)/n) has order
-    # n unless some n/q-th power of it, q a prime factor of n, is 1.
-    primes = list(factor_integer(n))
-    for a in range(2, p):
-        h = pow(a, (p - 1) // n, p)
-        if all(pow(h, n // q, p) != 1 for q in primes):
-            break
+    h = root_of_unity(n, p)
     powers = [1]
     for _ in range(n - 1):
         powers.append(powers[-1] * h % p)

@@ -49,14 +49,19 @@ def gf_sub(f: Poly, g: Poly, p: int) -> Poly:
 
 
 def gf_mul(f: Poly, g: Poly, p: int) -> Poly:
+    """The product by Kronecker substitution: each factor packed into one
+    integer at a byte width that holds every coefficient of the integer
+    product, min(len) * (p - 1)^2, then one integer multiplication."""
     if not f or not g:
         return ()
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        if a:
-            for j, b in enumerate(g):
-                out[i + j] += a * b
-    return gf_trim(c % p for c in out)
+    width = (min(len(f), len(g)) * (p - 1) ** 2).bit_length() // 8 + 1
+    product = _pack(f, width) * _pack(g, width)
+    raw = product.to_bytes((len(f) + len(g) - 1) * width, "little")
+    return gf_trim(int.from_bytes(raw[i : i + width], "little") % p for i in range(0, len(raw), width))
+
+
+def _pack(f: Poly, width: int) -> int:
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in f), "little")
 
 
 def gf_divmod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
@@ -68,14 +73,15 @@ def gf_divmod(f: Poly, g: Poly, p: int) -> tuple[Poly, Poly]:
     if len(rem) <= dg:
         return (), gf_trim(rem)
     quot = [0] * (len(rem) - dg)
+    # rem stays unreduced until the end; only each leading entry is reduced.
     for i in range(len(rem) - 1, dg - 1, -1):
         c = rem[i] % p
         if c:
             q = c * inv % p
             quot[i - dg] = q
             for j, b in enumerate(g):
-                rem[i - dg + j] = (rem[i - dg + j] - q * b) % p
-    return gf_trim(quot), gf_trim(rem)
+                rem[i - dg + j] -= q * b
+    return gf_trim(quot), gf_trim(c % p for c in rem[:dg])
 
 
 def gf_mod(f: Poly, g: Poly, p: int) -> Poly:

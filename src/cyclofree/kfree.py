@@ -29,16 +29,12 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .arith import integer_kth_root
+from .arith import ResourceCapError, integer_kth_root
 from .cyclotomic import norm_ceiling, ring_degree, validate_conductor
 from .lattices import ideal_lattice, lattice_point_blocks
 from .prime_ideals import PrimeIdeal, enumerate_prime_ideals
 
 DEFAULT_MAX_POINTS = 20_000_000
-
-
-class ResourceCapError(RuntimeError):
-    """The requested box exceeds the configured point cap."""
 
 
 def point_cap() -> int:

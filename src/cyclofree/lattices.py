@@ -4,6 +4,9 @@ The HNF convention: basis rows b_0, ..., b_{d-1} with b_i[j] = 0 for j > i,
 positive diagonal, and 0 <= b_i[j] < b_j[j] for j < i.  This form is unique
 per lattice, so equal lattices compare equal.  The lattice index in Z^d is
 the product of the diagonal.
+
+Ideal powers P^m are built in closed form for unramified P of degree 1,
+from a root of Phi_n lifted mod ell^m, and from one HNF otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .arith import xgcd
-from .cyclotomic import CycInt, _exact_dtype
+from .cyclotomic import CycInt, _exact_dtype, cyclotomic_polynomial
 
 # Rows per step of lattice_point_blocks: walk frontier rows, join key and
 # target rows per lattice group, and points per block.  Larger blocks raise
@@ -290,16 +293,60 @@ def hnf(generators: Sequence[Sequence[int]], modulus: Optional[int] = None) -> I
 
 @lru_cache(maxsize=None)
 def ideal_lattice(prime_ideal, m: int = 1) -> IdealLattice:
-    """HNF lattice of the m-th power of a prime ideal P = (ell, pi) under the
-    embedding.
+    """HNF lattice of the m-th power of a prime ideal P under the embedding.
+
+    An unramified P of degree 1 is (ell, zeta - a) for a root a of Phi_n
+    mod ell.  Phi_n is separable mod ell (ell does not divide n), so Newton
+    steps lift a to a root mod ell^m, and zeta -> a maps Z[zeta_n] onto
+    Z/ell^m with kernel P^m.  P^m is then the cyclic lattice with rows
+    ell^m e_0 and e_j + (-a^j mod ell^m) e_0, of index ell^m = N(P)^m.
+    Raises ArithmeticError unless Phi_n(a) = 0 mod ell before the lift and
+    mod ell^m after it.  Every other P goes through one HNF
+    (_ideal_lattice_by_hnf).
+    """
+    if m < 1:
+        raise ValueError("m must be >= 1")
+    if not (prime_ideal.e == prime_ideal.f == 1):
+        return _ideal_lattice_by_hnf(prime_ideal, m)
+    n, ell = prime_ideal.n, prime_ideal.ell
+    phi = cyclotomic_polynomial(n).coeffs
+    modulus = ell**m
+    a = -prime_ideal.g_poly[0] % ell
+    # A Newton step from a non-root can land on the lift of another root.
+    if _value_and_slope(phi, a, ell)[0]:
+        raise ArithmeticError(f"{a} is not a root of Phi_{n} mod {ell}")
+    # Each Newton step doubles the number of correct ell-adic digits.
+    for _ in range((m - 1).bit_length()):
+        value, slope = _value_and_slope(phi, a, modulus)
+        a = (a - value * pow(slope, -1, modulus)) % modulus
+    if _value_and_slope(phi, a, modulus)[0]:
+        raise ArithmeticError(f"{a} is not a root of Phi_{n} mod {ell}^{m}")
+    d = len(phi) - 1
+    basis = [(modulus,) + (0,) * (d - 1)]
+    power = 1
+    for j in range(1, d):
+        power = power * a % modulus
+        basis.append((-power % modulus,) + (0,) * (j - 1) + (1,) + (0,) * (d - 1 - j))
+    return IdealLattice(d, tuple(basis), modulus)
+
+
+def _value_and_slope(poly: Sequence[int], a: int, modulus: int) -> tuple[int, int]:
+    """(poly(a), poly'(a)) mod modulus by Horner's rule, constant term first."""
+    value = slope = 0
+    for c in reversed(poly):
+        slope = (slope * a + value) % modulus
+        value = (value * a + c) % modulus
+    return value, slope
+
+
+def _ideal_lattice_by_hnf(prime_ideal, m: int) -> IdealLattice:
+    """HNF lattice of P^m for any prime ideal P = (ell, pi).
 
     P^m is generated as an ideal by the monomials ell^(m-j) pi^j, 0 <= j <= m,
     so as a group by their multiples by zeta^t, t < d.  The j = 0 monomial
     spans ell^m Z^d, which is the HNF modulus; the m*d rows of the others are
     reduced mod ell^m in one HNF.  The index is checked against N(P)^m.
     """
-    if m < 1:
-        raise ValueError("m must be >= 1")
     n, ell = prime_ideal.n, prime_ideal.ell
     _, pi = prime_ideal.generators()
     zeta = CycInt.root(n)

@@ -162,6 +162,18 @@ def ideal_power_by_recursion(prime_ideal, m: int):
     return lat
 
 
+def degree_one_primes(n: int, count: int) -> list[int]:
+    """The first count primes ell = 1 mod n, by trial division: the
+    unramified primes of residue degree 1 in conductor n."""
+    found = []
+    ell = 1
+    while len(found) < count:
+        ell += n
+        if all(ell % q for q in range(2, math.isqrt(ell) + 1)):
+            found.append(ell)
+    return found
+
+
 def content(poly: IntPolynomial) -> int:
     return math.gcd(*poly.coeffs) if poly.coeffs else 0
 

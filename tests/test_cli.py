@@ -409,6 +409,14 @@ class TestImports:
         assert err.startswith("search exhausted: ")
         assert "mpmath" not in modules
 
+    def test_prime_bound_above_the_limit_is_exit_three(self, tmp_path):
+        # Far above the limit, where a byte sieve cannot be allocated, and
+        # with the module of the box cap not loaded.
+        code, err, modules = fresh_run(tmp_path, "zeta", "--n", "4", "--k", "2", "--prime-bound", str(10**16))
+        assert code == 3
+        assert err.startswith("resource limit: prime bound ")
+        assert "cyclofree.kfree" not in modules
+
     def test_benchmark_tracer_installs(self):
         # bench/tracer.py wraps library names it looks up by getattr; a
         # renamed or deleted one fails here, not only in a benchmark run.

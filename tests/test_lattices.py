@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import random
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import box_points, ideal_power_by_recursion, lattice_walk
+from _oracles import box_points, degree_one_primes, ideal_power_by_recursion, lattice_walk
 from cyclofree import lattices
 from cyclofree.cyclotomic import ring_degree
 from cyclofree.lattices import (
@@ -165,6 +167,49 @@ class TestDirectPowers:
         for P in ideals:
             for m in (1, 2, 3):
                 assert ideal_lattice(P, m) == ideal_power_by_recursion(P, m)
+
+
+class TestDegreeOneClosedForm:
+    """ideal_lattice of an unramified degree-1 P, read off a lifted root,
+    against the HNF of its generators and the recursive tower."""
+
+    @pytest.mark.parametrize("n", [n for n in range(3, 61) if n % 4 != 2])
+    def test_equals_the_hnf_and_the_tower(self, n):
+        # One ideal per prime, a different one each time.  The tower, which
+        # takes seconds at m = 3 from d = 40 on, checks the first prime.
+        for i, ell in enumerate(degree_one_primes(n, 8)):
+            ideals = split_prime(ell, n)
+            P = ideals[i % len(ideals)]
+            assert (P.e, P.f) == (1, 1)
+            for m in (1, 2, 3):
+                lat = ideal_lattice(P, m)
+                assert lat == lattices._ideal_lattice_by_hnf(P, m), (n, ell, m)
+                if i == 0:
+                    assert lat == ideal_power_by_recursion(P, m), (n, ell, m)
+
+    def test_cube_of_the_prime_beyond_int64(self):
+        ell = 2097211  # the least prime = 1 mod 5 above 2^21
+        assert ell**3 > 2**63 and all(ell % q for q in range(2, math.isqrt(ell) + 1))
+        for P in split_prime(ell, 5):
+            for m in (1, 2, 3):
+                lat = ideal_lattice(P, m)
+                assert lat.index == ell**m
+                assert lat == lattices._ideal_lattice_by_hnf(P, m) == ideal_power_by_recursion(P, m)
+
+    def test_corrupted_root_is_rejected(self):
+        # Every a mod ell that is not a root of Phi_n is refused.  From
+        # a = 22 mod 43 at n = 21 one Newton step lands on the lift of
+        # another root, so a check mod ell^m after the lift alone misses it.
+        for ell, n in ((11, 5), (13, 12), (29, 4), (43, 21)):
+            ideals = split_prime(ell, n)
+            roots = {P.g_poly for P in ideals}
+            for c in range(ell):
+                if (c, 1) in roots:
+                    continue
+                corrupted = dataclasses.replace(ideals[0], g_poly=(c, 1))
+                for m in (1, 2, 3):
+                    with pytest.raises(ArithmeticError):
+                        ideal_lattice(corrupted, m)
 
 
 class TestMembership:

@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 from _oracles import (
+    degree_one_primes,
     euler_phi,
     is_irreducible,
     is_kfree_bruteforce,
@@ -14,7 +15,7 @@ from _oracles import (
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cyclofree import arith, gfpoly
+from cyclofree import arith, gfpoly, kfree
 from cyclofree.arith import (
     FACTOR_LIMIT,
     factor_integer,
@@ -102,6 +103,22 @@ class TestIntegerArithmetic:
         assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert primes_up_to(1) == []
 
+    def test_prime_bound_above_the_limit_is_refused(self, monkeypatch):
+        # The limit is lowered so that no bound here could allocate much
+        # if the refusal were missing.
+        monkeypatch.setattr(arith, "PRIME_BOUND_LIMIT", 100)
+        assert primes_up_to(100)[-1] == 97
+        with pytest.raises(arith.ResourceCapError):
+            primes_up_to(101)
+
+    def test_ideals_beyond_the_prime_limit_are_refused(self):
+        # isqrt(41^20) = 41^10 is far beyond the limit: a byte sieve that
+        # size cannot be allocated, so a missing refusal is a MemoryError.
+        assert kfree.ResourceCapError is arith.ResourceCapError
+        assert math.isqrt(kfree.norm_bound(41, 1)) > arith.PRIME_BOUND_LIMIT
+        with pytest.raises(arith.ResourceCapError):
+            list(enumerate_prime_ideals(41, math.isqrt(kfree.norm_bound(41, 1))))
+
 
 class TestSplitting:
     def test_five_splits_in_gaussians(self):
@@ -159,6 +176,19 @@ class TestSplitting:
         # ell = 2 with f > 1 takes the trace branch of the split; 3 in 33 is
         # ramified with g = 2
         assert {(2, 7, False, True), (2, 31, False, True), (3, 33, True, True)} <= visited
+
+    def test_degree_one_split_matches_equal_degree_split(self):
+        # The roots h^r of Phi_n mod ell, read from one h of order n, are
+        # the linear factors a random equal-degree split finds.
+        for n in range(3, 61):
+            if n % 4 == 2:
+                continue
+            phi = cyclotomic_polynomial(n).coeffs
+            for ell in degree_one_primes(n, 8):
+                ideals = split_prime(ell, n)
+                assert all((P.e, P.f) == (1, 1) for P in ideals)
+                factors = gfpoly.equal_degree_split(gfpoly.gf_from_int_poly(phi, ell), 1, ell, random.Random(0))
+                assert [P.g_poly for P in ideals] == sorted(factors), (n, ell)
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
