@@ -26,7 +26,6 @@ _EXPORTS = {
     "FourSumsReport": "symmetries",
     "GaloisGroup": "symmetries",
     "IdealLattice": "lattices",
-    "IntPolynomial": "cyclotomic",
     "Interval": "zeta",
     "KFreeBox": "kfree",
     "PatchConfig": "kfree",

@@ -2,8 +2,11 @@
 
 An element is stored by its coefficient vector on the power basis
 1, zeta, ..., zeta^(d-1) with d = phi(n), reduced modulo the n-th
-cyclotomic polynomial.  Conductors follow the convention n > 2 and
-n != 2 mod 4, so every cyclotomic field appears exactly once.
+cyclotomic polynomial.  Every polynomial over Z, Phi_n among them, is a
+tuple of coefficients, constant first; a reduction folds exponents mod n
+and divides by Phi_n, so a conductor costs O(n) memory.  Conductors
+follow the convention n > 2 and n != 2 mod 4, so every cyclotomic field
+appears exactly once.
 
 All coefficients are Python ints (arbitrary precision); every operation
 is exact.  norm_array takes the norms of many elements at once on numpy
@@ -13,108 +16,43 @@ primes, joined by CRT.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .arith import is_prime, root_of_unity
-
-
-@dataclass(frozen=True)
-class IntPolynomial:
-    """Dense integer polynomial, constant coefficient first."""
-
-    coeffs: tuple[int, ...]
-
-    def __init__(self, coeffs=()):
-        coeffs = tuple(int(c) for c in coeffs)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coeffs", coeffs)
-
-    @property
-    def degree(self) -> int:
-        """Degree; the zero polynomial has degree -1."""
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def leading(self) -> int:
-        if not self.coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(tuple(-c for c in self.coeffs))
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other) -> "IntPolynomial":
-        if isinstance(other, int):
-            return IntPolynomial(tuple(c * other for c in self.coeffs))
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
-
-    __rmul__ = __mul__
-
-    def divmod_monic(self, divisor: "IntPolynomial") -> tuple["IntPolynomial", "IntPolynomial"]:
-        """Quotient and remainder by a monic divisor, exactly over Z."""
-        if divisor.is_zero() or divisor.leading() != 1:
-            raise ValueError("divisor must be monic")
-        rem = list(self.coeffs)
-        dd = divisor.degree
-        quot = [0] * max(0, len(rem) - dd)
-        for i in range(len(rem) - 1, dd - 1, -1):
-            c = rem[i]
-            if c:
-                quot[i - dd] = c
-                for j, dc in enumerate(divisor.coeffs):
-                    rem[i - dd + j] -= c * dc
-        return IntPolynomial(quot), IntPolynomial(rem)
-
-    def __repr__(self):
-        return f"IntPolynomial({self.coeffs})"
+from .arith import factor_integer, is_prime, root_of_unity
 
 
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> IntPolynomial:
-    """The n-th cyclotomic polynomial, monic of degree phi(n).
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """The n-th cyclotomic polynomial, monic of degree phi(n), as its
+    coefficients, constant first.
 
-    Computed by exact division of x^n - 1 by the product of the
-    cyclotomic polynomials of the proper divisors of n.
+    Phi_n = prod over squarefree s | n of (x^(n/s) - 1)^mu(s): the factors
+    with mu(s) = +1 are multiplied in, then those with mu(s) = -1 are
+    divided out exactly, by q_i = q_(i-e) - c_i for the divisor x^e - 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return IntPolynomial((-1, 1))
-    num = IntPolynomial((-1,) + (0,) * (n - 1) + (1,))
-    den = IntPolynomial((1,))
-    for m in range(1, n):
-        if n % m == 0:
-            den = den * cyclotomic_polynomial(m)
-    quot, rem = num.divmod_monic(den)
-    assert rem.is_zero()
-    return quot
+    primes = list(factor_integer(n))
+    factors = ([], [])
+    for size in range(len(primes) + 1):
+        for subset in itertools.combinations(primes, size):
+            factors[size % 2].append(n // math.prod(subset))
+    poly = [1]
+    for e in factors[0]:
+        poly = [0] * e + poly
+        for i in range(len(poly) - e):
+            poly[i] -= poly[i + e]
+    for e in factors[1]:
+        quot = [0] * (len(poly) - e)
+        for i in range(len(quot)):
+            quot[i] = (quot[i - e] if i >= e else 0) - poly[i]
+        poly = quot
+    return tuple(poly)
 
 
 class ConductorError(ValueError):
@@ -134,38 +72,26 @@ def validate_conductor(n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _ring_data(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
-    """(degree d, table of zeta^t mod Phi_n for t = 0..n-1)."""
-    validate_conductor(n)
-    phi = cyclotomic_polynomial(n)
-    d = phi.degree
-    # zeta^(t+1) = zeta * zeta^t: shift the row up and reduce the carried
-    # x^d term once by the monic Phi_n.
-    row = [1] + [0] * (d - 1)
-    powers = []
-    for _ in range(n):
-        powers.append(tuple(row))
-        top = row[-1]
-        row = [0] + row[:-1]
-        if top:
-            row = [c - top * pc for c, pc in zip(row, phi.coeffs)]
-    return d, tuple(powers)
-
-
 def ring_degree(n: int) -> int:
-    return _ring_data(n)[0]
+    """d = phi(n), the rank of Z[zeta_n], for a valid conductor n."""
+    validate_conductor(n)
+    return len(cyclotomic_polynomial(n)) - 1
 
 
 def _reduce(n: int, raw) -> "CycInt":
-    """The element sum_e raw[e] zeta_n^e: each exponent e >= d adds its
-    coefficient times the row of zeta^(e mod n) in the powers table."""
-    d, powers = _ring_data(n)
-    out = list(raw[:d]) + [0] * (d - len(raw))
-    for e in range(d, len(raw)):
-        c = raw[e]
+    """The element sum_e raw[e] zeta_n^e: the exponents fold mod n
+    (zeta^n = 1), then the terms of degree >= d are divided out by the
+    monic Phi_n, top down."""
+    phi = cyclotomic_polynomial(n)
+    d = len(phi) - 1
+    out = list(raw[:n]) + [0] * (d - len(raw))
+    for e in range(n, len(raw)):
+        out[e % n] += raw[e]
+    for top in range(len(out) - 1, d - 1, -1):
+        c = out.pop()
         if c:
-            for j, pc in enumerate(powers[e % n]):
-                out[j] += c * pc
+            for j, pc in enumerate(phi[:d], top - d):
+                out[j] -= c * pc
     return CycInt(n, tuple(out))
 
 
@@ -288,13 +214,13 @@ class CycInt:
     @staticmethod
     def root(n: int, t: int = 1) -> "CycInt":
         """zeta_n^t."""
-        _, powers = _ring_data(n)
-        return CycInt(n, powers[t % n])
+        return _reduce(n, (0,) * (t % n) + (1,))
 
     @staticmethod
-    def from_polynomial(n: int, poly: IntPolynomial) -> "CycInt":
-        """The canonical representative of poly(zeta_n)."""
-        return _reduce(n, poly.coeffs)
+    def from_polynomial(n: int, coeffs) -> "CycInt":
+        """The canonical representative of sum_e coeffs[e] zeta_n^e, for
+        any sequence of integer coefficients, constant first."""
+        return _reduce(n, tuple(int(c) for c in coeffs))
 
     # ---- ring structure -----------------------------------------------
 

@@ -120,7 +120,7 @@ def sieve_box(
     cap = point_cap()
     if volume > cap:
         raise ResourceCapError(
-            f"box has {volume} points, above the cap of {cap}; "
+            f"box has {side}^{d} points, above the cap of {cap}; "
             "raise CYCLOFREE_MAX_POINTS to override"
         )
     cap_norm = integer_kth_root(norm_bound(n, r), k)
@@ -328,6 +328,7 @@ def is_admissible(points: Iterable[Sequence[int]], n: int, k: int) -> bool:
     count of the others already exceeds the set size (repeated points
     only raise that cap).  A lattice is covered when the points take all
     of its index coset codes, counted as the steps of the sorted codes.
+    Raises ValueError unless the points lie in Z^d, d = phi(n).
     """
     validate_conductor(n)
     if k < 2:
@@ -335,6 +336,9 @@ def is_admissible(points: Iterable[Sequence[int]], n: int, k: int) -> bool:
     pts = np.array(list(points))
     if not len(pts):
         return True
+    d = ring_degree(n)
+    if pts.ndim != 2 or pts.shape[1] != d:
+        raise ValueError(f"points must be offsets of length {d} for conductor {n}")
     cap = integer_kth_root(len(pts), k)
     for ideal in enumerate_prime_ideals(n, cap):
         lattice = ideal_lattice(ideal, k)

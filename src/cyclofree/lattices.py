@@ -309,7 +309,7 @@ def ideal_lattice(prime_ideal, m: int = 1) -> IdealLattice:
     if not (prime_ideal.e == prime_ideal.f == 1):
         return _ideal_lattice_by_hnf(prime_ideal, m)
     n, ell = prime_ideal.n, prime_ideal.ell
-    phi = cyclotomic_polynomial(n).coeffs
+    phi = cyclotomic_polynomial(n)
     modulus = ell**m
     a = -prime_ideal.g_poly[0] % ell
     # A Newton step from a non-root can land on the lift of another root.

@@ -28,7 +28,7 @@ import numpy as np
 from . import gfpoly
 from .arith import factor_integer, is_prime, multiplicative_order, primes_up_to, root_of_unity
 from .cyclotomic import (
-    CycInt, IntPolynomial, cyclotomic_polynomial, norm_array, ring_degree, validate_conductor,
+    CycInt, cyclotomic_polynomial, norm_array, ring_degree, validate_conductor,
 )
 from .lattices import ideal_lattice
 
@@ -54,7 +54,7 @@ class PrimeIdeal:
     def generators(self) -> list[CycInt]:
         return [
             CycInt.from_int(self.n, self.ell),
-            CycInt.from_polynomial(self.n, IntPolynomial(self.g_poly)),
+            CycInt.from_polynomial(self.n, self.g_poly),
         ]
 
     def sort_key(self):
@@ -133,7 +133,7 @@ def split_prime(ell: int, n: int) -> tuple[PrimeIdeal, ...]:
         m = n
         while m % ell == 0:
             m //= ell
-        base = gfpoly.gf_from_int_poly(cyclotomic_polynomial(m).coeffs, ell)
+        base = gfpoly.gf_from_int_poly(cyclotomic_polynomial(m), ell)
         factors = gfpoly.equal_degree_split(base, f, ell, random.Random(0))
     ideals = [PrimeIdeal(ell=ell, n=n, e=e, f=f, g_poly=c) for c in factors]
     return tuple(sorted(ideals, key=PrimeIdeal.sort_key))

@@ -25,7 +25,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .arith import factor_integer, is_prime, primes_up_to
-from .cyclotomic import CycInt, IntPolynomial, _exact_dtype, norm_array, ring_degree, validate_conductor
+from .cyclotomic import CycInt, _exact_dtype, norm_array, ring_degree, validate_conductor
 from .lattices import BLOCK_ROWS, box_blocks, determinant, ideal_lattice
 from .prime_ideals import is_in_Wk, is_kfree, kfree_mask, split_prime, wk_mask
 from . import kfree as kfree_mod
@@ -67,23 +67,19 @@ def unit_generators(n: int) -> list[CycInt]:
 
     Always -1 and zeta; for n with two or more prime factors also 1 - zeta;
     for prime powers the cyclotomic units (1 - zeta^a)/(1 - zeta) with a
-    coprime to n, keeping one representative per pair {a, n-a} and dropping
-    any that are roots of unity.  Each element is checked to have norm of
-    absolute value 1.  The full unit group may be larger by finite index;
-    nothing here claims otherwise.
+    coprime to n, one representative 2 <= a <= n/2 per pair {a, n-a}.  Each
+    element is checked to have norm of absolute value 1.  The full unit
+    group may be larger by finite index; nothing here claims otherwise.
     """
     validate_conductor(n)
     gens = [CycInt.from_int(n, -1), CycInt.root(n)]
     if len(factor_integer(n)) >= 2:
         gens.append(CycInt.one(n) - CycInt.root(n))
     else:
-        roots = {CycInt.root(n, t) for t in range(n)} | {-CycInt.root(n, t) for t in range(n)}
+        # No candidate is a root of unity: |1 + ... + zeta^(a-1)| = sin(pi a/n)/sin(pi/n) > 1.
         for a in range(2, n // 2 + 1):
-            if math.gcd(a, n) != 1:
-                continue
-            u = CycInt.from_polynomial(n, IntPolynomial((1,) * a))
-            if u not in roots:
-                gens.append(u)
+            if math.gcd(a, n) == 1:
+                gens.append(CycInt.from_polynomial(n, (1,) * a))
     for u in gens:
         if abs(u.norm()) != 1:
             raise ArithmeticError(f"generator {u} is not a unit")

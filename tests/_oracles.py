@@ -9,7 +9,7 @@ import numpy as np
 
 from cyclofree import gfpoly
 from cyclofree.arith import factor_integer, primes_up_to
-from cyclofree.cyclotomic import CycInt, IntPolynomial, cyclotomic_polynomial, ring_degree
+from cyclofree.cyclotomic import CycInt, cyclotomic_polynomial, ring_degree
 from cyclofree.cli import PAYLOAD_BLOCK
 from cyclofree.lattices import box_blocks, hnf
 from cyclofree.prime_ideals import (
@@ -174,75 +174,111 @@ def degree_one_primes(n: int, count: int) -> list[int]:
     return found
 
 
-def content(poly: IntPolynomial) -> int:
-    return math.gcd(*poly.coeffs) if poly.coeffs else 0
+def poly_trim(coeffs) -> tuple[int, ...]:
+    """Integer polynomial coefficients, constant first, without trailing
+    zeros: () is the zero polynomial and len - 1 the degree."""
+    coeffs = tuple(int(c) for c in coeffs)
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return coeffs
 
 
-def _pseudo_remainder(a: IntPolynomial, b: IntPolynomial) -> IntPolynomial:
+def poly_mul(a, b) -> tuple[int, ...]:
+    """The product of two integer polynomials, by the schoolbook sum."""
+    out = [0] * (len(a) + len(b))
+    for i, ca in enumerate(a):
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return poly_trim(out)
+
+
+def poly_divmod_monic(a, b) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Quotient and remainder of a by the monic b, by long division over Z."""
+    b = poly_trim(b)
+    assert b and b[-1] == 1, "divisor must be monic"
+    db = len(b) - 1
+    rem = list(a)
+    quot = [0] * max(0, len(rem) - db)
+    for i in range(len(rem) - 1, db - 1, -1):
+        c = rem[i]
+        if c:
+            quot[i - db] = c
+            for j, bc in enumerate(b):
+                rem[i - db + j] -= c * bc
+    return poly_trim(quot), poly_trim(rem)
+
+
+def content(poly) -> int:
+    return math.gcd(*poly) if poly else 0
+
+
+def _pseudo_remainder(a, b) -> tuple[int, ...]:
     # lc(b)^(deg a - deg b + 1) * a = q*b + r with deg r < deg b
-    lb = b.leading()
-    rem = list(a.coeffs)
-    db = b.degree
-    for i in range(a.degree, db - 1, -1):
+    lb = b[-1]
+    rem = list(a)
+    db = len(b) - 1
+    for i in range(len(a) - 1, db - 1, -1):
         c = rem[i]
         for j in range(len(rem)):
             rem[j] *= lb
         if c:
             # after scaling, the top coefficient is c*lb; cancel with c*lb/lb * b
             top = rem[i]
-            for j, bc in enumerate(b.coeffs):
+            for j, bc in enumerate(b):
                 rem[i - db + j] -= (top // lb) * bc
         rem[i] = 0
-    return IntPolynomial(rem)
+    return poly_trim(rem)
 
 
-def resultant(a: IntPolynomial, b: IntPolynomial) -> int:
-    """Res(a, b) over Z via the subresultant remainder sequence.
+def resultant(a, b) -> int:
+    """Res(a, b) over Z via the subresultant remainder sequence, for
+    coefficient sequences, constant first.
 
     Exact with controlled coefficient growth; agrees with the determinant
     of the Sylvester matrix.
     """
-    if a.is_zero() or b.is_zero():
+    a, b = poly_trim(a), poly_trim(b)
+    if not a or not b:
         return 0
     sign = 1
-    if a.degree < b.degree:
-        if a.degree % 2 == 1 and b.degree % 2 == 1:
+    if len(a) < len(b):
+        if len(a) % 2 == 0 and len(b) % 2 == 0:
             sign = -1
         a, b = b, a
-    if b.degree == 0:
-        return sign * b.coeffs[0] ** a.degree
+    if len(b) == 1:
+        return sign * b[0] ** (len(a) - 1)
     ca, cb = content(a), content(b)
-    scale = ca ** b.degree * cb ** a.degree
-    a = IntPolynomial(tuple(c // ca for c in a.coeffs))
-    b = IntPolynomial(tuple(c // cb for c in b.coeffs))
+    scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    a = tuple(c // ca for c in a)
+    b = tuple(c // cb for c in b)
     g = h = 1
     while True:
-        da, db = a.degree, b.degree
+        da, db = len(a) - 1, len(b) - 1
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
         r = _pseudo_remainder(a, b)
         a = b
         denom = g * h**delta
-        b = IntPolynomial(tuple(c // denom for c in r.coeffs))
-        g = a.leading()
+        b = tuple(c // denom for c in r)
+        g = a[-1]
         if delta == 1:
             h = g
         elif delta > 1:
             h = g**delta // h ** (delta - 1)
-        if b.is_zero():
+        if not b:
             return 0
-        if b.degree == 0:
+        if len(b) == 1:
             break
-    da = a.degree
-    value = b.coeffs[0] ** da // h ** (da - 1) if da > 0 else 1
+    da = len(a) - 1
+    value = b[0] ** da // h ** (da - 1) if da > 0 else 1
     return sign * scale * value
 
 
 def norm_by_resultant(n: int, coeffs) -> int:
     """N(x) = Res(Phi_n, x) for the element with these power-basis
     coefficients: the reference that norm_array is tested against."""
-    return resultant(cyclotomic_polynomial(n), IntPolynomial(tuple(int(c) for c in coeffs)))
+    return resultant(cyclotomic_polynomial(n), coeffs)
 
 
 def norm_valuation_profile(x: CycInt) -> dict[int, int]:
@@ -266,11 +302,11 @@ def norm_valuation_profile(x: CycInt) -> dict[int, int]:
 def powers_by_division(n: int) -> tuple[tuple[int, ...], ...]:
     """zeta^t mod Phi_n for t = 0..n-1, each by a full division of x^t."""
     phi = cyclotomic_polynomial(n)
-    d = phi.degree
+    d = len(phi) - 1
     rows = []
     for t in range(n):
-        _, rem = IntPolynomial((0,) * t + (1,)).divmod_monic(phi)
-        rows.append(tuple(rem.coeffs) + (0,) * (d - len(rem.coeffs)))
+        _, rem = poly_divmod_monic((0,) * t + (1,), phi)
+        rows.append(rem + (0,) * (d - len(rem)))
     return tuple(rows)
 
 

@@ -44,6 +44,13 @@ class TestSieveCommand:
         code, _, _ = run(tmp_path, "sieve", "--n", "4", "--k", "2", "--radius", "5")
         assert code == 3
 
+    def test_resource_cap_message_at_degree_20010(self, tmp_path, capsys):
+        # The box holds 3^20010 points, a number of more than 4300 digits:
+        # the refusal writes it as a power and holds no table of degree d.
+        code, payload, _ = run(tmp_path, "sieve", "--n", "20011", "--k", "2", "--radius", "1")
+        assert code == 3 and payload == b""
+        assert capsys.readouterr().err.startswith("resource limit: box has 3^20010 points")
+
     def test_rerun_keeps_digest(self, tmp_path):
         digests = set()
         for attempt in range(3):
@@ -175,8 +182,12 @@ class TestAdmissibleCommand:
             ({"n": 4, "k": 2, "shape": [[0, 0], 5], "fill": "11"}, "shape offsets must be lists of integers"),
             ({"n": 4, "k": 2, "fill": "11"}, "patch file lacks shape"),
             ([{"n": 4, "k": 2, "shape": [[0, 0]], "fill": "1"}], "a patch file holds one JSON object"),
+            (
+                {"n": 5, "k": 2, "shape": [[0, 0], [0, 1], [1, 0]], "fill": "111"},
+                "points must be offsets of length 4 for conductor 5",
+            ),
         ],
-        ids=["offset-not-a-list", "no-shape", "top-level-list"],
+        ids=["offset-not-a-list", "no-shape", "top-level-list", "offsets-of-another-dimension"],
     )
     def test_malformed_patch_file_is_exit_two(self, tmp_path, capsys, document, message):
         patch_file = tmp_path / "patch.json"

@@ -1,15 +1,18 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from _oracles import euler_phi, powers_by_division, resultant
+from _oracles import euler_phi, poly_divmod_monic, poly_mul, poly_trim, powers_by_division, resultant
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclofree.cyclotomic import (
     ConductorError,
     CycInt,
-    IntPolynomial,
     cyclotomic_polynomial,
     ring_degree,
 )
@@ -34,52 +37,79 @@ def norm_via_multiplication_matrix(x):
 
 class TestCyclotomicPolynomial:
     def test_first_polynomial_is_x_minus_one(self):
-        assert cyclotomic_polynomial(1).coeffs == (-1, 1)
+        assert cyclotomic_polynomial(1) == (-1, 1)
 
     def test_fourth_is_x_squared_plus_one(self):
-        assert cyclotomic_polynomial(4).coeffs == (1, 0, 1)
+        assert cyclotomic_polynomial(4) == (1, 0, 1)
 
     def test_twelfth_matches_exact_division(self):
         # (x^12 - 1) / (Phi_1 Phi_2 Phi_3 Phi_4 Phi_6) with the classical
         # low-order polynomials written out by hand
         classical = {
-            1: IntPolynomial((-1, 1)),
-            2: IntPolynomial((1, 1)),
-            3: IntPolynomial((1, 1, 1)),
-            4: IntPolynomial((1, 0, 1)),
-            6: IntPolynomial((1, -1, 1)),
+            1: (-1, 1),
+            2: (1, 1),
+            3: (1, 1, 1),
+            4: (1, 0, 1),
+            6: (1, -1, 1),
         }
-        product = IntPolynomial((1,))
+        product = (1,)
         for poly in classical.values():
-            product = product * poly
-        x12 = IntPolynomial((-1,) + (0,) * 11 + (1,))
-        quotient, remainder = x12.divmod_monic(product)
-        assert remainder.is_zero()
-        assert quotient.coeffs == (1, 0, -1, 0, 1)
-        assert cyclotomic_polynomial(12).coeffs == quotient.coeffs
+            product = poly_mul(product, poly)
+        x12 = (-1,) + (0,) * 11 + (1,)
+        quotient, remainder = poly_divmod_monic(x12, product)
+        assert remainder == ()
+        assert quotient == (1, 0, -1, 0, 1)
+        assert cyclotomic_polynomial(12) == quotient
 
     def test_degree_is_totient(self):
         for n in range(1, 61):
-            assert cyclotomic_polynomial(n).degree == euler_phi(n)
+            assert len(cyclotomic_polynomial(n)) - 1 == euler_phi(n)
 
     def test_product_over_divisors_is_x_pow_n_minus_one(self):
-        for n in range(1, 61):
-            product = IntPolynomial((1,))
+        # 105 and 210 have three odd prime factors, so Phi_n divides out
+        # several factors x^(n/s) - 1 with mu(s) = -1
+        for n in list(range(1, 61)) + [105, 210]:
+            product = (1,)
             for m in range(1, n + 1):
                 if n % m == 0:
-                    product = product * cyclotomic_polynomial(m)
-            assert product.coeffs == (-1,) + (0,) * (n - 1) + (1,)
+                    product = poly_mul(product, cyclotomic_polynomial(m))
+            assert product == (-1,) + (0,) * (n - 1) + (1,), n
+
+    def test_phi_105_has_coefficients_minus_two(self):
+        # the least n with a coefficient of Phi_n outside {-1, 0, 1}
+        phi = cyclotomic_polynomial(105)
+        assert len(phi) - 1 == 48
+        assert {i: c for i, c in enumerate(phi) if abs(c) > 1} == {7: -2, 41: -2}
+        assert all(abs(c) <= 1 for n in range(1, 105) for c in cyclotomic_polynomial(n))
+
+    def test_ring_degree_memory_is_linear_in_n(self):
+        # Only Phi_n is kept, O(n) integers; a table of zeta^t mod Phi_n for
+        # every t < n would hold n phi(n) of them, about 125 MB at n = 4001.
+        script = (
+            "import tracemalloc\n"
+            "from cyclofree.cyclotomic import ring_degree\n"
+            "tracemalloc.start()\n"
+            "assert ring_degree(4001) == 4000\n"
+            "print(tracemalloc.get_traced_memory()[1])\n"
+        )
+        root = Path(__file__).resolve().parents[1]
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(root / "src")},
+        )
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 8 << 20
 
 
 class TestReduction:
     def test_zeta4_fourth_power_is_one(self):
-        assert CycInt.from_polynomial(4, IntPolynomial((0, 0, 0, 0, 1))).coeffs == (1, 0)
+        assert CycInt.from_polynomial(4, (0, 0, 0, 0, 1)).coeffs == (1, 0)
 
     def test_zeta4_square_is_minus_one(self):
-        assert CycInt.from_polynomial(4, IntPolynomial((0, 0, 1))).coeffs == (-1, 0)
+        assert CycInt.from_polynomial(4, (0, 0, 1)).coeffs == (-1, 0)
 
     def test_degree_three_in_conductor_five_untouched(self):
-        got = CycInt.from_polynomial(5, IntPolynomial((1, 1, 1, 1)))
+        got = CycInt.from_polynomial(5, (1, 1, 1, 1))
         assert got.coeffs == (1, 1, 1, 1)
         # and the defining relation: Phi_5(zeta_5) reduces to 0
         assert not CycInt.from_polynomial(5, cyclotomic_polynomial(5))
@@ -94,15 +124,14 @@ class TestReduction:
         rng = random.Random(5)
 
         def by_division(n, coeffs):
-            _, rem = IntPolynomial(coeffs).divmod_monic(cyclotomic_polynomial(n))
-            return CycInt(n, rem.coeffs + (0,) * (ring_degree(n) - len(rem.coeffs)))
+            _, rem = poly_divmod_monic(coeffs, cyclotomic_polynomial(n))
+            return CycInt(n, rem + (0,) * (ring_degree(n) - len(rem)))
 
         for n in CONDUCTORS + [15, 16, 21]:
             poly = [rng.randrange(-9, 10) for _ in range(3 * n)]
-            assert CycInt.from_polynomial(n, IntPolynomial(poly)) == by_division(n, poly)
+            assert CycInt.from_polynomial(n, poly) == by_division(n, poly)
             x, y = random_element(n, rng), random_element(n, rng)
-            product = IntPolynomial(x.coeffs) * IntPolynomial(y.coeffs)
-            assert x * y == by_division(n, product.coeffs)
+            assert x * y == by_division(n, poly_mul(x.coeffs, y.coeffs))
             for r in (r for r in range(1, n) if math.gcd(r, n) == 1):
                 raw = [0] * (r * len(x.coeffs))
                 for i, c in enumerate(x.coeffs):
@@ -183,7 +212,7 @@ class TestNorm:
 
     def test_norm_of_one_plus_i(self):
         assert CycInt(4, (1, 1)).norm() == 2
-        assert resultant(IntPolynomial((1, 0, 1)), IntPolynomial((1, 1))) == 2
+        assert resultant((1, 0, 1), (1, 1)) == 2
 
     def test_norm_of_zero(self):
         assert CycInt.zero(4).norm() == 0
@@ -243,7 +272,7 @@ class TestNorm:
         cyclotomic._evaluation_prime.cache_clear()
         try:
             x = CycInt(3, (3**120 + 5, -(7**70)))
-            assert x.norm() == resultant(cyclotomic_polynomial(3), IntPolynomial(x.coeffs))
+            assert x.norm() == resultant(cyclotomic_polynomial(3), x.coeffs)
             with pytest.raises(ArithmeticError):
                 CycInt(3, (1 << 240, 1)).norm()
         finally:
@@ -253,15 +282,15 @@ class TestNorm:
 class TestResultantAgainstSylvester:
     @staticmethod
     def sylvester_resultant(a, b):
-        da, db = a.degree, b.degree
+        da, db = len(a) - 1, len(b) - 1
         if da < 0 or db < 0:
             return 0
         size = da + db
         if size == 0:
             return 1
         rows = []
-        ra = list(reversed(a.coeffs))
-        rb = list(reversed(b.coeffs))
+        ra = list(reversed(a))
+        rb = list(reversed(b))
         for i in range(db):
             rows.append([0] * i + ra + [0] * (size - da - 1 - i))
         for i in range(da):
@@ -274,7 +303,7 @@ class TestResultantAgainstSylvester:
     )
     @settings(max_examples=150, deadline=None)
     def test_matches_sylvester_determinant(self, ca, cb):
-        a, b = IntPolynomial(ca), IntPolynomial(cb)
+        a, b = poly_trim(ca), poly_trim(cb)
         assert resultant(a, b) == self.sylvester_resultant(a, b)
 
 

@@ -322,6 +322,13 @@ class TestAdmissibility:
         box = sieve_box(4, 2, 12)
         assert is_admissible(set(box.sorted_points()), 4, 2)
 
+    def test_offsets_of_another_dimension_rejected(self):
+        # Z[zeta_5] has rank 4: 2-D offsets are not its points, however few
+        # cells they hold, nor are 3-D ones points of Z[i].
+        for cells, n in (([(0, 0), (0, 1), (1, 0)], 5), ([(0, 0), (0, 1), (1, 0), (1, 1)], 5), ([(0, 0, 0)], 4)):
+            with pytest.raises(ValueError, match="offsets of length"):
+                is_admissible(cells, n, 2)
+
     def test_full_coset_cover_fails(self):
         # [0,4)^2 holds all 16 residues of the index-16 lattice of (4) and
         # therefore covers the four cosets of the lattice of (2) = P^2

@@ -1,5 +1,6 @@
 import cmath
 import json
+import math
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from _oracles import (
     apply, apply_element, box_points, euler_phi, is_kfree_by_valuations, scan_for_violation_by_box,
 )
 
-from cyclofree.arith import primes_up_to
+from cyclofree.arith import factor_integer, primes_up_to
 from cyclofree.cyclotomic import CycInt, ring_degree
 from cyclofree.kfree import sieve_box
 from cyclofree.prime_ideals import is_in_Wk, split_prime, valuation
@@ -77,9 +78,16 @@ class TestUnitGenerators:
         assert CycInt(5, (1, 1, 0, 0)) in gens  # 1 + zeta_5
 
     def test_every_generator_is_a_unit(self):
-        for n in CONDUCTORS + [15, 16, 20]:
-            for u in unit_generators(n):
+        # A prime power keeps -1, zeta and one unit per a in [2, n/2] prime
+        # to n, none of them +-zeta^t.
+        for n in CONDUCTORS + [7, 9, 15, 16, 20, 25, 27, 32, 49]:
+            gens = unit_generators(n)
+            for u in gens:
                 assert abs(u.norm()) == 1
+            if len(factor_integer(n)) == 1:
+                assert len(gens) == 2 + sum(1 for a in range(2, n // 2 + 1) if math.gcd(a, n) == 1), n
+                roots = {s * CycInt.root(n, t) for t in range(n) for s in (1, -1)}
+                assert not roots & set(gens[2:]), n
 
 
 class TestSymmetryElements:
