@@ -6,6 +6,13 @@ seed, and a SHA-256 digest of the payload bytes.  Payload bytes depend only
 on the parameters and the seed, never on wall time, so rerunning a manifest
 reproduces the digest.
 
+A point payload is streamed from the sieve's occupancy grid a chunk at a
+time, hashed and written as it is encoded, so memory grows with the box's
+cells, not with its points times their text.  Everything that can refuse a
+command runs before the first byte is written.  The manifest follows the
+last chunk, and its wall_time_s covers encoding, hashing and writing too.
+A command that fails partway through leaves no --out file behind.
+
 Exit codes: 0 success, 2 invalid parameters, 3 resource limit, 4
 verification failure (a failed symmetry check is loud by design).
 
@@ -21,6 +28,7 @@ import hashlib
 import json
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import __version__
@@ -30,69 +38,81 @@ EXIT_INVALID = 2
 EXIT_RESOURCE = 3
 EXIT_VERIFY = 4
 
+# Grid cells read per chunk of a point payload.
 PAYLOAD_BLOCK = 1 << 14
 
 
-def _emit(args, command: str, params: dict, payload: bytes, seed: int, wall: float) -> None:
-    digest = hashlib.sha256(payload).hexdigest()
-    manifest = {
-        "command": command,
-        "parameters": params,
-        "seed": seed,
-        "version": __version__,
-        "wall_time_s": round(wall, 6),
-        "output_digest": digest,
-    }
+def _emit(args, command: str, params: dict, chunks: Iterable[bytes], seed: int, start: float) -> None:
+    """Write the payload chunk by chunk to --out or stdout, hashing each,
+    then the manifest; wall_time_s runs from start to the last chunk."""
+    digest = hashlib.sha256()
+
+    def manifest() -> str:
+        return json.dumps({
+            "command": command,
+            "parameters": params,
+            "seed": seed,
+            "version": __version__,
+            "wall_time_s": round(time.perf_counter() - start, 6),
+            "output_digest": digest.hexdigest(),
+        }, sort_keys=True) + "\n"
+
     out = getattr(args, "out", None)
-    if out:
-        Path(out).write_bytes(payload)
-        try:
-            Path(str(out) + ".manifest.json").write_text(
-                json.dumps(manifest, sort_keys=True) + "\n", encoding="utf-8"
-            )
-        except OSError:
-            # no payload is left without its manifest
-            Path(out).unlink(missing_ok=True)
-            raise
-    else:
-        sys.stdout.write(payload.decode("utf-8"))
-        if not payload.endswith(b"\n"):
-            sys.stdout.write("\n")
-        sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
+    if not out:
+        for chunk in chunks:  # every payload ends in a newline
+            digest.update(chunk)
+            sys.stdout.write(chunk.decode("utf-8"))
+        sys.stderr.write(manifest())
+        return
+    fh = open(out, "wb")  # a path that cannot be opened leaves nothing to remove
+    try:
+        with fh:
+            for chunk in chunks:
+                digest.update(chunk)
+                fh.write(chunk)
+        Path(str(out) + ".manifest.json").write_text(manifest(), encoding="utf-8")
+    except BaseException:
+        # no payload is left cut short or without its manifest
+        Path(out).unlink(missing_ok=True)
+        raise
 
 
-def _points_payload(box, fmt: str) -> bytes:
+def _point_chunks(box, fmt: str) -> Iterator[bytes]:
     """CSV rows or a JSON document of the box's points, in lexicographic
-    order.  Each value -r..r of column j has its text, with the column's
-    separators, in one NUL-padded row of a byte table; a block of
-    PAYLOAD_BLOCK points gathers its rows of the table and drops the
-    padding with one mask."""
+    order, as byte chunks read from PAYLOAD_BLOCK grid cells at a time.
+    Each value -r..r of column j has its text, with the column's
+    separators, in one NUL-padded row of a byte table; a chunk gathers its
+    points' rows of the table and drops the padding with one mask."""
     import numpy as np
 
-    pts = box.point_array()
     d, r = box.d, box.r
     if fmt == "csv":
         head = ",".join(f"x{i+1}" for i in range(d)) + "\n"
-        before, after, tail = [""] + [","] * (d - 1), [""] * (d - 1) + ["\n"], ""
+        before, after, tail, cut = [""] + [","] * (d - 1), [""] * (d - 1) + ["\n"], "", 0
     else:
-        doc = {"n": box.n, "k": box.k, "radius": box.r, "count": len(pts), "points": "@"}
+        doc = {"n": box.n, "k": box.k, "radius": box.r, "count": box.count, "points": "@"}
         head, tail = json.dumps(doc, sort_keys=True).split('"@"')
         head, tail = head + "[", "]" + tail + "\n"
-        # every row ends in "], "; the last row's ", " is cut below
-        before, after = ["["] + [", "] * (d - 1), [""] * (d - 1) + ["], "]
+        # every row ends in "], "; the last row's ", " is cut, so one chunk is held back
+        before, after, cut = ["["] + [", "] * (d - 1), [""] * (d - 1) + ["], "], 2
     table = np.array(
         [[f"{pre}{v}{post}".encode() for v in range(-r, r + 1)] for pre, post in zip(before, after)]
     )
     glyphs = table.view(np.uint8).reshape(d, 2 * r + 1, -1)
     columns = np.arange(d)
-    parts = [head.encode()]
-    for i in range(0, len(pts), PAYLOAD_BLOCK):
-        block = glyphs[columns, pts[i : i + PAYLOAD_BLOCK] + r]
-        parts.append(block[block != 0].tobytes())
-    if fmt == "json" and len(pts):
-        parts[-1] = parts[-1][:-2]
-    parts.append(tail.encode())
-    return b"".join(parts)
+    yield head.encode()
+    held = b""
+    for cells in box.cell_blocks(PAYLOAD_BLOCK):
+        if held:
+            yield held
+        rows = glyphs[columns, cells]
+        held = rows[rows != 0].tobytes()
+    yield held[: len(held) - cut] + tail.encode()
+
+
+def _points_payload(box, fmt: str) -> bytes:
+    """The whole point payload as one byte string (the chunks joined)."""
+    return b"".join(_point_chunks(box, fmt))
 
 
 # Parsed arguments the manifest does not list as parameters: the command
@@ -102,27 +122,29 @@ _NOT_PARAMETERS = ("command", "func", "out", "seed")
 
 
 def _run(args) -> int:
-    """Time a command's body, emit its payload and manifest, then run its
-    follow-up.  Each cmd_* body returns (payload bytes, follow-up or None);
-    a follow-up writes side reports after the manifest and returns the exit
-    code.  The manifest parameters are the command's parsed options."""
-    t0 = time.perf_counter()
-    payload, after = args.func(args)
-    wall = time.perf_counter() - t0
+    """Run a command's body, emit its payload and manifest, then run its
+    follow-up.  Each cmd_* body returns (payload chunks, follow-up or None)
+    after everything that can refuse the command has run; the chunks may be
+    a generator that encodes as it is written.  A follow-up writes side
+    reports after the manifest and returns the exit code.  The manifest
+    parameters are the command's parsed options, and its wall time covers
+    the body and the encoding, hashing and writing of the payload."""
+    start = time.perf_counter()
+    chunks, after = args.func(args)
     params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
-    _emit(args, args.command, params, payload, seed=args.seed, wall=wall)
+    _emit(args, args.command, params, chunks, seed=args.seed, start=start)
     return after() if after else EXIT_OK
 
 
-def _line(text: str) -> bytes:
-    return (text + "\n").encode("utf-8")
+def _line(text: str) -> list[bytes]:
+    """A one-line payload as its single chunk."""
+    return [(text + "\n").encode("utf-8")]
 
 
 def cmd_sieve(args):
     from .kfree import density_estimate, sieve_box
 
     box = sieve_box(args.n, args.k, args.radius)
-    payload = _points_payload(box, args.format)
     report = density_estimate(box, prime_bound=args.prime_bound)
 
     def side_report() -> int:
@@ -132,7 +154,7 @@ def cmd_sieve(args):
             sys.stderr.write(report.to_json() + "\n")
         return EXIT_OK
 
-    return payload, side_report
+    return _point_chunks(box, args.format), side_report
 
 
 def cmd_density(args):

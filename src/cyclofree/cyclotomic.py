@@ -73,9 +73,10 @@ def validate_conductor(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def ring_degree(n: int) -> int:
-    """d = phi(n), the rank of Z[zeta_n], for a valid conductor n."""
+    """d = phi(n), the rank of Z[zeta_n], for a valid conductor n, from the
+    factorization of n: no O(n) work, so a size check can refuse first."""
     validate_conductor(n)
-    return len(cyclotomic_polynomial(n)) - 1
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factor_integer(n).items())
 
 
 def _reduce(n: int, raw) -> "CycInt":

@@ -25,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,6 +81,22 @@ class KFreeBox:
         (np.argwhere scans the grid in C order)."""
         return np.argwhere(self.grid) - self.r
 
+    def cell_blocks(self, step: int) -> Iterator[np.ndarray]:
+        """The grid coordinates x + r of the k-free points x, in lexicographic
+        order, as (m, d) int64 blocks read from `step` grid cells at a time:
+        each block holds the k-free cells of one run of the flat grid,
+        unravelled by the radix weights side^(d-1), ..., side, 1.  A run
+        with no k-free cell gives no block."""
+        flat = self.grid.reshape(-1)
+        weights = self.side ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
+        for start in range(0, flat.size, step):
+            index = np.flatnonzero(flat[start : start + step])
+            if len(index):
+                index += start
+                coords = index[:, None] // weights
+                coords %= self.side
+                yield coords
+
     def sorted_points(self) -> list[tuple[int, ...]]:
         return list(map(tuple, self.point_array().tolist()))
 
@@ -116,9 +132,9 @@ def sieve_box(
         raise ValueError("r must be >= 1")
     d = ring_degree(n)
     side = 2 * r + 1
-    volume = side**d
     cap = point_cap()
-    if volume > cap:
+    # side >= 3, so side^b > cap at b = cap.bit_length(): no power of size d is formed
+    if side ** min(d, cap.bit_length()) > cap:
         raise ResourceCapError(
             f"box has {side}^{d} points, above the cap of {cap}; "
             "raise CYCLOFREE_MAX_POINTS to override"
@@ -127,7 +143,7 @@ def sieve_box(
     if ideal_norm_cap is not None:
         cap_norm = min(cap_norm, ideal_norm_cap)
     ideals = tuple(enumerate_prime_ideals(n, cap_norm))
-    flat = np.ones(volume, dtype=bool)
+    flat = np.ones(side**d, dtype=bool)
     weights = side ** np.arange(d - 1, -1, -1, dtype=np.int64)
     offset = r * int(weights.sum())
     for block in lattice_point_blocks([ideal_lattice(P, k) for P in ideals], r):

@@ -213,11 +213,26 @@ def _act(rows: np.ndarray, matrix: Matrix) -> np.ndarray:
 
 def sample_rows(box: kfree_mod.KFreeBox, sample_size: int, seed: int) -> np.ndarray:
     """The rows rng.sample(box.sorted_points(), sample_size) picks, or all
-    of them when there are no more than sample_size."""
-    pts = box.point_array()
-    if len(pts) <= sample_size:
-        return pts
-    return pts[random.Random(seed).sample(range(len(pts)), sample_size)]
+    of them when there are no more than sample_size.  The picks are ranks
+    in lexicographic order; the running point counts of the slabs x_1 = c
+    tell which slab holds each, so only the slabs holding a pick are read
+    and no array of all the points is built."""
+    count = box.count
+    if count <= sample_size:
+        ranks = np.arange(count)
+    else:
+        ranks = np.array(random.Random(seed).sample(range(count), sample_size), dtype=np.int64)
+    slabs = box.grid.reshape(box.side, -1)
+    sizes = np.count_nonzero(slabs, axis=1)
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    order = np.argsort(ranks)
+    first, last = (np.searchsorted(ranks, bound, sorter=order) for bound in (starts, ends))
+    cells = np.empty_like(ranks)
+    for s in np.flatnonzero(last > first):
+        picked = order[first[s] : last[s]]
+        cells[picked] = s * slabs.shape[1] + np.flatnonzero(slabs[s])[ranks[picked] - starts[s]]
+    return np.stack(np.unravel_index(cells, box.grid.shape), axis=-1) - box.r
 
 
 def verify_stabiliser_action(

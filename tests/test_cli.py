@@ -1,14 +1,18 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 from _oracles import points_payload_by_format
 
-from cyclofree.cli import PAYLOAD_BLOCK, _points_payload, main
-from cyclofree.kfree import PatchConfig, patch_to_json, sieve_box
+from cyclofree import cli
+from cyclofree.arith import ResourceCapError
+from cyclofree.cli import PAYLOAD_BLOCK, _point_chunks, _points_payload, main
+from cyclofree.kfree import KFreeBox, PatchConfig, patch_to_json, sieve_box
 
 
 def run(tmp_path, *argv):
@@ -72,6 +76,26 @@ class TestSieveCommand:
         x, y = map(int, lines[1].split(","))
         assert abs(x) <= 120 and abs(y) <= 120
 
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_builds_no_point_array(self, tmp_path, monkeypatch, fmt):
+        expected = points_payload_by_format(sieve_box(5, 2, 4), fmt)
+
+        def refuse(self):
+            raise AssertionError("point_array called")
+
+        monkeypatch.setattr(KFreeBox, "point_array", refuse)
+        code, payload, _ = run(tmp_path, "sieve", "--n", "5", "--k", "2", "--radius", "4", "--format", fmt)
+        assert code == 0 and payload == expected
+
+    def test_stdout_payload_is_the_out_payload(self, tmp_path, capsys):
+        argv = ["sieve", "--n", "4", "--k", "2", "--radius", "150", "--format", "json"]
+        assert main(argv) == 0
+        written, err = capsys.readouterr()
+        manifest = json.loads(err.splitlines()[0])
+        _, payload, _ = run(tmp_path, *argv)
+        assert written.encode() == payload
+        assert manifest["output_digest"] == hashlib.sha256(payload).hexdigest()
+
     def test_json_format(self, tmp_path):
         code, payload, _ = run(
             tmp_path, "sieve", "--n", "4", "--k", "2", "--radius", "3", "--format", "json"
@@ -131,6 +155,21 @@ class TestPointsPayload:
         assert len(box.point_array()) > 2 * PAYLOAD_BLOCK
         for fmt in ("csv", "json"):
             assert _points_payload(box, fmt) == points_payload_by_format(box, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunks_cross_grid_steps_at_degree_four(self, fmt):
+        # 21^4 = 194,481 cells: the head, then one chunk per grid step, the
+        # last one carrying the tail
+        box = sieve_box(5, 2, 10)
+        chunks = list(_point_chunks(box, fmt))
+        assert len(chunks) == 1 + -(-box.box_volume // PAYLOAD_BLOCK) > 4
+        assert b"".join(chunks) == points_payload_by_format(box, fmt)
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_box_without_points(self, fmt):
+        box = sieve_box(4, 2, 2)
+        box.grid[...] = False
+        assert _points_payload(box, fmt) == points_payload_by_format(box, fmt)
 
 
 class TestAdmissibleCommand:
@@ -339,6 +378,29 @@ class TestManifest:
         code = main(["zeta", "--n", "4", "--k", "2", "--prime-bound", "1000", "--out", str(tmp_path)])
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "error, code", [(OSError("device full"), 2), (ResourceCapError("too many"), 3)], ids=["os", "cap"]
+    )
+    def test_failure_partway_leaves_no_payload(self, tmp_path, monkeypatch, error, code):
+        def failing(box, fmt):
+            yield b"x1,x2\n"
+            yield b"1,0\n"
+            raise error
+
+        monkeypatch.setattr(cli, "_point_chunks", failing)
+        out = tmp_path / "p.csv"
+        assert main(["sieve", "--n", "4", "--k", "2", "--radius", "3", "--out", str(out)]) == code
+        assert list(tmp_path.iterdir()) == []
+
+    def test_wall_time_covers_writing(self, tmp_path, monkeypatch):
+        def slow(box, fmt):
+            yield b"x1,x2\n"
+            time.sleep(0.2)
+
+        monkeypatch.setattr(cli, "_point_chunks", slow)
+        code, _, manifest = run(tmp_path, "sieve", "--n", "4", "--k", "2", "--radius", "3")
+        assert code == 0 and manifest["wall_time_s"] >= 0.2
 
     def test_unwritable_manifest_leaves_no_payload(self, tmp_path, capsys):
         out = tmp_path / "z.json"

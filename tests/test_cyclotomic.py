@@ -82,6 +82,13 @@ class TestCyclotomicPolynomial:
         assert {i: c for i, c in enumerate(phi) if abs(c) > 1} == {7: -2, 41: -2}
         assert all(abs(c) <= 1 for n in range(1, 105) for c in cyclotomic_polynomial(n))
 
+    def test_ring_degree_is_the_degree_of_phi(self):
+        # ring_degree reads phi(n) off the factorization of n; __wrapped__
+        # keeps these polynomials out of the cache
+        for n in range(3, 2001):
+            if n % 4 != 2:
+                assert ring_degree(n) == len(cyclotomic_polynomial.__wrapped__(n)) - 1, n
+
     def test_ring_degree_memory_is_linear_in_n(self):
         # Only Phi_n is kept, O(n) integers; a table of zeta^t mod Phi_n for
         # every t < n would hold n phi(n) of them, about 125 MB at n = 4001.

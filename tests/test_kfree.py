@@ -159,6 +159,28 @@ class TestSieve:
         monkeypatch.setenv("CYCLOFREE_MAX_POINTS", "1000000")
         assert sieve_box(4, 2, 10).count > 0
 
+    def test_cap_is_exact_at_degree_four(self, monkeypatch):
+        # 3^4 = 81 cells at n = 5, r = 1: a cap of 81 keeps the box, 80 refuses it
+        monkeypatch.setenv("CYCLOFREE_MAX_POINTS", "80")
+        with pytest.raises(ResourceCapError, match=r"box has 3\^4 points"):
+            sieve_box(5, 2, 1)
+        monkeypatch.setenv("CYCLOFREE_MAX_POINTS", "81")
+        assert sieve_box(5, 2, 1).box_volume == 81
+
+    def test_refusal_at_a_large_conductor_forms_no_power_of_degree_size(self, monkeypatch):
+        # 3^4000036 has 1.9 million digits; the refusal neither forms it nor Phi_n
+        monkeypatch.delenv("CYCLOFREE_MAX_POINTS", raising=False)
+        monkeypatch.setattr("cyclofree.cyclotomic.cyclotomic_polynomial", None)
+        with pytest.raises(ResourceCapError, match=r"^box has 3\^4000036 points"):
+            sieve_box(4000037, 2, 1)
+
+    def test_cell_blocks_are_the_points_in_order(self):
+        box = sieve_box(5, 2, 6)  # 13^4 = 28,561 cells
+        for step in (1, 1000, 4096, box.box_volume):
+            blocks = list(box.cell_blocks(step))
+            assert all(len(block) for block in blocks)
+            assert np.array_equal(np.concatenate(blocks) - box.r, box.point_array())
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             sieve_box(4, 1, 5)

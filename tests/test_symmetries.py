@@ -22,6 +22,7 @@ from cyclofree.symmetries import (
     generator_elements,
     identity_element,
     _shell_blocks,
+    sample_rows,
     scan_for_violation,
     splitting_primes,
     symmetry_element,
@@ -166,6 +167,20 @@ class TestStabiliserAction:
         element = symmetry_element(CycInt.root(4), 3)
         report = verify_stabiliser_action(element, sieve_box(4, 2, 25), sample_size=300)
         assert report.passed
+
+    @pytest.mark.parametrize("size, seed", [(0, 0), (1, 5), (1000, 3), (10**6, 0)])
+    def test_sample_rows_are_the_seeded_sample_of_the_points(self, monkeypatch, size, seed):
+        # 21 slabs x_1 = c of 21^3 cells each; the sample is read without point_array
+        box = sieve_box(5, 2, 10)
+        points = box.point_array()
+        expected = points if len(points) <= size else points[random.Random(seed).sample(range(len(points)), size)]
+
+        def refuse(self):
+            raise AssertionError("point_array called")
+
+        monkeypatch.setattr(type(box), "point_array", refuse)
+        rows = sample_rows(box, size, seed)
+        assert rows.dtype == expected.dtype and np.array_equal(rows, expected)
 
     def test_shear_is_not_a_stabiliser(self):
         witness = scan_for_violation(((1, 1), (0, 1)), 4, 2, radius_cap=10)
