@@ -162,13 +162,13 @@ def multiplicative_order(a: int, modulus: int) -> int:
 
 def root_of_unity(n: int, p: int) -> int:
     """The element c^((p-1)/n) of multiplicative order exactly n modulo a
-    prime p = 1 mod n, for the least c >= 2 that gives one.
+    prime p = 1 mod n, for the least c >= 1 that gives one (1 for n = 1).
 
     F_p^x is cyclic of order p - 1, a multiple of n, so h = c^((p-1)/n) has
     order dividing n, and exactly n unless h^(n/q) = 1 for some prime q | n.
     """
     primes = list(factor_integer(n))
-    for c in range(2, p):
+    for c in range(1, p):
         h = pow(c, (p - 1) // n, p)
         if all(pow(h, n // q, p) != 1 for q in primes):
             return h
@@ -194,14 +194,14 @@ def integer_kth_root(m: int, k: int) -> int:
         raise ValueError("integer_kth_root needs m >= 0 and k >= 1")
     if m < 2 or k == 1:
         return m
-    if k == 2:
-        return math.isqrt(m)
-    r = int(round(m ** (1.0 / k)))
-    while r > 0 and r**k > m:
-        r -= 1
-    while (r + 1) ** k <= m:
-        r += 1
-    return r
+    # Integer Newton steps from 2^ceil(b/k) > m^(1/k), b the bit length of
+    # m, decrease strictly until they reach the floor of the root.
+    r = 1 << -(-m.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + m // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -6,7 +6,8 @@ per lattice, so equal lattices compare equal.  The lattice index in Z^d is
 the product of the diagonal.
 
 Ideal powers P^m are built in closed form for unramified P of degree 1,
-from a root of Phi_n lifted mod ell^m, and from one HNF otherwise.
+from the root of unity mod ell^m that lifts a root of Phi_n mod ell, and
+from one HNF otherwise.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import xgcd
-from .cyclotomic import CycInt, _exact_dtype, cyclotomic_polynomial
+from .arith import factor_integer, xgcd
+from .cyclotomic import CycInt, _exact_dtype, ring_degree
 
 # Rows per step of lattice_point_blocks: walk frontier rows, join key and
 # target rows per lattice group, and points per block.  Larger blocks raise
@@ -83,12 +84,15 @@ class IdealLattice:
         The residue r is encoded in mixed radix over the diagonal,
         r[0] + b_00*(r[1] + b_11*(r[2] + ...)), which lies in [0, index).
         Rows are first reduced mod index (index * Z^d lies in the lattice),
-        so entries stay below about 2^d * index^2 during the reduction.
+        in Python ints when the index is beyond int64, so entries stay below
+        about 2^d * index^2 during the reduction.
         """
         points = np.asarray(points)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise ValueError(f"points have shape {points.shape}, lattice rank {self.d}")
         dtype = _exact_dtype(self.index**2 << self.d)
+        if self.index >= 1 << 63:
+            points = points.astype(object)
         residue = (points % self.index).astype(dtype)
         basis = np.array(self.basis, dtype=dtype)
         code = np.zeros(len(residue), dtype=dtype)
@@ -296,12 +300,14 @@ def ideal_lattice(prime_ideal, m: int = 1) -> IdealLattice:
     """HNF lattice of the m-th power of a prime ideal P under the embedding.
 
     An unramified P of degree 1 is (ell, zeta - a) for a root a of Phi_n
-    mod ell.  Phi_n is separable mod ell (ell does not divide n), so Newton
-    steps lift a to a root mod ell^m, and zeta -> a maps Z[zeta_n] onto
-    Z/ell^m with kernel P^m.  P^m is then the cyclic lattice with rows
-    ell^m e_0 and e_j + (-a^j mod ell^m) e_0, of index ell^m = N(P)^m.
-    Raises ArithmeticError unless Phi_n(a) = 0 mod ell before the lift and
-    mod ell^m after it.  Every other P goes through one HNF
+    mod ell.  As ell does not divide n, those roots are the a of order
+    exactly n mod ell.  Their Teichmueller lift w = a^(ell^(m-1)) mod ell^m
+    has w = a mod ell and w^n = 1 mod ell^m; Phi_e(w) is a unit for every
+    proper divisor e of n, so Phi_n(w) = 0 mod ell^m, and zeta -> w maps
+    Z[zeta_n] onto Z/ell^m with kernel P^m.  P^m is then the cyclic lattice
+    with rows ell^m e_0 and e_j + (-w^j mod ell^m) e_0, of index ell^m =
+    N(P)^m.  Raises ArithmeticError unless a has order n mod ell and
+    w^n = 1 mod ell^m.  Every other P goes through one HNF
     (_ideal_lattice_by_hnf).
     """
     if m < 1:
@@ -309,34 +315,20 @@ def ideal_lattice(prime_ideal, m: int = 1) -> IdealLattice:
     if not (prime_ideal.e == prime_ideal.f == 1):
         return _ideal_lattice_by_hnf(prime_ideal, m)
     n, ell = prime_ideal.n, prime_ideal.ell
-    phi = cyclotomic_polynomial(n)
     modulus = ell**m
     a = -prime_ideal.g_poly[0] % ell
-    # A Newton step from a non-root can land on the lift of another root.
-    if _value_and_slope(phi, a, ell)[0]:
+    if pow(a, n, ell) != 1 or any(pow(a, n // q, ell) == 1 for q in factor_integer(n)):
         raise ArithmeticError(f"{a} is not a root of Phi_{n} mod {ell}")
-    # Each Newton step doubles the number of correct ell-adic digits.
-    for _ in range((m - 1).bit_length()):
-        value, slope = _value_and_slope(phi, a, modulus)
-        a = (a - value * pow(slope, -1, modulus)) % modulus
-    if _value_and_slope(phi, a, modulus)[0]:
-        raise ArithmeticError(f"{a} is not a root of Phi_{n} mod {ell}^{m}")
-    d = len(phi) - 1
+    w = pow(a, ell ** (m - 1), modulus)
+    if pow(w, n, modulus) != 1:
+        raise ArithmeticError(f"{w} is not a root of Phi_{n} mod {ell}^{m}")
+    d = ring_degree(n)
     basis = [(modulus,) + (0,) * (d - 1)]
     power = 1
     for j in range(1, d):
-        power = power * a % modulus
+        power = power * w % modulus
         basis.append((-power % modulus,) + (0,) * (j - 1) + (1,) + (0,) * (d - 1 - j))
     return IdealLattice(d, tuple(basis), modulus)
-
-
-def _value_and_slope(poly: Sequence[int], a: int, modulus: int) -> tuple[int, int]:
-    """(poly(a), poly'(a)) mod modulus by Horner's rule, constant term first."""
-    value = slope = 0
-    for c in reversed(poly):
-        slope = (slope * a + value) % modulus
-        value = (value * a + c) % modulus
-    return value, slope
 
 
 def _ideal_lattice_by_hnf(prime_ideal, m: int) -> IdealLattice:

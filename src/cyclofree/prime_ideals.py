@@ -5,9 +5,9 @@ rational prime ell are read off the factors of the n-th cyclotomic
 polynomial modulo ell: each distinct monic irreducible factor g gives the
 prime ideal (ell, g(zeta_n)), with residue degree deg(g) and ramification
 equal to the multiplicity of g.  The shape (e, f, g) is known beforehand
-(splitting_type).  For ell = 1 mod n the factors are x - h^r, with h of
-order n mod ell and r a unit mod n; otherwise one equal-degree split finds
-them.
+(splitting_type).  With n = ell^a m and ell not dividing m, the factors
+for f = 1 (ell = 1 mod m) are x - h^r, with h of order m mod ell and r a
+unit mod m; for f > 1 one equal-degree split finds them.
 
 Valuations are computed geometrically: v_P(x) is the largest m for which
 the embedded point lies in the lattice of P^m (coset code 0).  The k-free
@@ -118,21 +118,21 @@ def local_degrees(ell: int, n: int) -> tuple[int, int]:
 def split_prime(ell: int, n: int) -> tuple[PrimeIdeal, ...]:
     """All prime ideals above ell, in canonical order.
 
-    An unramified ell of degree 1 (ell = 1 mod n) splits completely: with h
-    of order exactly n mod ell (arith.root_of_unity), the roots of Phi_n mod
-    ell are the h^r for r in (Z/n)^x, and the ideals are (ell, zeta - h^r).
-    Otherwise, with n = ell^a m and ell not dividing m, Phi_n = Phi_m^e mod
-    ell, and Phi_m mod ell is squarefree with g irreducible factors of
-    degree f, so one equal-degree split of Phi_m mod ell gives every ideal.
+    With n = ell^a m and ell not dividing m, Phi_n = Phi_m^e mod ell, and
+    Phi_m mod ell is squarefree with g irreducible factors of degree f.
+    When f = 1 (ell = 1 mod m), ramified or not, they are the x - h^r for
+    h of order exactly m mod ell (arith.root_of_unity) and r in (Z/m)^x,
+    and the ideals are (ell, zeta - h^r).  When f > 1, one equal-degree
+    split of Phi_m mod ell gives every factor.
     """
     e, f, _ = splitting_type(ell, n)
-    if e == f == 1:
-        h = root_of_unity(n, ell)
-        factors = [(-pow(h, r, ell) % ell, 1) for r in range(1, n) if math.gcd(r, n) == 1]
+    m = n
+    while m % ell == 0:
+        m //= ell
+    if f == 1:
+        h = root_of_unity(m, ell)
+        factors = [(-pow(h, r, ell) % ell, 1) for r in range(m) if math.gcd(r, m) == 1]
     else:
-        m = n
-        while m % ell == 0:
-            m //= ell
         base = gfpoly.gf_from_int_poly(cyclotomic_polynomial(m), ell)
         factors = gfpoly.equal_degree_split(base, f, ell, random.Random(0))
     ideals = [PrimeIdeal(ell=ell, n=n, e=e, f=f, g_poly=c) for c in factors]

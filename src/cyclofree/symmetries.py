@@ -26,8 +26,8 @@ import numpy as np
 
 from .arith import factor_integer, is_prime, primes_up_to
 from .cyclotomic import CycInt, _exact_dtype, norm_array, ring_degree, validate_conductor
-from .lattices import BLOCK_ROWS, box_blocks, determinant, ideal_lattice
-from .prime_ideals import is_in_Wk, is_kfree, kfree_mask, split_prime, wk_mask
+from .lattices import BLOCK_ROWS, box_blocks, determinant
+from .prime_ideals import is_kfree, kfree_mask, wk_mask
 from . import kfree as kfree_mod
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -360,16 +360,17 @@ def verify_coprimality_transport(
 ) -> ActionReport:
     """Ideal-coprimality with unramified primes survives the action of the
     element's matrix: if no prime ideal above p divides x, none divides the
-    image either.  x lies in P exactly when its coset code in P is 0."""
+    image either.  Some P above p divides x exactly when p divides N(x), so
+    the norms of the sample and of its images are taken once."""
     n = element.n
     sample = sample_rows(kfree_mod.sieve_box(n, k, r_box), sample_size, seed)
     images = _act(sample, element.matrix)
+    x_norms, y_norms = norm_array(n, sample), norm_array(n, images)
     failures = []
     checked = 0
     for ell in (p for p in primes_up_to(prime_bound) if n % p):
-        lattices = [ideal_lattice(P, 1) for P in split_prime(ell, n)]
-        x_coprime = np.logical_and.reduce([lat.coset_codes(sample) != 0 for lat in lattices])
-        y_coprime = np.logical_and.reduce([lat.coset_codes(images) != 0 for lat in lattices])
+        x_coprime = x_norms % ell != 0
+        y_coprime = y_norms % ell != 0
         checked += int(np.count_nonzero(x_coprime))
         failures.extend((int(i), ell) for i in np.flatnonzero(x_coprime & ~y_coprime))
     failures.sort()
@@ -539,7 +540,8 @@ def verify_lemma_factors(candidate: AqCandidate, m: int, j: int) -> LemmaFactors
         factors = ()
         complete = False
     two_free = is_kfree(y, 2) if complete else False
-    outside = (not is_in_Wk(y, 2)) if complete else False
+    # W_2: 2-free with every prime factor of |N(y)| dividing m.
+    outside = (not (two_free and all(m % ell == 0 for ell in factors))) if complete else False
     split_ok = all(ell % m == 1 for ell in factors) if complete else False
     coprime_ok = all(m % ell != 0 for ell in factors) if complete else False
     return LemmaFactorsReport(
@@ -630,7 +632,6 @@ def vanishing_four_sums(n: int, cap: int = 120) -> FourSumsReport:
     table = np.array([r.coeffs for r in roots], dtype=np.int64)
     d = table.shape[1]
     solutions: list[FourSumSolution] = []
-    seen: set[tuple] = set()
     sign_choices = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
     base = table[0]
     jk_j = np.repeat(np.arange(n), n)
@@ -644,12 +645,11 @@ def vanishing_four_sums(n: int, cap: int = 120) -> FourSumsReport:
             for flat in zero.tolist():
                 exps = (0, i, int(jk_j[flat]), int(jk_k[flat]))
                 signs = (1, s1, s2, s3)
-                key = tuple(sorted(zip(signs, exps)))
-                if key in seen:
-                    continue
+                # With i <= j <= k, two candidates are one multiset only if
+                # they swap opposite signs on an equal exponent, a vanishing
+                # pair, so every survivor is listed once.
                 if _has_vanishing_subsum(signs, exps, roots):
                     continue
-                seen.add(key)
                 g = math.gcd(n, math.gcd(math.gcd(exps[1], exps[2]), exps[3]))
                 solutions.append(
                     FourSumSolution(signs=signs, exponents=exps, reduced_order=n // g)

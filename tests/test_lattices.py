@@ -191,7 +191,7 @@ class TestDegreeOneClosedForm:
         ell = 2097211  # the least prime = 1 mod 5 above 2^21
         assert ell**3 > 2**63 and all(ell % q for q in range(2, math.isqrt(ell) + 1))
         for P in split_prime(ell, 5):
-            for m in (1, 2, 3):
+            for m in (1, 2, 3, 4, 5):
                 lat = ideal_lattice(P, m)
                 assert lat.index == ell**m
                 assert lat == lattices._ideal_lattice_by_hnf(P, m) == ideal_power_by_recursion(P, m)

@@ -92,6 +92,12 @@ class TestIntegerArithmetic:
         assert integer_kth_root(625, 4) == 5
         assert integer_kth_root(10**18, 2) == 10**9
 
+    def test_kth_root_beyond_the_float_range(self):
+        m = 10**400
+        for k in range(2, 8):
+            r = integer_kth_root(m, k)
+            assert r**k <= m < (r + 1) ** k, k
+
     def test_multiplicative_order(self):
         assert multiplicative_order(2, 7) == 3
         assert multiplicative_order(6, 169) == 156
@@ -188,6 +194,27 @@ class TestSplitting:
                 assert all((P.e, P.f) == (1, 1) for P in ideals)
                 factors = gfpoly.equal_degree_split(gfpoly.gf_from_int_poly(phi, ell), 1, ell, random.Random(0))
                 assert [P.g_poly for P in ideals] == sorted(factors), (n, ell)
+
+    def test_degree_one_split_needs_no_equal_degree_split(self, monkeypatch):
+        # With n = ell^a m, a prime of residue degree 1 splits by one root of
+        # unity of order m mod ell, ramified or not (m = 1 at n = 2^a).
+        def refuse(*args):
+            raise AssertionError("equal_degree_split called for f = 1")
+
+        monkeypatch.setattr(gfpoly, "equal_degree_split", refuse)
+        split_prime.cache_clear()
+        expected = {
+            (7, 21): [(3, 1), (5, 1)],
+            (5, 20): [(2, 1), (3, 1)],
+            (13, 52): [(5, 1), (8, 1)],
+            (3, 9): [(2, 1)],
+            (2, 8): [(1, 1)],
+            (2, 4): [(1, 1)],
+        }
+        for (ell, n), g_polys in expected.items():
+            ideals = split_prime(ell, n)
+            assert all(P.e > 1 and P.f == 1 for P in ideals), (ell, n)
+            assert [P.g_poly for P in ideals] == g_polys, (ell, n)
 
     def test_nonprime_modulus_rejected(self):
         with pytest.raises(ValueError):
@@ -399,6 +426,13 @@ class TestKFree:
                     continue
                 for k in (2, 3):
                     assert is_kfree(x, k) == is_kfree_bruteforce(x, k)
+
+    def test_square_beyond_int64_in_an_int64_row(self):
+        # pi = 75497 + 53760i has norm p = 8589934609, the least prime = 1
+        # mod 4 above 2^33, so the lattice of P^2 has index p^2 > 2^63.
+        square = (2809659409, 8117437440)  # pi^2
+        assert kfree_mask(np.array([square], dtype=np.int64), 4, 2).tolist() == [False]
+        assert not is_kfree(CycInt(4, square), 2)
 
     def test_k_below_two_rejected(self):
         with pytest.raises(ValueError):
