@@ -71,6 +71,7 @@ _EXPORTS = {
     "verify_coprimality_transport": "symmetries",
     "verify_lemma_factors": "symmetries",
     "verify_stabiliser_action": "symmetries",
+    "verify_stabiliser_actions": "symmetries",
 }
 
 __all__ = list(_EXPORTS)

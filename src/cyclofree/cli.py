@@ -186,8 +186,7 @@ def cmd_admissible(args):
     from .kfree import is_admissible, patch_from_json
 
     text = Path(vars(args)["in"]).read_text(encoding="utf-8")
-    patch, n, k = patch_from_json(text)
-    cells = patch.occupied
+    cells, n, k = patch_from_json(text)
     verdict = is_admissible(cells, n, k)
     payload = _line(json.dumps({"admissible": verdict, "n": n, "k": k, "cells": len(cells)}, sort_keys=True))
     return payload, None
@@ -195,11 +194,11 @@ def cmd_admissible(args):
 
 def cmd_symcheck(args):
     from .kfree import sieve_box
-    from .symmetries import generator_elements, sample_rows, verify_stabiliser_action
+    from .symmetries import generator_elements, sample_rows, verify_stabiliser_actions
 
     box = sieve_box(args.n, args.k, args.radius)
     sample = sample_rows(box, args.samples, args.seed)
-    reports = [verify_stabiliser_action(element, box, sample=sample) for element in generator_elements(args.n)]
+    reports = verify_stabiliser_actions(generator_elements(args.n), box, sample)
     failures = sum(len(r.failures) for r in reports)
     payload = _line(json.dumps({
         "n": args.n,

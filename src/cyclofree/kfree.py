@@ -20,6 +20,7 @@ same occupancy grid.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -250,8 +251,10 @@ def patch_to_json(patch: PatchConfig, n: int, k: int) -> str:
     )
 
 
-def patch_from_json(text: str) -> tuple[PatchConfig, int, int]:
-    """Read a patch file; a malformed one raises ValueError."""
+def patch_from_json(text: str) -> tuple[np.ndarray, int, int]:
+    """Read a patch file: its occupied cells as one (m, d) array, in the
+    order of the shape, with n and k.  Cells are int64, or Python ints when
+    an offset is beyond int64.  A malformed file raises ValueError."""
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("a patch file holds one JSON object")
@@ -262,31 +265,38 @@ def patch_from_json(text: str) -> tuple[PatchConfig, int, int]:
     if type(data["n"]) is not int or type(data["k"]) is not int:
         raise ValueError("n and k must be integers")
     shape = shape_offsets(data["shape"])
+    d = len(shape[0]) if shape else 0
+    if set(map(len, shape)) - {d}:
+        raise ValueError("shape offsets must share one length")
     bits = data["fill"]
     if not isinstance(bits, str) or not set(bits) <= {"0", "1"}:
         raise ValueError("fill must be a string of 0s and 1s")
     if len(bits) != len(shape):
         raise ValueError("fill bitstring length must match the shape")
-    fill = int(bits[::-1] or "0", 2)
-    return PatchConfig(shape=shape, fill=fill), data["n"], data["k"]
+    try:
+        flat = np.fromiter(itertools.chain.from_iterable(shape), dtype=np.int64, count=len(shape) * d)
+    except OverflowError:
+        flat = np.array(list(itertools.chain.from_iterable(shape)), dtype=object)
+    occupied = np.frombuffer(bits.encode("ascii"), dtype=np.uint8) == ord("1")
+    return flat.reshape(len(shape), d)[occupied], data["n"], data["k"]
 
 
-def shape_offsets(shape) -> tuple[tuple[int, ...], ...]:
-    """The offsets of a shape as tuples; ValueError unless shape is a list
-    or tuple of lists or tuples of values of type int: a float, a string or
-    a bool is not read as a cell.  Each check is one flat pass over a set
-    of types, because a patch file can list tens of thousands of offsets."""
+def shape_offsets(shape):
+    """The offsets of a shape as given; ValueError unless shape is a list or
+    tuple of lists or tuples of values of type int: a float, a string or a
+    bool is not read as a cell.  Each check is one flat pass over a set of
+    types, because a patch file can list tens of thousands of offsets."""
     if not (
         isinstance(shape, (list, tuple))
         and set(map(type, shape)) <= {list, tuple}
         and {type(v) for off in shape for v in off} <= {int}
     ):
         raise ValueError("shape offsets must be lists of integers")
-    return tuple(map(tuple, shape))
+    return shape
 
 
 def _normalize_shape(shape: Sequence[Sequence[int]], d: int) -> tuple[tuple[int, ...], ...]:
-    out = shape_offsets(shape)
+    out = tuple(map(tuple, shape_offsets(shape)))
     if not out:
         raise ValueError("shape must contain at least one offset")
     if any(len(off) != d for off in out):
@@ -343,13 +353,13 @@ def is_admissible(points: Iterable[Sequence[int]], n: int, k: int) -> bool:
     Only ideals with N(P)^k <= |set| can be covered, since the coset
     count of the others already exceeds the set size (repeated points
     only raise that cap).  A lattice is covered when the points take all
-    of its index coset codes, counted as the steps of the sorted codes.
-    Raises ValueError unless the points lie in Z^d, d = phi(n).
+    of its index <= |set| coset codes, counted by np.bincount.  Raises
+    ValueError unless the points lie in Z^d, d = phi(n).
     """
     validate_conductor(n)
     if k < 2:
         raise ValueError("k must be >= 2")
-    pts = np.array(list(points))
+    pts = points if isinstance(points, np.ndarray) else np.array(list(points))
     if not len(pts):
         return True
     d = ring_degree(n)
@@ -358,8 +368,8 @@ def is_admissible(points: Iterable[Sequence[int]], n: int, k: int) -> bool:
     cap = integer_kth_root(len(pts), k)
     for ideal in enumerate_prime_ideals(n, cap):
         lattice = ideal_lattice(ideal, k)
-        codes = np.sort(lattice.coset_codes(pts))
-        if 1 + np.count_nonzero(codes[1:] != codes[:-1]) == lattice.index:
+        # codes < index <= |set|, so the cast from an object array is exact
+        if np.count_nonzero(np.bincount(lattice.coset_codes(pts).astype(np.int64))) == lattice.index:
             return False
     return True
 

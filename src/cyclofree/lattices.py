@@ -65,6 +65,12 @@ class IdealLattice:
     basis: tuple[tuple[int, ...], ...]
     index: int
 
+    @property
+    def tail(self) -> int:
+        """One past the last diagonal entry above 1: each row j from here on is
+        e_j plus entries in columns below it (0 <= b_j[i] < b_ii = 1)."""
+        return max((j + 1 for j in range(self.d) if self.basis[j][j] > 1), default=0)
+
     def coset_id(self, point: Sequence[int]) -> tuple[int, ...]:
         """Canonical coset representative with 0 <= r[j] < diagonal[j]."""
         if len(point) != self.d:
@@ -85,22 +91,28 @@ class IdealLattice:
         r[0] + b_00*(r[1] + b_11*(r[2] + ...)), which lies in [0, index).
         Rows are first reduced mod index (index * Z^d lies in the lattice),
         in Python ints when the index is beyond int64, so entries stay below
-        about 2^d * index^2 during the reduction.
+        about 2^d * index^2 during the reduction.  Rows from the tail t on
+        add nothing to the code and clear x_{>=t} in one product,
+        x_{<t} - x_{>=t} B[t:, :t]; the loop runs over the t head rows.
         """
         points = np.asarray(points)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise ValueError(f"points have shape {points.shape}, lattice rank {self.d}")
+        if points.dtype.kind not in "iuO":  # a float array has already lost what it rounded
+            raise ValueError(f"points have dtype {points.dtype}, not integers")
         dtype = _exact_dtype(self.index**2 << self.d)
         if self.index >= 1 << 63:
             points = points.astype(object)
         residue = (points % self.index).astype(dtype)
         basis = np.array(self.basis, dtype=dtype)
+        t = self.tail
+        head = residue[:, :t] - residue[:, t:] @ basis[t:, :t]
         code = np.zeros(len(residue), dtype=dtype)
-        for j in range(self.d - 1, -1, -1):
+        for j in range(t - 1, -1, -1):
             row = basis[j]
-            q = residue[:, j] // row[j]
-            residue[:, : j + 1] -= q[:, None] * row[: j + 1]
-            code = code * row[j] + residue[:, j]
+            q = head[:, j] // row[j]
+            head[:, : j + 1] -= q[:, None] * row[: j + 1]
+            code = code * row[j] + head[:, j]
         return code
 
     def points_in_box(self, radius: int) -> Iterator[tuple[int, ...]]:
@@ -112,9 +124,8 @@ def lattice_point_blocks(lattices: Sequence[IdealLattice], radius: int) -> Itera
     """The points with sup norm <= radius of lattices of one rank d, as
     (m, d) int64 arrays.
 
-    Let t be one past the last diagonal entry above 1.  Rows from t on are
-    e_j plus entries in columns below t (0 <= b_j[i] < b_ii = 1 clears the
-    rest), so the points come from the tail box [-radius, radius]^(d-t).
+    Rows from a lattice's tail t on are e_j plus entries in columns below
+    t, so the points come from the tail box [-radius, radius]^(d-t).
 
     A cyclic lattice, t = 1 with HNF diagonal (N, 1, ..., 1), holds x exactly
     when x_0 = sum_{j >= 1} b_j x_j (mod N), b_j = basis[j][0].  Split
@@ -131,7 +142,7 @@ def lattice_point_blocks(lattices: Sequence[IdealLattice], radius: int) -> Itera
     side = 2 * radius + 1
     half = (d - 1) // 2
     join = side ** (d - 1 - half) + side ** (half + 1) < side ** (d - 1)
-    tails = [max((i + 1 for i in range(d) if lat.basis[i][i] > 1), default=0) for lat in lattices]
+    tails = [lat.tail for lat in lattices]
     joined = [join and t == 1 for t in tails]
     yield from _join_blocks([lat for lat, j in zip(lattices, joined) if j], radius, half)
     walked = [(lat, t) for lat, t, j in zip(lattices, tails, joined) if not j]

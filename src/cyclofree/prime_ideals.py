@@ -166,6 +166,15 @@ def valuation(x: CycInt, ideal: PrimeIdeal) -> int:
     return m
 
 
+def candidate_ideals(norm: int, primes, n: int, k: int) -> list[PrimeIdeal]:
+    """The P above the given prime factors of a norm N with N(P)^k | N, the
+    only P with v_P(x) >= k possible at |N(x)| = N; N(P) = ell^f for all P above ell."""
+    return [
+        ideal for ell in primes if norm % ell ** (local_degrees(ell, n)[0] * k) == 0
+        for ideal in split_prime(ell, n)
+    ]
+
+
 def _kfree_with_norms(points, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     """kfree_mask of the rows, with the norms N(x) >= 0 it was read from."""
     if k < 2:
@@ -173,20 +182,16 @@ def _kfree_with_norms(points, n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.asarray(points)
     norms = norm_array(n, rows)
     ok = norms != 0
-    by_norm: dict[int, list[int]] = {}
-    for i, value in enumerate(norms.tolist()):
-        by_norm.setdefault(value, []).append(i)
+    values, which = np.unique(norms, return_inverse=True)
+    order = np.argsort(which, kind="stable")
+    rows_of = np.split(order, np.cumsum(np.bincount(which))[:-1])
     candidates: dict[PrimeIdeal, list[int]] = {}
-    for value, group in by_norm.items():
-        if value <= 1:
-            continue
-        for ell in factor_integer(value):
-            # Every ideal above ell has norm ell^f.
-            if value % ell ** (local_degrees(ell, n)[0] * k) == 0:
-                for ideal in split_prime(ell, n):
-                    candidates.setdefault(ideal, []).extend(group)
+    for i, value in enumerate(values.tolist()):
+        if value > 1:
+            for ideal in candidate_ideals(value, factor_integer(value), n, k):
+                candidates.setdefault(ideal, []).append(i)
     for ideal, group in candidates.items():
-        index = np.array(group)
+        index = np.concatenate([rows_of[i] for i in group])
         codes = ideal_lattice(ideal, k).coset_codes(rows[index])
         ok[index[codes == 0]] = False
     return ok, norms

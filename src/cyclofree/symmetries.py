@@ -20,17 +20,18 @@ import math
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .arith import factor_integer, is_prime, primes_up_to
 from .cyclotomic import CycInt, _exact_dtype, norm_array, ring_degree, validate_conductor
-from .lattices import BLOCK_ROWS, box_blocks, determinant
-from .prime_ideals import is_kfree, kfree_mask, wk_mask
+from .lattices import BLOCK_ROWS, box_blocks, determinant, ideal_lattice
+from .prime_ideals import candidate_ideals, kfree_mask, wk_mask
 from . import kfree as kfree_mod
 
 Matrix = tuple[tuple[int, ...], ...]
+STACK_ROWS = 1 << 15  # images per kfree_mask call of verify_stabiliser_actions
 
 
 # ---------------------------------------------------------------------------
@@ -247,21 +248,37 @@ def verify_stabiliser_action(
     the sieved box to k-free points; the expected failure count is zero.
 
     sample, when given, is the rows to check in place of
-    sample_rows(box, sample_size, seed), so that checks of several elements
-    draw one sample."""
-    if box.n != element.n:
-        raise ValueError("conductor mismatch")
+    sample_rows(box, sample_size, seed).  One element of
+    verify_stabiliser_actions."""
     if sample is None:
         sample = sample_rows(box, sample_size, seed)
-    maps = [element, element.inverse()] if include_inverse else [element]
-    failures = []
-    for mapping in maps:
-        ok = kfree_mask(_act(sample, mapping.matrix), element.n, box.k)
-        failures.extend(map(tuple, sample[~ok].tolist()))
-    return ActionReport(
-        n=element.n, k=box.k, element=element.describe(), checked=len(maps) * len(sample),
-        failures=failures,
-    )
+    return verify_stabiliser_actions([element], box, sample, include_inverse)[0]
+
+
+def verify_stabiliser_actions(
+    elements: Sequence[SymmetryElement], box: kfree_mod.KFreeBox, sample: np.ndarray, include_inverse: bool = True
+) -> list[ActionReport]:
+    """verify_stabiliser_action of each element on one sample: the images
+    under every element and its inverse are stacked and tested by one
+    kfree_mask per slice of the sample, so each distinct norm of a slice
+    is factored once.  A slice holds at most STACK_ROWS images (at least
+    one sample row)."""
+    if any(element.n != box.n for element in elements):
+        raise ValueError("conductor mismatch")
+    if not elements:
+        return []
+    maps = [m for el in elements for m in ((el, el.inverse()) if include_inverse else (el,))]
+    ok = np.empty((len(maps), len(sample)), dtype=bool)  # ok[i]: the images under maps[i]
+    step = max(1, STACK_ROWS // len(maps))
+    for start in range(0, len(sample), step):
+        images = np.concatenate([_act(sample[start : start + step], m.matrix) for m in maps])
+        ok[:, start : start + step] = kfree_mask(images, box.n, box.k).reshape(len(maps), -1)
+    per = len(maps) // len(elements)
+    return [
+        ActionReport(box.n, box.k, el.describe(), per * len(sample),
+                     [tuple(p) for block in ok[i * per : (i + 1) * per] for p in sample[~block].tolist()])
+        for i, el in enumerate(elements)
+    ]
 
 
 def _shell_blocks(radius: int, d: int) -> Iterator[np.ndarray]:
@@ -539,7 +556,9 @@ def verify_lemma_factors(candidate: AqCandidate, m: int, j: int) -> LemmaFactors
     except ValueError:
         factors = ()
         complete = False
-    two_free = is_kfree(y, 2) if complete else False
+    # is_kfree(y, 2) from the factors at hand: y is in P^2 when its coset code is 0.
+    row = np.array([y.coeffs], dtype=object)
+    two_free = complete and all(ideal_lattice(P, 2).coset_codes(row)[0] for P in candidate_ideals(norm, factors, m, 2))
     # W_2: 2-free with every prime factor of |N(y)| dividing m.
     outside = (not (two_free and all(m % ell == 0 for ell in factors))) if complete else False
     split_ok = all(ell % m == 1 for ell in factors) if complete else False

@@ -225,8 +225,14 @@ class TestAdmissibleCommand:
                 {"n": 5, "k": 2, "shape": [[0, 0], [0, 1], [1, 0]], "fill": "111"},
                 "points must be offsets of length 4 for conductor 5",
             ),
+            ({"n": 4, "k": 2, "shape": [[0, 0], [1]], "fill": "11"}, "shape offsets must share one length"),
+            ({"n": 4, "k": 2, "shape": [[0, 0], [0, "3"]], "fill": "11"}, "shape offsets must be lists of integers"),
+            ({"n": 4, "k": 2, "shape": [[0, 0], [0, True]], "fill": "11"}, "shape offsets must be lists of integers"),
         ],
-        ids=["offset-not-a-list", "no-shape", "top-level-list", "offsets-of-another-dimension"],
+        ids=[
+            "offset-not-a-list", "no-shape", "top-level-list", "offsets-of-another-dimension",
+            "ragged-offsets", "string-offset", "bool-offset",
+        ],
     )
     def test_malformed_patch_file_is_exit_two(self, tmp_path, capsys, document, message):
         patch_file = tmp_path / "patch.json"
@@ -283,13 +289,16 @@ class TestSymcheckCommand:
         import cyclofree.symmetries as symmetries_mod
         from cyclofree.symmetries import ActionReport
 
-        def broken(element, box, sample):
-            return ActionReport(
-                n=element.n, k=box.k, element=element.describe(), checked=1,
-                failures=[(0, 1)],
-            )
+        def broken(elements, box, sample):
+            return [
+                ActionReport(
+                    n=element.n, k=box.k, element=element.describe(), checked=1,
+                    failures=[(0, 1)],
+                )
+                for element in elements
+            ]
 
-        monkeypatch.setattr(symmetries_mod, "verify_stabiliser_action", broken)
+        monkeypatch.setattr(symmetries_mod, "verify_stabiliser_actions", broken)
         code, _, _ = run(
             tmp_path, "symcheck", "--n", "4", "--k", "2", "--radius", "5",
             "--samples", "5",

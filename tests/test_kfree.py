@@ -305,8 +305,9 @@ class TestPatches:
     def test_patch_json_roundtrip(self):
         patch = PatchConfig(shape=tuple(SQUARE), fill=0b0110)
         text = patch_to_json(patch, 4, 2)
-        again, n, k = patch_from_json(text)
-        assert (again, n, k) == (patch, 4, 2)
+        cells, n, k = patch_from_json(text)
+        assert (n, k) == (4, 2) and cells.shape == (2, 2)
+        assert cells.tolist() == [list(off) for off in patch.occupied]
         assert patch.occupied == ((0, 1), (1, 0))
 
     def test_patch_json_roundtrip_large_and_empty(self):
@@ -316,17 +317,36 @@ class TestPatches:
         for fill_bits in (bits, "0" * len(shape)):
             doc = {"n": 4, "k": 2, "shape": [list(off) for off in shape], "fill": fill_bits}
             text = json.dumps(doc)
-            patch, n, k = patch_from_json(text)
+            cells, n, k = patch_from_json(text)
+            patch = PatchConfig(shape=shape, fill=int(fill_bits[::-1], 2))
             assert patch.fill_bits == fill_bits
-            assert patch.occupied == tuple(off for off, b in zip(shape, fill_bits) if b == "1")
-            assert patch_from_json(patch_to_json(patch, n, k)) == (patch, 4, 2)
-        assert patch.fill == 0 and patch.occupied == ()
+            assert cells.dtype == np.int64 and cells.shape == (len(patch.occupied), 2)
+            assert cells.tolist() == [list(off) for off in patch.occupied]
+            again, n, k = patch_from_json(patch_to_json(patch, n, k))
+            assert (n, k) == (4, 2) and np.array_equal(again, cells)
+        assert patch.fill == 0 and patch.occupied == () and cells.shape == (0, 2)
 
     def test_patch_fill_must_be_a_bitstring(self):
         for fill in ("0b", ["0", "1"], 1):
             text = json.dumps({"n": 4, "k": 2, "shape": [[0, 0], [0, 1]], "fill": fill})
             with pytest.raises(ValueError):
                 patch_from_json(text)
+
+    def test_offsets_beyond_int64_are_read_exactly(self):
+        # The 4 x 4 cover and a k-free window, moved by offsets near 2^70:
+        # cells are Python ints, and the verdict is the one the tuples give.
+        # Admissibility is invariant under translation.
+        window = sieve_box(4, 2, 6).sorted_points()
+        for cells, shift, verdict in (
+            ([(a, b) for a in range(4) for b in range(4)], (2**70, -(2**70) + 1), False),
+            (window, (2**70 + 1, 2**70), True),
+            (window, (2**70, 0), True),
+        ):
+            shape = tuple((a + shift[0], b + shift[1]) for a, b in cells) + ((0, 0),)
+            patch = PatchConfig(shape=shape, fill=(1 << len(cells)) - 1)
+            got, n, k = patch_from_json(patch_to_json(patch, 4, 2))
+            assert got.dtype == object and got.tolist() == [list(off) for off in patch.occupied]
+            assert is_admissible(got, n, k) == is_admissible(patch.occupied, 4, 2) == verdict
 
     def test_patch_offsets_must_be_integers(self):
         # 1.5 is not read as cell 1, nor "3" as cell 3, nor true as cell 1.
@@ -356,6 +376,18 @@ class TestAdmissibility:
         # therefore covers the four cosets of the lattice of (2) = P^2
         patch = [(a, b) for a in range(4) for b in range(4)]
         assert not is_admissible(patch, 4, 2)
+
+    def test_cover_at_object_dtype_codes(self):
+        # Index^2 * 2^d is beyond int64 at both (d = 64 and 54), so the codes
+        # come back as an object array.  Above 2 in Z[zeta_128], 2 lies in
+        # P^64, so 0, 1, zeta, 1 + zeta are the four cosets of P^2; above 3
+        # in Z[zeta_81], the 27 sums of a + b zeta + c zeta^2 are those of P^3.
+        cells = [(a, b) + (0,) * 62 for a in range(2) for b in range(2)]
+        for patch in (cells, np.array(cells)):
+            assert not is_admissible(patch, 128, 2)
+        assert is_admissible(cells[:3], 128, 2)
+        patch = [(a, b, c) + (0,) * 51 for a in range(3) for b in range(3) for c in range(3)]
+        assert not is_admissible(patch, 81, 3)
 
     def test_subsets_of_sieved_window_pass(self):
         box = sieve_box(4, 2, 15)

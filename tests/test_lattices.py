@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import random
 
@@ -38,6 +39,15 @@ def power_lattice(n, which, k):
 def block_points(lat, radius):
     """lattice_point_blocks of one lattice as a sorted list of tuples, duplicates kept."""
     return sorted(tuple(p) for block in lattices.lattice_point_blocks((lat,), radius) for p in block.tolist())
+
+
+def exact_rows(points):
+    """points as an int64 array, or an object array when a value is beyond
+    int64: np.array rounds a mix of int64 and uint64 values to float64."""
+    try:
+        return np.array(points, dtype=np.int64)
+    except OverflowError:
+        return np.array(points, dtype=object)
 
 
 def mixed_radix(lat, residue):
@@ -406,16 +416,29 @@ class TestPointBlocks:
 
 
 class TestCosetCodes:
-    @given(st.sampled_from(CONDUCTORS), st.integers(0, 20), st.integers(2, 3), st.data())
-    @settings(max_examples=40, deadline=None)
+    # Conductors 16, 20 and 21 have tails t up to 8 (the lattice of (2) = P^2 at n = 20).
+    @given(st.sampled_from(CONDUCTORS + (16, 20, 21)), st.integers(0, 20), st.integers(2, 3), st.data())
+    @settings(max_examples=60, deadline=None)
     def test_match_coset_id(self, n, which, k, data):
         lat = power_lattice(n, which, k)
         bound = data.draw(st.sampled_from((10, 10**6, 2**70)))
         coord = st.integers(-bound, bound)
         points = data.draw(st.lists(st.lists(coord, min_size=lat.d, max_size=lat.d), min_size=1, max_size=20))
-        codes = lat.coset_codes(np.array(points))
+        codes = lat.coset_codes(exact_rows(points))
         assert [int(c) for c in codes] == [mixed_radix(lat, lat.coset_id(p)) for p in points]
         assert all(0 <= c < lat.index for c in codes)
+
+    def test_match_coset_id_at_every_tail_of_the_added_conductors(self):
+        rng = random.Random(2)
+        tails = set()
+        for n, which, k in itertools.product((16, 20, 21), range(8), (2, 3)):
+            lat = power_lattice(n, which, k)
+            tails.add(lat.tail)
+            for bound in (10, 10**6, 2**70):
+                points = [[rng.randint(-bound, bound) for _ in range(lat.d)] for _ in range(8)]
+                codes = lat.coset_codes(exact_rows(points))
+                assert [int(c) for c in codes] == [mixed_radix(lat, lat.coset_id(p)) for p in points]
+        assert tails == {1, 2, 3, 8}
 
     def test_every_code_of_a_full_residue_box(self):
         lat = ideal_lattice(ideal_above(5, 4), 2)  # index 25
@@ -427,4 +450,7 @@ class TestCosetCodes:
         points = [[2**66 + 7, -4], [1, 1], [-(2**65), 2**65 + 1]]
         codes = lat.coset_codes(np.array(points, dtype=object))
         assert list(codes) == [mixed_radix(lat, lat.coset_id(p)) for p in points]
+        # 0 and 2^63 + 1 make a float64 array, which no longer holds 2^63 + 1
+        with pytest.raises(ValueError, match="not integers"):
+            lat.coset_codes(np.array([[0, 0], [0, 2**63 + 1]]))
 

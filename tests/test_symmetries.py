@@ -32,8 +32,10 @@ from cyclofree.symmetries import (
     verify_coprimality_transport,
     verify_lemma_factors,
     verify_stabiliser_action,
+    verify_stabiliser_actions,
 )
 from cyclofree.lattices import box_blocks, determinant
+from cyclofree.prime_ideals import is_kfree
 
 CONDUCTORS = [3, 4, 5, 8, 12]
 
@@ -275,6 +277,49 @@ class TestStabiliserAction:
         assert doc["failures"] == [] and doc["checked"] == report.checked
 
 
+class TestStabiliserActionBatch:
+    @pytest.mark.parametrize("n, radius", [(4, 12), (5, 3), (12, 3)])
+    def test_batch_matches_one_element_at_a_time(self, n, radius):
+        box = sieve_box(n, 2, radius)
+        sample = sample_rows(box, 200, 7)
+        elements = generator_elements(n)
+        batch = verify_stabiliser_actions(elements, box, sample)
+        assert batch == [verify_stabiliser_action(el, box, sample=sample) for el in elements]
+        assert all(r.passed and r.checked == 2 * len(sample) for r in batch)
+
+    @pytest.mark.parametrize("include_inverse", [True, False])
+    @pytest.mark.parametrize("stack_rows", [1 << 15, 7, 1])
+    def test_shear_between_generators_gets_its_own_failures(self, include_inverse, stack_rows, monkeypatch):
+        # 7 images cut the 300 rows into uneven slices; 1 gives one row a slice
+        monkeypatch.setattr("cyclofree.symmetries.STACK_ROWS", stack_rows)
+        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        first, *rest = generator_elements(4)
+        box = sieve_box(4, 2, 20)
+        sample = sample_rows(box, 300, 3)
+        reports = verify_stabiliser_actions([first, shear, *rest], box, sample, include_inverse)
+        maps = [shear, shear.inverse()] if include_inverse else [shear]
+        expected = [
+            p for mapping in maps for p in map(tuple, sample.tolist())
+            if not is_kfree_by_valuations(CycInt(4, apply(mapping, p)), 2)
+        ]
+        assert reports[1].failures == expected and expected
+        assert reports[1].checked == len(maps) * len(sample)
+        assert reports[1].element == shear.describe()
+        assert all(r.passed for i, r in enumerate(reports) if i != 1)
+
+    def test_empty_sample_and_no_inverse(self):
+        box = sieve_box(12, 2, 2)
+        elements = generator_elements(12)
+        empty = sample_rows(box, 0, 0)
+        for include_inverse in (True, False):
+            reports = verify_stabiliser_actions(elements, box, empty, include_inverse)
+            assert [(r.checked, r.failures) for r in reports] == [(0, [])] * len(elements)
+        sample = sample_rows(box, 50, 1)
+        reports = verify_stabiliser_actions(elements, box, sample, include_inverse=False)
+        assert [r.checked for r in reports] == [len(sample)] * len(elements)
+        assert verify_stabiliser_actions([], box, sample) == []
+
+
 class TestWkPreservation:
     def test_roots_of_unity_stay_in_Wk(self):
         el = symmetry_element(CycInt.root(4), 3)
@@ -396,6 +441,41 @@ class TestLemmaFactors:
             verify_lemma_factors(candidate, 5, 1)
         with pytest.raises(ValueError):
             verify_lemma_factors(candidate, 12, 4)
+
+    # At n = 12, a = 7 and 19 give elements that are not 2-free.
+    @pytest.mark.parametrize("n, a_values", [(12, (2, 3, 4, 5, 7, 19)), (24, (2, 3, 4, 5))])
+    def test_norm_is_factored_once_and_two_free_matches_is_kfree(self, n, a_values, monkeypatch):
+        import cyclofree.prime_ideals as prime_ideals_mod
+        import cyclofree.symmetries as symmetries_mod
+
+        factored = []
+
+        def counting(value):
+            factored.append(value)
+            return factor_integer(value)
+
+        for module in (symmetries_mod, prime_ideals_mod):
+            monkeypatch.setattr(module, "factor_integer", counting)
+        divisors = [m for m in range(3, n + 1) if n % m == 0 and m % 4 != 2]
+        two_free = []
+        for a in a_values:
+            candidate = AqCandidate(n=n, q=n + 1, a=a, ell_bound=0)
+            for m in divisors:
+                for j in (j for j in range(m) if math.gcd(j, m) == 1):
+                    del factored[:]
+                    report = verify_lemma_factors(candidate, m, j)
+                    assert factored == [report.norm]
+                    y = CycInt.root(m, j) - a ** (n // m)
+                    assert report.element == y and report.norm == abs(y.norm())
+                    assert report.complete
+                    assert report.prime_factors == tuple(sorted(factor_integer(report.norm)))
+                    assert report.two_free == is_kfree(y, 2)
+                    two_free.append(report.two_free)
+                    in_w2 = report.two_free and all(m % ell == 0 for ell in report.prime_factors)
+                    assert report.outside_W2 == (not in_w2)
+                    assert report.factors_split == all(ell % m == 1 for ell in report.prime_factors)
+                    assert report.factors_coprime_to_m == all(m % ell for ell in report.prime_factors)
+        assert any(two_free) and (n != 12 or not all(two_free))
 
 
 class TestRootsOfOrderTable:
