@@ -15,8 +15,8 @@ from itertools import compress
 
 FACTOR_LIMIT = 1 << 128
 
-# primes_up_to holds one byte per integer up to its bound, and a list of the
-# primes found: about 43 MB at 10^7, so about 0.43 GB at this limit.
+# primes_up_to holds a byte per odd integer up to its bound (half a byte per
+# integer) and the primes found: a 32 MB peak at 10^7, 0.32 GB at this limit.
 PRIME_BOUND_LIMIT = 10**8
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -27,7 +27,7 @@ class ResourceCapError(RuntimeError):
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """All primes <= bound, by a plain Eratosthenes byte sieve.
+    """All primes <= bound, by an Eratosthenes byte sieve over the odd numbers.
 
     Raises ResourceCapError, before any allocation, for a bound above
     PRIME_BOUND_LIMIT."""
@@ -35,12 +35,15 @@ def primes_up_to(bound: int) -> list[int]:
         raise ResourceCapError(f"prime bound {bound} is above the limit of {PRIME_BOUND_LIMIT}")
     if bound < 2:
         return []
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(bound) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return list(compress(range(bound + 1), sieve))
+    # entry i stands for the odd number 2i + 1
+    size = (bound + 1) // 2
+    sieve = bytearray([1]) * size
+    sieve[0] = 0
+    for p in range(3, math.isqrt(bound) + 1, 2):
+        if sieve[p // 2]:
+            start = p * p // 2
+            sieve[start::p] = bytes((size - 1 - start) // p + 1)
+    return [2, *compress(range(1, bound + 1, 2), sieve)]
 
 
 def is_prime(m: int) -> bool:

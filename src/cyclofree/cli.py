@@ -24,6 +24,7 @@ the zeta nor the symmetry module, and no command pays for another's.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
@@ -81,8 +82,8 @@ def _point_chunks(box, fmt: str) -> Iterator[bytes]:
     """CSV rows or a JSON document of the box's points, in lexicographic
     order, as byte chunks read from PAYLOAD_BLOCK grid cells at a time.
     Each value -r..r of column j has its text, with the column's
-    separators, in one NUL-padded row of a byte table; a chunk gathers its
-    points' rows of the table and drops the padding with one mask."""
+    separators, in one NUL-padded entry of a (d, 2r+1) byte-string table; a
+    chunk takes one entry per (point, column) and drops the padding."""
     import numpy as np
 
     d, r = box.d, box.r
@@ -98,14 +99,14 @@ def _point_chunks(box, fmt: str) -> Iterator[bytes]:
     table = np.array(
         [[f"{pre}{v}{post}".encode() for v in range(-r, r + 1)] for pre, post in zip(before, after)]
     )
-    glyphs = table.view(np.uint8).reshape(d, 2 * r + 1, -1)
-    columns = np.arange(d)
+    flat, offsets = table.reshape(-1), np.arange(d) * (2 * r + 1)
     yield head.encode()
     held = b""
     for cells in box.cell_blocks(PAYLOAD_BLOCK):
         if held:
             yield held
-        rows = glyphs[columns, cells]
+        cells += offsets
+        rows = flat[cells].view(np.uint8)
         held = rows[rows != 0].tobytes()
     yield held[: len(held) - cut] + tail.encode()
 
@@ -343,5 +344,14 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def run() -> None:
+    """The process entry (``python -m cyclofree.cli``, the ``cyclofree``
+    script): main, then gc.freeze, so that the collections at interpreter
+    teardown skip every object alive at exit; atexit and flushing still run."""
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -8,7 +8,9 @@ only on ell mod n and are read from a per-conductor residue table; the
 primes come from the Eratosthenes sieve, so none is re-tested for
 primality.  Below 10^4 the pairs are multiplied exactly, by a balanced
 product tree, and applied once; above, each factor is applied in 192-bit
-fixed point with floor/ceil rounding.  The omitted tail satisfies
+fixed point with floor/ceil rounding: one divmod per prime gives the
+floors and ceilings, and so the bytes, of two divisions.  The omitted tail
+satisfies
 
     0 <= log(tail of zeta) <= phi(n) * sum_{m > B} 2 m^-k
                            <= 2 phi(n) B^(1-k) / (k-1),
@@ -34,7 +36,7 @@ from functools import lru_cache
 
 from .arith import primes_up_to
 from .cyclotomic import ring_degree, validate_conductor
-from .prime_ideals import local_degrees
+from .prime_ideals import local_degrees, residue_splitting
 
 PRECISION_BITS = 192
 EXACT_HEAD_BOUND = 10_000
@@ -201,14 +203,6 @@ class ZetaValue:
         )
 
 
-def _local_factor(ell: int, n: int, k: int) -> tuple[int, int]:
-    """prod over the ideals above the prime ell of (1 - N(P)^-k), exactly,
-    as the coprime pair (numerator, denominator) = ((q-1)^g, q^g)."""
-    f, g = local_degrees(ell, n)
-    q = ell ** (f * k)
-    return (q - 1) ** g, q**g
-
-
 def _tree_product(values: list[int]) -> int:
     """The product of the values, multiplied in pairs, level by level, so
     that each product joins factors of about equal size: a running product
@@ -240,16 +234,33 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
             f"at n={n}, k={k}; the tail bound is {float(tail):.3g}"
         )
     one = 1 << PRECISION_BITS
-    lo = hi = one
+    # Each local factor is ((q-1)/q)^g with q = ell^(fk).  Past the head it
+    # is applied with lo rounded down and hi = lo + delta rounded up, delta
+    # a small int.  With (Q, R) = divmod(lo, q) and g = 1,
+    #   floor(lo (q-1)/q) = lo - ceil(lo/q)   -> lo' = lo - Q - [R > 0],
+    #   ceil(hi (q-1)/q) = hi - floor(hi/q)   -> delta' = delta + [R > 0] - (R + delta) // q;
+    # with (Q, R) = divmod(lo p, q^g), p = (q-1)^g and g > 1, lo' = Q and
+    # delta' = ceil((R + delta p) / q^g).  Either way delta grows by at most
+    # 1 per prime, and each prime costs one divmod of lo.
+    lo, delta = one, 0
     nums, dens = [], []
+    splitting = residue_splitting(n)
     for ell in primes_up_to(prime_bound):
-        p, q = _local_factor(ell, n, k)
+        f, g = splitting[ell % n] or local_degrees(ell, n)
+        q = ell ** (f * k)
         if ell <= EXACT_HEAD_BOUND:
-            nums.append(p)
-            dens.append(q)
+            nums.append((q - 1) ** g)
+            dens.append(q**g)
+        elif g == 1:
+            quot, rem = divmod(lo, q)
+            up = rem > 0
+            lo -= quot + up
+            delta += up - (rem + delta) // q
         else:
-            lo = (lo * p) // q
-            hi = -((-hi * p) // q)
+            p, q = (q - 1) ** g, q**g
+            lo, rem = divmod(lo * p, q)
+            delta = -(-(rem + delta * p) // q)
+    hi = lo + delta
     # The head stays unreduced: a common factor of num and den does not
     # change the floor or ceiling of lo * num / den.
     num, den = _tree_product(nums), _tree_product(dens)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -431,6 +432,43 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(out.read_text())["n"] == 4
+
+    @staticmethod
+    def module_run(*argv):
+        # stdout buffered, as it is by default on a pipe
+        env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+        return subprocess.run([sys.executable, "-m", "cyclofree.cli", *argv], capture_output=True, env=env)
+
+    def test_resource_refusal_exits_three(self):
+        assert self.module_run("sieve", "--n", "4000037", "--k", "2", "--radius", "1").returncode == 3
+
+    def test_missing_input_file_exits_two(self, tmp_path):
+        proc = self.module_run("admissible", "--in", str(tmp_path / "missing.json"))
+        assert proc.returncode == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sieve", "--n", "4", "--k", "2", "--radius", "100", "--format", "csv"),
+            # one short line, which stays in the stdout buffer until exit
+            ("zeta", "--n", "4", "--k", "2", "--prime-bound", "2000"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_stdout_payload_is_whole_at_exit(self, argv):
+        # The payload goes through buffered stdout, so its digest only
+        # matches the manifest if shutdown still flushes every byte.
+        proc = self.module_run(*argv)
+        assert proc.returncode == 0
+        records = [json.loads(line) for line in proc.stderr.decode().splitlines()]
+        [manifest] = [r for r in records if "output_digest" in r]
+        assert manifest["output_digest"] == hashlib.sha256(proc.stdout).hexdigest()
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, tmp_path):
+        frozen = gc.get_freeze_count()
+        code, _, _ = run(tmp_path, "zeta", "--n", "4", "--k", "2", "--prime-bound", "2000")
+        assert code == 0
+        assert gc.get_freeze_count() == frozen
 
 
 def fresh_run(tmp_path, *argv):

@@ -108,6 +108,18 @@ class TestIntegerArithmetic:
         assert primes_up_to(20) == [2, 3, 5, 7, 11, 13, 17, 19]
         assert primes_up_to(1) == []
 
+    def test_primes_up_to_matches_trial_division(self):
+        def trial_division(bound):
+            return [m for m in range(2, bound + 1) if all(m % p for p in range(2, math.isqrt(m) + 1))]
+
+        small = trial_division(3000)
+        for bound in range(3001):
+            assert primes_up_to(bound) == [p for p in small if p <= bound], bound
+        large = trial_division(99992)
+        assert large[-1] == 99991
+        assert primes_up_to(99991) == large
+        assert primes_up_to(99992) == large
+
     def test_prime_bound_above_the_limit_is_refused(self, monkeypatch):
         # The limit is lowered so that no bound here could allocate much
         # if the refusal were missing.

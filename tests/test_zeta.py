@@ -102,6 +102,18 @@ def test_residue_class_product_matches_fraction_oracle(n, k):
     )
 
 
+@pytest.mark.parametrize("n, k", [(4, 2), (5, 2), (12, 2), (7, 3)])
+def test_long_tail_matches_fraction_oracle(n, k):
+    # past 10^4 there are thousands of primes with one ideal above them
+    # (g = 1; none at n = 12) and thousands with several (g > 1), so both
+    # one-divmod updates of the tail are compared, bit for bit
+    z = dedekind_zeta(n, k, 60_000)
+    ref = dedekind_zeta_by_fractions(n, k, 60_000)
+    assert (z.lower, z.upper, z.log_lower, z.log_upper) == (
+        ref.lower, ref.upper, ref.log_lower, ref.log_upper
+    )
+
+
 class TestDensityConstant:
     def test_interval_in_unit_range(self):
         for n, k in ((4, 2), (3, 2), (5, 2), (12, 3)):
