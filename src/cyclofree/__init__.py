@@ -18,12 +18,12 @@ __version__ = "0.1.0"
 
 # Each exported name and the submodule that defines it.
 _EXPORTS = {
-    "AqCandidate": "symmetries",
-    "AqNotFound": "symmetries",
+    "AqCandidate": "certificates",
+    "AqNotFound": "certificates",
     "ConductorError": "cyclotomic",
     "CycInt": "cyclotomic",
     "DensityReport": "kfree",
-    "FourSumsReport": "symmetries",
+    "FourSumsReport": "certificates",
     "GaloisGroup": "symmetries",
     "IdealLattice": "lattices",
     "Interval": "zeta",
@@ -32,10 +32,10 @@ _EXPORTS = {
     "PrimeIdeal": "prime_ideals",
     "RankError": "lattices",
     "ResourceCapError": "arith",
-    "SplittingPrimeSet": "symmetries",
+    "SplittingPrimeSet": "certificates",
     "SymmetryElement": "symmetries",
     "ZetaValue": "zeta",
-    "aq_search": "symmetries",
+    "aq_search": "certificates",
     "cyclotomic_polynomial": "cyclotomic",
     "dedekind_zeta": "zeta",
     "density_constant": "zeta",
@@ -60,16 +60,16 @@ _EXPORTS = {
     "scan_for_violation": "symmetries",
     "sieve_box": "kfree",
     "split_prime": "prime_ideals",
-    "splitting_primes": "symmetries",
+    "splitting_primes": "certificates",
     "splitting_type": "prime_ideals",
     "symmetry_element": "symmetries",
     "unit_generators": "symmetries",
     "valuation": "prime_ideals",
     "validate_conductor": "cyclotomic",
-    "vanishing_four_sums": "symmetries",
+    "vanishing_four_sums": "certificates",
     "verify_Wk_preservation": "symmetries",
     "verify_coprimality_transport": "symmetries",
-    "verify_lemma_factors": "symmetries",
+    "verify_lemma_factors": "certificates",
     "verify_stabiliser_action": "symmetries",
     "verify_stabiliser_actions": "symmetries",
 }

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import compress
+from itertools import chain, compress
+from typing import Iterator
 
 FACTOR_LIMIT = 1 << 128
 
@@ -31,10 +32,16 @@ def primes_up_to(bound: int) -> list[int]:
 
     Raises ResourceCapError, before any allocation, for a bound above
     PRIME_BOUND_LIMIT."""
+    return list(_sieved_primes(bound)) if bound >= 2 else []
+
+
+def _sieved_primes(bound: int) -> Iterator[int]:
+    """The primes <= bound, for a bound >= 2, in increasing order, read
+    lazily from the byte sieve over the odd numbers, which is built here and
+    is all the memory they hold.  Raises ResourceCapError, before any
+    allocation, for a bound above PRIME_BOUND_LIMIT."""
     if bound > PRIME_BOUND_LIMIT:
         raise ResourceCapError(f"prime bound {bound} is above the limit of {PRIME_BOUND_LIMIT}")
-    if bound < 2:
-        return []
     # entry i stands for the odd number 2i + 1
     size = (bound + 1) // 2
     sieve = bytearray([1]) * size
@@ -43,7 +50,7 @@ def primes_up_to(bound: int) -> list[int]:
         if sieve[p // 2]:
             start = p * p // 2
             sieve[start::p] = bytes((size - 1 - start) // p + 1)
-    return [2, *compress(range(1, bound + 1, 2), sieve)]
+    return chain((2,), compress(range(1, bound + 1, 2), sieve))
 
 
 def is_prime(m: int) -> bool:

@@ -19,6 +19,7 @@ verification failure (a failed symmetry check is loud by design).
 Only the standard library is imported at module level; each command
 imports the library functions it runs, so ``admissible`` loads neither
 the zeta nor the symmetry module, and no command pays for another's.
+Likewise only the invoked command's parser is built.
 """
 
 from __future__ import annotations
@@ -221,7 +222,7 @@ def cmd_symcheck(args):
 
 
 def cmd_aq(args):
-    from .symmetries import aq_search
+    from .certificates import aq_search
 
     candidate = aq_search(args.n, args.q, args.ell_bound, args.a_bound)
     return _line(candidate.to_json()), None
@@ -255,65 +256,54 @@ def _add_common(parser, radius=False, prime_bound=None):
         parser.add_argument("--prime-bound", dest="prime_bound", type=int, default=prime_bound)
 
 
-def build_parser() -> argparse.ArgumentParser:
+_REQUIRED_INT = {"type": int, "required": True}
+_N_K = (("--n", _REQUIRED_INT), ("--k", _REQUIRED_INT))
+
+# Each command: its help line, its handler, its own options as (flag,
+# add_argument keywords) in help order, and the keywords of _add_common.
+_COMMANDS = {
+    "sieve": ("materialize the k-free points of a box", cmd_sieve,
+              (*_N_K, ("--format", {"choices": ("csv", "json"), "default": "csv"})),
+              {"radius": True, "prime_bound": 10_000}),
+    "density": ("empirical density against the zeta interval", cmd_density,
+                _N_K, {"radius": True, "prime_bound": 100_000}),
+    "zeta": ("rigorous enclosure of the Dedekind zeta value", cmd_zeta,
+             _N_K, {"prime_bound": 100_000}),
+    "entropy": ("enclosure of the entropy constant log(2)/zeta", cmd_entropy,
+                _N_K, {"prime_bound": 100_000}),
+    "admissible": ("admissibility of a patch file", cmd_admissible,
+                   (("--in", {"type": str, "required": True}),), {}),
+    "symcheck": ("verify generator symmetries on sieved points", cmd_symcheck,
+                 (*_N_K, ("--samples", {"type": int, "default": 1000})), {"radius": True}),
+    "aq": ("search the least a_q meeting (H1)(H2)(H3)", cmd_aq,
+           tuple((flag, _REQUIRED_INT) for flag in ("--n", "--q", "--ell-bound", "--a-bound")), {}),
+    "patches": ("patch census over a sieved box", cmd_patches,
+                (*_N_K, ("--shape", {"type": str, "required": True, "help": "JSON list of offsets"})),
+                {"radius": True}),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command in _COMMANDS, or of that one command
+    alone.  The one-command parser names every command in its usage line,
+    as the full parser does, so the root parser's errors (an unrecognized
+    option among them) read the same; the full parser keeps argparse's
+    default, whose "invalid choice" and "required" errors name the
+    argument "command"."""
     parser = argparse.ArgumentParser(
         prog="cyclofree",
         description="k-free cyclotomic integers: sieves, zeta constants, symmetries",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sieve", help="materialize the k-free points of a box")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    _add_common(p, radius=True, prime_bound=10_000)
-    p.set_defaults(func=cmd_sieve)
-
-    p = sub.add_parser("density", help="empirical density against the zeta interval")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p, radius=True, prime_bound=100_000)
-    p.set_defaults(func=cmd_density)
-
-    p = sub.add_parser("zeta", help="rigorous enclosure of the Dedekind zeta value")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p, prime_bound=100_000)
-    p.set_defaults(func=cmd_zeta)
-
-    p = sub.add_parser("entropy", help="enclosure of the entropy constant log(2)/zeta")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_common(p, prime_bound=100_000)
-    p.set_defaults(func=cmd_entropy)
-
-    p = sub.add_parser("admissible", help="admissibility of a patch file")
-    p.add_argument("--in", dest="in", type=str, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_admissible)
-
-    p = sub.add_parser("symcheck", help="verify generator symmetries on sieved points")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--samples", type=int, default=1000)
-    _add_common(p, radius=True)
-    p.set_defaults(func=cmd_symcheck)
-
-    p = sub.add_parser("aq", help="search the least a_q meeting (H1)(H2)(H3)")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--ell-bound", dest="ell_bound", type=int, required=True)
-    p.add_argument("--a-bound", dest="a_bound", type=int, required=True)
-    _add_common(p)
-    p.set_defaults(func=cmd_aq)
-
-    p = sub.add_parser("patches", help="patch census over a sieved box")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--shape", type=str, required=True, help="JSON list of offsets")
-    _add_common(p, radius=True)
-    p.set_defaults(func=cmd_patches)
-
+    names = list(_COMMANDS) if command is None else [command]
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, func, options, common = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, keywords in options:
+            p.add_argument(flag, **keywords)
+        _add_common(p, **common)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -326,8 +316,10 @@ def _loaded_error(module: str, name: str):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Parse argv (default sys.argv[1:]) and run its command.  When argv
+    starts with a command name, only that command's parser is built."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _run(args)
     except ValueError as exc:  # cyclotomic.ConductorError among them
@@ -336,7 +328,7 @@ def main(argv=None) -> int:
     except _loaded_error("arith", "ResourceCapError") as exc:
         sys.stderr.write(f"resource limit: {exc}\n")
         return EXIT_RESOURCE
-    except _loaded_error("symmetries", "AqNotFound") as exc:
+    except _loaded_error("certificates", "AqNotFound") as exc:
         sys.stderr.write(f"search exhausted: {exc}\n")
         return EXIT_RESOURCE
     except OSError as exc:  # a missing --in file, a directory as --in or --out
@@ -346,8 +338,13 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry (``python -m cyclofree.cli``, the ``cyclofree``
-    script): main, then gc.freeze, so that the collections at interpreter
-    teardown skip every object alive at exit; atexit and flushing still run."""
+    script): main with the cyclic collector off, then gc.freeze, so that the
+    collections at interpreter teardown skip every object alive at exit;
+    atexit and flushing still run.  A command leaves a few dozen objects of
+    cyclic garbage (argparse's parser cycles) whatever its input, so the
+    collector's passes during the imports and the work would free nothing
+    that grows."""
+    gc.disable()
     code = main()
     gc.freeze()
     sys.exit(code)

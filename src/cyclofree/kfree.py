@@ -25,8 +25,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,6 +33,9 @@ from .arith import ResourceCapError, integer_kth_root
 from .cyclotomic import norm_ceiling, ring_degree, validate_conductor
 from .lattices import ideal_lattice, lattice_point_blocks
 from .prime_ideals import PrimeIdeal, enumerate_prime_ideals
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 DEFAULT_MAX_POINTS = 20_000_000
 
@@ -53,7 +55,10 @@ def norm_bound(n: int, r: int) -> int:
 
 @dataclass
 class KFreeBox:
-    """The k-free points inside [-r, r]^d, stored as an occupancy grid."""
+    """The k-free points inside [-r, r]^d, stored as an occupancy grid.
+
+    Two boxes are equal when their parameters and ideals are and their
+    grids are equal as whole arrays (np.array_equal)."""
 
     n: int
     k: int
@@ -76,6 +81,12 @@ class KFreeBox:
     @property
     def count(self) -> int:
         return int(np.count_nonzero(self.grid))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KFreeBox):
+            return NotImplemented
+        same = (self.n, self.k, self.r, self.prime_ideals_used) == (other.n, other.k, other.r, other.prime_ideals_used)
+        return same and np.array_equal(self.grid, other.grid)
 
     def point_array(self) -> np.ndarray:
         """The k-free points as an (m, d) int64 array in lexicographic order
@@ -103,6 +114,8 @@ class KFreeBox:
 
     @property
     def empirical_density(self) -> Fraction:
+        from fractions import Fraction  # here, so commands that form no density skip the module
+
         return Fraction(self.count, self.box_volume)
 
 
@@ -160,6 +173,9 @@ def sieve_box(
 
 @dataclass
 class DensityReport:
+    """The empirical density of a sieved box next to the enclosure of
+    1/zeta_K(k) from the primes up to prime_bound."""
+
     n: int
     k: int
     r: int

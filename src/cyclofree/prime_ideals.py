@@ -7,7 +7,8 @@ prime ideal (ell, g(zeta_n)), with residue degree deg(g) and ramification
 equal to the multiplicity of g.  The shape (e, f, g) is known beforehand
 (splitting_type).  With n = ell^a m and ell not dividing m, the factors
 for f = 1 (ell = 1 mod m) are x - h^r, with h of order m mod ell and r a
-unit mod m; for f > 1 one equal-degree split finds them.
+unit mod m; for g = 1 Phi_m mod ell is the one factor, and otherwise one
+equal-degree split finds them.
 
 Valuations are computed geometrically: v_P(x) is the largest m for which
 the embedded point lies in the lattice of P^m (coset code 0).  The k-free
@@ -25,7 +26,6 @@ from typing import Iterator
 
 import numpy as np
 
-from . import gfpoly
 from .arith import factor_integer, is_prime, multiplicative_order, primes_up_to, root_of_unity
 from .cyclotomic import (
     CycInt, cyclotomic_polynomial, norm_array, ring_degree, validate_conductor,
@@ -122,17 +122,22 @@ def split_prime(ell: int, n: int) -> tuple[PrimeIdeal, ...]:
     Phi_m mod ell is squarefree with g irreducible factors of degree f.
     When f = 1 (ell = 1 mod m), ramified or not, they are the x - h^r for
     h of order exactly m mod ell (arith.root_of_unity) and r in (Z/m)^x,
-    and the ideals are (ell, zeta - h^r).  When f > 1, one equal-degree
-    split of Phi_m mod ell gives every factor.
+    and the ideals are (ell, zeta - h^r).  When g = 1 (ell inert in
+    Q(zeta_m)), Phi_m mod ell is itself the one factor.  Otherwise one
+    equal-degree split of Phi_m mod ell gives every factor.
     """
-    e, f, _ = splitting_type(ell, n)
+    e, f, g = splitting_type(ell, n)
     m = n
     while m % ell == 0:
         m //= ell
     if f == 1:
         h = root_of_unity(m, ell)
         factors = [(-pow(h, r, ell) % ell, 1) for r in range(m) if math.gcd(r, m) == 1]
+    elif g == 1:
+        factors = [tuple(c % ell for c in cyclotomic_polynomial(m))]
     else:
+        from . import gfpoly  # here, so conductors whose primes need no split skip the module
+
         base = gfpoly.gf_from_int_poly(cyclotomic_polynomial(m), ell)
         factors = gfpoly.equal_degree_split(base, f, ell, random.Random(0))
     ideals = [PrimeIdeal(ell=ell, n=n, e=e, f=f, g_poly=c) for c in factors]

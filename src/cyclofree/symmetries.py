@@ -6,11 +6,10 @@ determinant +-1.  The composition law is semi-direct:
 
     (eps, r) * (eps', r') = (eps * sigma_r(eps'), r r' mod n).
 
-The module also houses the splitting prime sets S_m, the search for
-integers a_q with the three order/divisibility properties (H1) (H2) (H3)
-used to certify the symmetry classification, the factor checks on
-zeta_m^j - a_q^(n/m), and the exhaustive search for vanishing four-term
-sums of roots of unity.
+The module builds the Galois group, verified unit generators and the
+elements' matrices, and checks on sieved points that the elements keep
+k-freeness, W_k and coprimality to unramified primes.  The a_q
+certificates that back the classification live in certificates.
 """
 
 from __future__ import annotations
@@ -19,15 +18,14 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import factor_integer, is_prime, primes_up_to
+from .arith import factor_integer, primes_up_to
 from .cyclotomic import CycInt, _exact_dtype, norm_array, ring_degree, validate_conductor
-from .lattices import BLOCK_ROWS, box_blocks, determinant, ideal_lattice
-from .prime_ideals import candidate_ideals, kfree_mask, wk_mask
+from .lattices import BLOCK_ROWS, box_blocks, determinant
+from .prime_ideals import kfree_mask, wk_mask
 from . import kfree as kfree_mod
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -40,6 +38,9 @@ STACK_ROWS = 1 << 15  # images per kfree_mask call of verify_stabiliser_actions
 
 @dataclass(frozen=True)
 class GaloisGroup:
+    """(Z/nZ)^x as the Galois group of Q(zeta_n): its elements r in
+    increasing order and, per prime power p^a of n, (p, a, phi(p^a))."""
+
     n: int
     elements: tuple[int, ...]
     crt_factors: tuple[tuple[int, int, int], ...]  # (p, a, phi(p^a))
@@ -181,6 +182,9 @@ def generator_elements(n: int) -> list[SymmetryElement]:
 
 @dataclass
 class ActionReport:
+    """How many points a check tested for one element (described as
+    SymmetryElement.describe gives it) and the points that failed."""
+
     n: int
     k: int
     element: dict
@@ -395,299 +399,3 @@ def verify_coprimality_transport(
         n=n, k=k, element=element.describe(), checked=checked,
         failures=[(tuple(sample[i].tolist()), ell) for i, ell in failures],
     )
-
-
-# ---------------------------------------------------------------------------
-# splitting primes and the a_q search
-
-
-@dataclass(frozen=True)
-class SplittingPrimeSet:
-    m: int
-    bound: int
-    primes: tuple[int, ...]
-
-
-def splitting_primes(m: int, bound: int) -> SplittingPrimeSet:
-    """Primes ell <= bound with ell = 1 mod m (complete splitting)."""
-    if m < 1:
-        raise ValueError("m must be >= 1")
-    primes = tuple(ell for ell in primes_up_to(bound) if m == 1 or ell % m == 1)
-    return SplittingPrimeSet(m=m, bound=bound, primes=primes)
-
-
-class AqNotFound(RuntimeError):
-    pass
-
-
-def _h3_moduli(n: int, ell_bound: int, q: int) -> list[int]:
-    """The splitting primes consulted by (H3): ell in S_m for some divisor
-    m > 1 of n with m != 2 mod 4, up to the bound, excluding q itself
-    (whose condition already follows from (H1))."""
-    divisors = [m for m in range(3, n + 1) if n % m == 0 and m % 4 != 2]
-    out = []
-    for ell in primes_up_to(ell_bound):
-        if ell == q:
-            continue
-        if any(ell % m == 1 for m in divisors):
-            out.append(ell)
-    return out
-
-
-def _check_h1(a: int, n: int, q: int) -> bool:
-    q2 = q * q
-    if math.gcd(a, q) != 1:
-        return False
-    target = n * q
-    if pow(a, target, q2) != 1:
-        return False
-    return all(pow(a, target // p, q2) != 1 for p in factor_integer(target))
-
-
-@dataclass(frozen=True)
-class AqCandidate:
-    """An integer a with (H1) order nq mod q^2, (H2) divisible by every
-    prime factor of n, and (H3) a^n != 1 mod ell^2 verified for the
-    splitting primes up to ell_bound."""
-
-    n: int
-    q: int
-    a: int
-    ell_bound: int
-
-    def validate(self, ell_bound: Optional[int] = None) -> bool:
-        bound = ell_bound if ell_bound is not None else self.ell_bound
-        if not _check_h1(self.a, self.n, self.q):
-            return False
-        if any(self.a % p != 0 for p in factor_integer(self.n)):
-            return False
-        return all(
-            pow(self.a, self.n, ell * ell) != 1
-            for ell in _h3_moduli(self.n, bound, self.q)
-        )
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"n": self.n, "q": self.q, "a": self.a, "ell_bound": self.ell_bound},
-            sort_keys=True,
-        )
-
-    @staticmethod
-    def from_json(text: str) -> "AqCandidate":
-        data = json.loads(text)
-        cand = AqCandidate(
-            n=int(data["n"]), q=int(data["q"]), a=int(data["a"]), ell_bound=int(data["ell_bound"])
-        )
-        if not cand.validate():
-            raise ValueError("stored candidate fails its hypotheses")
-        return cand
-
-
-def aq_search(n: int, q: int, ell_bound: int, a_bound: int) -> AqCandidate:
-    """Least a <= a_bound satisfying (H1), (H2), and bounded (H3).
-
-    The scan walks multiples of the radical of n in increasing order, so
-    the result is the global minimum; raises AqNotFound with the scanned
-    range when no candidate exists below the bound.
-    """
-    validate_conductor(n)
-    if not is_prime(q) or q % n != 1:
-        raise ValueError(f"q must be a prime splitting completely, q = 1 mod {n}")
-    if ell_bound < q:
-        raise ValueError("ell_bound must be at least q")
-    radical = math.prod(factor_integer(n))
-    moduli = _h3_moduli(n, ell_bound, q)
-    for a in range(radical, a_bound + 1, radical):
-        if not _check_h1(a, n, q):
-            continue
-        if all(pow(a, n, ell * ell) != 1 for ell in moduli):
-            return AqCandidate(n=n, q=q, a=a, ell_bound=ell_bound)
-    raise AqNotFound(f"no candidate for n={n}, q={q} in [1, {a_bound}]")
-
-
-# ---------------------------------------------------------------------------
-# factor checks on zeta_m^j - a^(n/m)
-
-
-@dataclass
-class LemmaFactorsReport:
-    n: int
-    m: int
-    j: int
-    a: int
-    element: CycInt
-    norm: int
-    prime_factors: tuple[int, ...]
-    two_free: bool
-    outside_W2: bool
-    factors_split: bool
-    factors_coprime_to_m: bool
-    complete: bool
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.complete
-            and self.two_free
-            and self.outside_W2
-            and self.factors_split
-            and self.factors_coprime_to_m
-        )
-
-
-def verify_lemma_factors(candidate: AqCandidate, m: int, j: int) -> LemmaFactorsReport:
-    """Exact checks on y = zeta_m^j - a^(n/m) in the ring of conductor m:
-    y is 2-free, lies outside W_2, and every rational prime below a
-    divisor of y splits completely mod m (in particular none divides m).
-
-    If the norm resists factoring within the configured capacity the
-    report is returned partial instead of wrong.
-    """
-    n, a = candidate.n, candidate.a
-    if n % m != 0 or m < 3 or m % 4 == 2:
-        raise ValueError("m must be a divisor of n, at least 3, and not 2 mod 4")
-    if math.gcd(j, m) != 1:
-        raise ValueError("j must be a unit modulo m")
-    y = CycInt.root(m, j) - a ** (n // m)
-    norm = abs(y.norm())
-    try:
-        factors = tuple(sorted(factor_integer(norm))) if norm != 1 else ()
-        complete = True
-    except ValueError:
-        factors = ()
-        complete = False
-    # is_kfree(y, 2) from the factors at hand: y is in P^2 when its coset code is 0.
-    row = np.array([y.coeffs], dtype=object)
-    two_free = complete and all(ideal_lattice(P, 2).coset_codes(row)[0] for P in candidate_ideals(norm, factors, m, 2))
-    # W_2: 2-free with every prime factor of |N(y)| dividing m.
-    outside = (not (two_free and all(m % ell == 0 for ell in factors))) if complete else False
-    split_ok = all(ell % m == 1 for ell in factors) if complete else False
-    coprime_ok = all(m % ell != 0 for ell in factors) if complete else False
-    return LemmaFactorsReport(
-        n=n,
-        m=m,
-        j=j,
-        a=a,
-        element=y,
-        norm=norm,
-        prime_factors=factors,
-        two_free=two_free,
-        outside_W2=outside,
-        factors_split=split_ok,
-        factors_coprime_to_m=coprime_ok,
-        complete=complete,
-    )
-
-
-# ---------------------------------------------------------------------------
-# vanishing four-term sums of roots of unity
-
-
-@dataclass(frozen=True)
-class FourSumSolution:
-    signs: tuple[int, int, int, int]
-    exponents: tuple[int, int, int, int]  # first is always 0
-    reduced_order: int  # n / gcd(n, exponents)
-
-    @property
-    def divides_six(self) -> bool:
-        return 6 % self.reduced_order == 0
-
-
-@dataclass
-class FourSumsReport:
-    n: int
-    solutions: list[FourSumSolution]
-    all_divide_six: bool
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "solutions": [
-                    {
-                        "signs": list(s.signs),
-                        "exponents": list(s.exponents),
-                        "reduced_order": s.reduced_order,
-                    }
-                    for s in self.solutions
-                ],
-                "all_divide_six": self.all_divide_six,
-            },
-            sort_keys=True,
-        )
-
-
-@lru_cache(maxsize=None)
-def _roots_of_order(order: int) -> tuple[CycInt, ...]:
-    """zeta_order^t for t = 0..order-1, realized in a valid host conductor."""
-    if order <= 2:
-        one = CycInt.one(4)
-        return (one,) if order == 1 else (one, -one)
-    if order % 4 == 2:
-        m = order // 2
-        half = pow(2, -1, m)
-        return tuple(
-            CycInt.root(m, (t * half) % m) * (1 if t % 2 == 0 else -1)
-            for t in range(order)
-        )
-    return tuple(CycInt.root(order, t) for t in range(order))
-
-
-def vanishing_four_sums(n: int, cap: int = 120) -> FourSumsReport:
-    """Exhaustive enumeration of +-1 four-term vanishing sums of n-th roots
-    of unity with no vanishing proper subsum, normalized to first exponent
-    0 and first sign +1.
-
-    Every survivor's reduced order n/gcd must divide 6; the report records
-    the survivors and whether that held.  Coefficients are restricted to
-    +-1 (the general statement allows rationals).
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the configured cap {cap}")
-    roots = _roots_of_order(n)
-    table = np.array([r.coeffs for r in roots], dtype=np.int64)
-    d = table.shape[1]
-    solutions: list[FourSumSolution] = []
-    sign_choices = [(s1, s2, s3) for s1 in (1, -1) for s2 in (1, -1) for s3 in (1, -1)]
-    base = table[0]
-    jk_j = np.repeat(np.arange(n), n)
-    jk_k = np.tile(np.arange(n), n)
-    jk_mask = jk_j <= jk_k
-    for s1, s2, s3 in sign_choices:
-        plane = (s2 * table[jk_j] + s3 * table[jk_k]).reshape(n * n, d)
-        for i in range(n):
-            total = base + s1 * table[i] + plane
-            zero = np.flatnonzero(np.all(total == 0, axis=1) & jk_mask & (jk_j >= i))
-            for flat in zero.tolist():
-                exps = (0, i, int(jk_j[flat]), int(jk_k[flat]))
-                signs = (1, s1, s2, s3)
-                # With i <= j <= k, two candidates are one multiset only if
-                # they swap opposite signs on an equal exponent, a vanishing
-                # pair, so every survivor is listed once.
-                if _has_vanishing_subsum(signs, exps, roots):
-                    continue
-                g = math.gcd(n, math.gcd(math.gcd(exps[1], exps[2]), exps[3]))
-                solutions.append(
-                    FourSumSolution(signs=signs, exponents=exps, reduced_order=n // g)
-                )
-    solutions.sort(key=lambda s: (s.exponents, s.signs))
-    return FourSumsReport(
-        n=n,
-        solutions=solutions,
-        all_divide_six=all(s.divides_six for s in solutions),
-    )
-
-
-def _has_vanishing_subsum(signs, exps, roots) -> bool:
-    zero = roots[0] - roots[0]
-    for mask in range(1, 15):  # proper nonempty subsets of 4 terms
-        acc = zero
-        for b in range(4):
-            if (mask >> b) & 1:
-                acc = acc + signs[b] * roots[exps[b]]
-        if not acc:
-            return True
-    return False

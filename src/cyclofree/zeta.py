@@ -5,8 +5,8 @@ all prime ideals above the rational primes ell <= prime_bound.  Each
 local factor prod_{P | ell} (1 - N(P)^-k) = ((q-1)/q)^g, with q = ell^(fk),
 is the integer pair ((q-1)^g, q^g).  For ell not dividing n, f and g depend
 only on ell mod n and are read from a per-conductor residue table; the
-primes come from the Eratosthenes sieve, so none is re-tested for
-primality.  Below 10^4 the pairs are multiplied exactly, by a balanced
+primes are read one at a time from the Eratosthenes byte sieve, so none is
+re-tested for primality and no list of them is built.  Below 10^4 the pairs are multiplied exactly, by a balanced
 product tree, and applied once; above, each factor is applied in 192-bit
 fixed point with floor/ceil rounding: one divmod per prime gives the
 floors and ceilings, and so the bytes, of two divisions.  The omitted tail
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import primes_up_to
+from .arith import _sieved_primes
 from .cyclotomic import ring_degree, validate_conductor
 from .prime_ideals import local_degrees, residue_splitting
 
@@ -245,7 +245,7 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     lo, delta = one, 0
     nums, dens = [], []
     splitting = residue_splitting(n)
-    for ell in primes_up_to(prime_bound):
+    for ell in _sieved_primes(prime_bound):
         f, g = splitting[ell % n] or local_degrees(ell, n)
         q = ell ** (f * k)
         if ell <= EXACT_HEAD_BOUND:

@@ -21,13 +21,8 @@ from cyclofree.kfree import (
 )
 from cyclofree.lattices import box_blocks, determinant, ideal_lattice
 from cyclofree.prime_ideals import kfree_mask, split_prime
-from cyclofree.symmetries import (
-    aq_search,
-    generator_elements,
-    vanishing_four_sums,
-    verify_lemma_factors,
-    verify_stabiliser_action,
-)
+from cyclofree.certificates import aq_search, vanishing_four_sums, verify_lemma_factors
+from cyclofree.symmetries import generator_elements, verify_stabiliser_action
 from cyclofree.zeta import dedekind_zeta, entropy_constant, log2_interval
 
 SAMPLE_RADIUS = {2: 28, 4: 5}

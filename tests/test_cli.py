@@ -470,6 +470,110 @@ class TestEntryPoint:
         assert code == 0
         assert gc.get_freeze_count() == frozen
 
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_main_in_process_leaves_the_collector_as_it_found_it(self, tmp_path, enabled):
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            code, _, _ = run(tmp_path, "zeta", "--n", "4", "--k", "2", "--prime-bound", "2000")
+            assert code == 0 and gc.isenabled() == enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+
+    def test_run_turns_the_collector_off(self, tmp_path):
+        script = (
+            "import atexit, gc, sys\n"
+            "from cyclofree import cli\n"
+            "atexit.register(lambda: print('collector', gc.isenabled()))\n"
+            "cli.run()\n"
+        )
+        argv = ["zeta", "--n", "4", "--k", "2", "--prime-bound", "2000", "--out", str(tmp_path / "z.json")]
+        done = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "collector False\n"
+
+    def test_cyclic_garbage_does_not_grow_with_the_input(self, tmp_path):
+        # Once every module is imported, what a command leaves for the
+        # cyclic collector is the same at two input sizes, so running with
+        # the collector off (cli.run) keeps no garbage that grows.
+        patches = []
+        for radius in (1, 20):
+            shape = tuple(sieve_box(4, 2, radius).sorted_points())
+            patches.append(tmp_path / f"patch{radius}.json")
+            patches[-1].write_text(patch_to_json(PatchConfig(shape=shape, fill=(1 << len(shape)) - 1), 4, 2))
+        symcheck = ("symcheck", "--n", "4", "--k", "2", "--radius", "5", "--samples")
+        pairs = [
+            [("sieve", "--n", "4", "--k", "2", "--radius", str(r), "--prime-bound", "1000") for r in (5, 60)],
+            [(*symcheck, str(s)) for s in (5, 200)],
+            [("admissible", "--in", str(path)) for path in patches],
+        ]
+        script = (
+            "import gc, importlib, json, pkgutil, sys\n"
+            "import cyclofree\n"
+            "for module in pkgutil.iter_modules(cyclofree.__path__):\n"
+            "    importlib.import_module(f'cyclofree.{module.name}')\n"
+            "from cyclofree.cli import main\n"
+            "gc.collect()\n"
+            "gc.disable()\n"
+            "counts = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "    counts.append(gc.collect())\n"
+            "print(json.dumps([counts, gc.isenabled()]))\n"
+        )
+        argvs = [[*argv, "--out", str(tmp_path / "payload.out")] for pair in pairs for argv in pair]
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        counts, enabled = json.loads(done.stdout)
+        assert counts[0::2] == counts[1::2] and not enabled
+
+
+# A valid argv of each command, for parsing alone.
+COMMAND_OPTIONS = {
+    "sieve": ("--n", "4", "--k", "2", "--radius", "3", "--format", "json"),
+    "density": ("--n", "4", "--k", "2", "--radius", "3"),
+    "zeta": ("--n", "4", "--k", "2", "--prime-bound", "2000"),
+    "entropy": ("--n", "4", "--k", "2"),
+    "admissible": ("--in", "patch.json", "--seed", "3"),
+    "symcheck": ("--n", "4", "--k", "2", "--radius", "3", "--samples", "5"),
+    "aq": ("--n", "12", "--q", "13", "--ell-bound", "100", "--a-bound", "10"),
+    "patches": ("--n", "4", "--k", "2", "--radius", "3", "--shape", "[[0, 0]]"),
+}
+
+
+def parse_exit(capsys, parse, argv):
+    """(exit code, stdout, stderr) of a parse that exits, as --help and a
+    parse error do."""
+    with pytest.raises(SystemExit) as exited:
+        parse(argv)
+    return (exited.value.code, *capsys.readouterr())
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", list(COMMAND_OPTIONS))
+    def test_one_command_parser_reads_as_the_full_parser(self, capsys, command):
+        full = cli.build_parser()
+        argv = [command, *COMMAND_OPTIONS[command]]
+        assert vars(cli.build_parser(command).parse_args(argv)) == vars(full.parse_args(argv))
+        # help, a missing required option, an unknown option (reported by the root parser)
+        for bad in ([command, "--help"], [command], [*argv, "--bogus", "3"]):
+            assert parse_exit(capsys, main, bad) == parse_exit(capsys, full.parse_args, bad), bad
+
+    def test_every_command_is_covered(self):
+        assert set(COMMAND_OPTIONS) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"], ["-h", "sieve"], ["--seed", "1", "sieve"]])
+    def test_argv_not_led_by_a_command_gets_the_full_parser(self, capsys, argv):
+        assert parse_exit(capsys, main, argv) == parse_exit(capsys, cli.build_parser().parse_args, argv)
+
+    @pytest.mark.parametrize("argv, error", [
+        ([], "the following arguments are required: command"),
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ])
+    def test_full_parser_errors_name_the_command_argument(self, capsys, argv, error):
+        code, _, err = parse_exit(capsys, main, argv)
+        assert code == 2 and err.splitlines()[-1].startswith(f"cyclofree: error: {error}")
+
 
 def fresh_run(tmp_path, *argv):
     """(exit code, stderr, loaded module names) of one CLI command run in a
@@ -498,13 +602,15 @@ class TestImports:
         code, _, modules = fresh_run(tmp_path, "admissible", "--in", str(patch_file))
         assert code == 0
         assert not {"mpmath", "cyclofree.symmetries", "cyclofree.zeta"} & modules
+        # no density is formed, and every prime of Z[i] splits without an equal-degree split
+        assert not {"fractions", "cyclofree.gfpoly"} & modules
 
     def test_symcheck_loads_no_mpmath(self, tmp_path):
         code, _, modules = fresh_run(
             tmp_path, "symcheck", "--n", "4", "--k", "2", "--radius", "5", "--samples", "5"
         )
         assert code == 0 and "cyclofree.symmetries" in modules
-        assert not {"mpmath", "cyclofree.zeta"} & modules
+        assert not {"mpmath", "cyclofree.zeta", "cyclofree.certificates", "fractions"} & modules
 
     @pytest.mark.parametrize(
         "argv",
@@ -527,7 +633,8 @@ class TestImports:
         )
         assert code == 3
         assert err.startswith("search exhausted: ")
-        assert "mpmath" not in modules
+        assert "cyclofree.certificates" in modules
+        assert not {"mpmath", "cyclofree.kfree", "cyclofree.symmetries"} & modules
 
     def test_prime_bound_above_the_limit_is_exit_three(self, tmp_path):
         # Far above the limit, where a byte sieve cannot be allocated, and

@@ -132,6 +132,18 @@ class TestSieve:
         for p in box.sorted_points()[:50]:
             assert is_kfree(CycInt(5, p), 2)
 
+    def test_boxes_compare_by_parameters_ideals_and_grid(self):
+        box = sieve_box(4, 2, 3)
+        assert box == sieve_box(4, 2, 3) and not box != sieve_box(4, 2, 3)
+        assert box != sieve_box(4, 2, 4)
+        assert box != sieve_box(4, 3, 3)
+        # same parameters, fewer ideals sieved, so a different grid
+        assert box != sieve_box(4, 2, 3, ideal_norm_cap=2)
+        flipped = sieve_box(4, 2, 3)
+        flipped.grid[0, 0] = not flipped.grid[0, 0]
+        assert box != flipped
+        assert box != (4, 2, 3)
+
     def test_monotone_in_k(self):
         lower = sieve_box(4, 2, 8)
         upper = sieve_box(4, 3, 8)

@@ -207,6 +207,23 @@ class TestSplitting:
                 factors = gfpoly.equal_degree_split(gfpoly.gf_from_int_poly(phi, ell), 1, ell, random.Random(0))
                 assert [P.g_poly for P in ideals] == sorted(factors), (n, ell)
 
+    def test_inert_split_matches_equal_degree_split(self):
+        # An inert prime (g = 1) has Phi_n mod ell itself as its one
+        # factor, which is what an equal-degree split returns unsplit.
+        cases = 0
+        for n in range(3, 61):
+            if n % 4 == 2:
+                continue
+            phi = cyclotomic_polynomial(n)
+            for ell in primes_up_to(200):
+                if n % ell == 0 or multiplicative_order(ell, n) != euler_phi(n):
+                    continue
+                base = gfpoly.gf_from_int_poly(phi, ell)
+                factors = gfpoly.equal_degree_split(base, euler_phi(n), ell, random.Random(0))
+                assert [P.g_poly for P in split_prime(ell, n)] == factors, (n, ell)
+                cases += 1
+        assert cases > 100
+
     def test_degree_one_split_needs_no_equal_degree_split(self, monkeypatch):
         # With n = ell^a m, a prime of residue degree 1 splits by one root of
         # unity of order m mod ell, ramified or not (m = 1 at n = 2^a).

@@ -13,24 +13,26 @@ from cyclofree.arith import factor_integer, primes_up_to
 from cyclofree.cyclotomic import CycInt, ring_degree
 from cyclofree.kfree import sieve_box
 from cyclofree.prime_ideals import is_in_Wk, split_prime, valuation
-from cyclofree.symmetries import (
+from cyclofree.certificates import (
     AqCandidate,
     AqNotFound,
-    SymmetryElement,
     aq_search,
+    splitting_primes,
+    vanishing_four_sums,
+    verify_lemma_factors,
+)
+from cyclofree.symmetries import (
+    SymmetryElement,
     galois_group,
     generator_elements,
     identity_element,
     _shell_blocks,
     sample_rows,
     scan_for_violation,
-    splitting_primes,
     symmetry_element,
     unit_generators,
-    vanishing_four_sums,
     verify_Wk_preservation,
     verify_coprimality_transport,
-    verify_lemma_factors,
     verify_stabiliser_action,
     verify_stabiliser_actions,
 )
@@ -378,7 +380,7 @@ class TestAqSearch:
     def test_h1_rejects_proper_subgroup_orders(self):
         # ord(1 mod 25) = 1, so a = 1 can never satisfy (H1) for n = 4, q = 5;
         # a = 7 has 7^2 = 49 = -1 mod 25, order 4 < 20, also rejected
-        from cyclofree.symmetries import _check_h1
+        from cyclofree.certificates import _check_h1
 
         assert not _check_h1(1, 4, 5)
         assert not _check_h1(7, 4, 5)
@@ -445,8 +447,8 @@ class TestLemmaFactors:
     # At n = 12, a = 7 and 19 give elements that are not 2-free.
     @pytest.mark.parametrize("n, a_values", [(12, (2, 3, 4, 5, 7, 19)), (24, (2, 3, 4, 5))])
     def test_norm_is_factored_once_and_two_free_matches_is_kfree(self, n, a_values, monkeypatch):
+        import cyclofree.certificates as certificates_mod
         import cyclofree.prime_ideals as prime_ideals_mod
-        import cyclofree.symmetries as symmetries_mod
 
         factored = []
 
@@ -454,7 +456,7 @@ class TestLemmaFactors:
             factored.append(value)
             return factor_integer(value)
 
-        for module in (symmetries_mod, prime_ideals_mod):
+        for module in (certificates_mod, prime_ideals_mod):
             monkeypatch.setattr(module, "factor_integer", counting)
         divisors = [m for m in range(3, n + 1) if n % m == 0 and m % 4 != 2]
         two_free = []
@@ -480,7 +482,7 @@ class TestLemmaFactors:
 
 class TestRootsOfOrderTable:
     def test_group_law_including_twice_odd_orders(self):
-        from cyclofree.symmetries import _roots_of_order
+        from cyclofree.certificates import _roots_of_order
 
         for order in (1, 2, 3, 4, 6, 10, 12, 18):
             roots = _roots_of_order(order)
@@ -522,7 +524,7 @@ class TestVanishingFourSums:
                                         float_zeros.add((s1, s2, s3, i, j, k))
             # every float zero must be an exact zero of the table the
             # enumerator uses, and every reported survivor is a float zero
-            from cyclofree.symmetries import _roots_of_order
+            from cyclofree.certificates import _roots_of_order
 
             roots = _roots_of_order(n)
             for s1, s2, s3, i, j, k in float_zeros:
