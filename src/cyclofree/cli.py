@@ -128,14 +128,25 @@ def _run(args) -> int:
     follow-up.  Each cmd_* body returns (payload chunks, follow-up or None)
     after everything that can refuse the command has run; the chunks may be
     a generator that encodes as it is written.  A follow-up writes side
-    reports after the manifest and returns the exit code.  The manifest
-    parameters are the command's parsed options, and its wall time covers
-    the body and the encoding, hashing and writing of the payload."""
+    reports after the manifest and returns the exit code; when it raises,
+    the --out file and its manifest are removed.  The manifest parameters
+    are the command's parsed options, and its wall time covers the body and
+    the encoding, hashing and writing of the payload."""
     start = time.perf_counter()
     chunks, after = args.func(args)
     params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
     _emit(args, args.command, params, chunks, seed=args.seed, start=start)
-    return after() if after else EXIT_OK
+    if not after:
+        return EXIT_OK
+    try:
+        return after()
+    except BaseException:
+        # a failed command leaves no --out file and no manifest
+        out = getattr(args, "out", None)
+        if out:
+            Path(out).unlink(missing_ok=True)
+            Path(str(out) + ".manifest.json").unlink(missing_ok=True)
+        raise
 
 
 def _line(text: str) -> list[bytes]:

@@ -6,13 +6,11 @@ Survivors are exactly the k-free points: a point x killed by no consulted
 lattice cannot have v_P(x) >= k for any P, because N(P)^k would then
 divide |N(x)|, which the norm bound caps (norm_bound).
 
-Each lattice's points come from lattices.lattice_point_blocks.  A cyclic
-lattice, HNF diagonal (N, 1, ..., 1) as for every unramified degree-1 P^k,
-holds x exactly when x_0 = sum_{j >= 1} b_j x_j (mod N), b_j = basis[j][0];
-its points come from a meet-in-the-middle join of that congruence over two
-halves of coordinates 1..d-1, at about |B| + (2r+1)|A| table rows.  The
-other lattices, and every lattice when the (2r+1)^(d-1) rows of the tail
-box are fewer (d = 2), are walked.
+The lattices' points come from lattices.lattice_point_blocks, one
+meet-in-the-middle join for every lattice: x = (x_A, x_B) lies in a lattice
+exactly when (0, x_B) and (-x_A, 0) have one coset code, so the codes of
+the two half boxes are sorted and matched, at about 2 (2r+1)^(d/2) coded
+rows per lattice plus the points found.
 
 Patch extraction, admissibility, and heredity checks operate on the
 same occupancy grid.

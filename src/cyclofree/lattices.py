@@ -8,6 +8,11 @@ the product of the diagonal.
 Ideal powers P^m are built in closed form for unramified P of degree 1,
 from the root of unity mod ell^m that lifts a root of Phi_n mod ell, and
 from one HNF otherwise.
+
+Coset codes (IdealLattice.coset_codes) number the cosets of a lattice in
+[0, index).  The same reduction lists the points of lattices in a box
+(lattice_point_blocks): a point is a pair of half-box rows with equal
+codes, found by one sort-merge join whatever the diagonal.
 """
 
 from __future__ import annotations
@@ -22,9 +27,9 @@ import numpy as np
 from .arith import factor_integer, xgcd
 from .cyclotomic import CycInt, _exact_dtype, ring_degree
 
-# Rows per step of lattice_point_blocks: walk frontier rows, join key and
-# target rows per lattice group, and points per block.  Larger blocks raise
-# peak memory and are no faster.
+# Rows per step of lattice_point_blocks: rows of the larger half box per
+# lattice group, and points per block.  Groups of two or four times as many
+# rows cleared a box slower, and larger blocks raise peak memory.
 BLOCK_ROWS = 1 << 12
 
 
@@ -90,158 +95,112 @@ class IdealLattice:
         The residue r is encoded in mixed radix over the diagonal,
         r[0] + b_00*(r[1] + b_11*(r[2] + ...)), which lies in [0, index).
         Rows are first reduced mod index (index * Z^d lies in the lattice),
-        in Python ints when the index is beyond int64, so entries stay below
-        about 2^d * index^2 during the reduction.  Rows from the tail t on
-        add nothing to the code and clear x_{>=t} in one product,
-        x_{<t} - x_{>=t} B[t:, :t]; the loop runs over the t head rows.
+        in Python ints when the index is beyond int64, and then go through
+        the reduction of lattice_point_blocks (_codes), in int64 while
+        2 d index^2 < 2^62.
         """
         points = np.asarray(points)
         if points.ndim != 2 or points.shape[1] != self.d:
             raise ValueError(f"points have shape {points.shape}, lattice rank {self.d}")
         if points.dtype.kind not in "iuO":  # a float array has already lost what it rounded
             raise ValueError(f"points have dtype {points.dtype}, not integers")
-        dtype = _exact_dtype(self.index**2 << self.d)
         if self.index >= 1 << 63:
             points = points.astype(object)
-        residue = (points % self.index).astype(dtype)
-        basis = np.array(self.basis, dtype=dtype)
-        t = self.tail
-        head = residue[:, :t] - residue[:, t:] @ basis[t:, :t]
-        code = np.zeros(len(residue), dtype=dtype)
-        for j in range(t - 1, -1, -1):
-            row = basis[j]
-            q = head[:, j] // row[j]
-            head[:, : j + 1] -= q[:, None] * row[: j + 1]
-            code = code * row[j] + head[:, j]
-        return code
+        return _codes(points % self.index, (self,), self.index)[0]
 
     def points_in_box(self, radius: int) -> Iterator[tuple[int, ...]]:
         """The points of lattice_point_blocks, one tuple at a time."""
         return (tuple(p) for block in lattice_point_blocks((self,), radius) for p in block.tolist())
 
 
+def _codes(points: np.ndarray, lattices: Sequence[IdealLattice], bound: int) -> np.ndarray:
+    """Row i of the result holds i * N_max plus the coset code in lattice i
+    of every row of points, whose entries are at most bound in absolute
+    value; the lattices share one rank d and one tail start t.
+
+    Rows from t on add nothing to the code: they clear x_{>=t} in one
+    product, x_{<t} - x_{>=t} B[t:, :t], with the B of all lattices stacked.
+    The head rows j = t-1, ..., 0 then each give one digit of the code, and
+    the quotient by b_jj is taken mod index / b_jj before b_j[:j] is
+    subtracted: (index / b_jj) b_j and index e_j lie in the lattice.
+    Entries stay below d (bound + index) index, so the codes are int64
+    while max(d (bound + N_max), len(lattices)) N_max < 2^62 and Python
+    ints past that.
+    """
+    d, t, n_max = points.shape[1], lattices[0].tail, max(lat.index for lat in lattices)
+    dtype = _exact_dtype(max(d * (bound + n_max), len(lattices)) * n_max)
+    points = points.astype(dtype)
+    bases = np.array([lat.basis for lat in lattices], dtype=dtype)
+    index = np.array([lat.index for lat in lattices], dtype=dtype)[:, None]
+    # Row j * len(lattices) + i of folded is column j of lattice i's B[t:].
+    folded = bases[:, t:, :t].transpose(2, 0, 1).reshape(t * len(lattices), d - t)
+    head = points[:, :t].T[:, None] - (folded @ points[:, t:].T).reshape(t, len(lattices), len(points))
+    code = np.zeros((len(lattices), len(points)), dtype=dtype)
+    for j in range(t - 1, -1, -1):
+        diag = bases[:, j, j, None]
+        residue = head[j] % diag
+        code *= diag
+        code += residue
+        if j:
+            quotient = (head[j] - residue) // diag % (index // diag)
+            head[:j] -= quotient * bases[:, j, :j].T[:, :, None]
+    code += np.arange(len(lattices)).astype(dtype)[:, None] * n_max
+    return code
+
+
 def lattice_point_blocks(lattices: Sequence[IdealLattice], radius: int) -> Iterator[np.ndarray]:
     """The points with sup norm <= radius of lattices of one rank d, as
-    (m, d) int64 arrays.
+    (m, d) int64 arrays of at most BLOCK_ROWS rows.
 
-    Rows from a lattice's tail t on are e_j plus entries in columns below
-    t, so the points come from the tail box [-radius, radius]^(d-t).
-
-    A cyclic lattice, t = 1 with HNF diagonal (N, 1, ..., 1), holds x exactly
-    when x_0 = sum_{j >= 1} b_j x_j (mod N), b_j = basis[j][0].  Split
-    coordinates 1..d-1 into a half A (the first floor((d-1)/2)) and a half
-    B; then x is a point when (x_0 - A . b_A) mod N equals B . b_B mod N.
-    The join (_join_blocks) tabulates about |B| + (2r+1)|A| rows per lattice
-    where the walk expands the (2r+1)^(d-1) = |A||B| rows of the tail box,
-    and it is taken whenever that count is smaller: from d = 4 on, never at
-    d = 2.  Other lattices walk (_walk_blocks).
+    A point x lies in a lattice exactly when its coset code is 0, and codes
+    tell cosets apart, so with x = (x_A, x_B) split after coordinate
+    a = floor(d/2), x is a point exactly when (0, x_B) and (-x_A, 0) have
+    one code.  For a group of lattices of one tail start, the rows of both
+    half boxes [-r, r]^a and [-r, r]^(d-a) are coded together (_codes).
+    The keys lattice * N_max + code(0, x_B) and the targets lattice * N_max
+    + code(-x_A, 0) are sorted, one searchsorted finds each target's run
+    among the distinct keys, and the runs expand into blocks of points: a
+    sort-merge join (Horowitz and Sahni, J. ACM 21, 1974).  A group holds
+    about BLOCK_ROWS rows of the larger half box.
     """
     if not lattices or not lattices[0].d:
         return
     d = lattices[0].d
-    side = 2 * radius + 1
-    half = (d - 1) // 2
-    join = side ** (d - 1 - half) + side ** (half + 1) < side ** (d - 1)
+    a = d // 2
+    box_a = np.concatenate(list(box_blocks(radius, a)))
+    box_b = np.concatenate(list(box_blocks(radius, d - a)))
+    # Rows (-x_A, 0) of the targets, then (0, x_B) of the keys.
+    halves = np.zeros((len(box_a) + len(box_b), d), dtype=np.int64)
+    halves[: len(box_a), :a] = -box_a
+    halves[len(box_a) :, a:] = box_b
+    size = max(1, BLOCK_ROWS // max(len(box_a), len(box_b)))
     tails = [lat.tail for lat in lattices]
-    joined = [join and t == 1 for t in tails]
-    yield from _join_blocks([lat for lat, j in zip(lattices, joined) if j], radius, half)
-    walked = [(lat, t) for lat, t, j in zip(lattices, tails, joined) if not j]
-    if walked:
-        yield from _walk_blocks(*zip(*walked), radius)
-
-
-def _join_blocks(lattices: Sequence[IdealLattice], radius: int, half: int) -> Iterator[np.ndarray]:
-    """The points of cyclic lattices by a sort-merge join of the congruence
-    x_0 = sum_j b_j x_j (mod N), split at coordinate half (Horowitz and
-    Sahni, J. ACM 21, 1974).
-
-    For a group of lattices, keys lattice * N_max + (B . b_B mod N) over the
-    box B of coordinates half+1..d-1 are sorted once; for every x_0 in
-    [-radius, radius] and row of the box A of coordinates 1..half, the
-    matching keys lattice * N_max + (x_0 - A . b_A) mod N form one run found
-    by searchsorted.  Groups hold about BLOCK_ROWS key and target rows, and
-    the runs expand into blocks of at most BLOCK_ROWS points.
-    """
-    if not lattices:
-        return
-    d = lattices[0].d
-    heads = np.concatenate(list(box_blocks(radius, half)))
-    rest = np.concatenate(list(box_blocks(radius, d - 1 - half)))
-    x0 = np.arange(-radius, radius + 1)[:, None, None]
-    size = max(1, BLOCK_ROWS // max(len(rest), len(x0) * len(heads)))
-    for first in range(0, len(lattices), size):
-        group = lattices[first : first + size]
-        n_max = max(lat.index for lat in group)
-        # Keys stay below len(group) * N_max, and A . b_A below half * radius * N_max.
-        if _exact_dtype(max(len(group), half * radius) * n_max) is object:
-            raise OverflowError(f"cyclic lattice of index {n_max} has join keys beyond int64")
-        modulus = np.array([lat.index for lat in group])
-        columns = np.array([[row[0] for row in lat.basis[1:]] for lat in group]).T
-        offsets = np.arange(len(group)) * n_max
-        # Key i * |B| + beta belongs to lattice i and row beta of B; target
-        # (x_0 + radius, i, alpha) is flat in the same way.
-        keys = ((rest @ columns[half:]) % modulus + offsets).T.ravel()
-        # The stable sort pages in less of numpy than the default one: about
-        # 0.1 MB of peak RSS against 0.35 MB in a density command.
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        s_a = ((heads @ columns[:half]) % modulus).T
-        targets = ((x0 - s_a) % modulus[:, None] + offsets[:, None]).ravel()
-        lo = np.searchsorted(keys, targets, "left")
-        counts = np.searchsorted(keys, targets, "right") - lo
-        ends = np.cumsum(counts)
-        for start in range(0, int(ends[-1]), BLOCK_ROWS):
-            pos = np.arange(start, min(start + BLOCK_ROWS, int(ends[-1])))
-            target = np.searchsorted(ends, pos, "right")
-            key = order[lo[target] + pos - (ends[target] - counts[target])]
-            head = target // (len(group) * len(heads)) - radius
-            yield np.concatenate([head[:, None], heads[target % len(heads)], rest[key % len(rest)]], axis=1)
-
-
-def _walk_blocks(lattices: Sequence[IdealLattice], tails: Sequence[int], radius: int) -> Iterator[np.ndarray]:
-    """The points of lattices with tail starts t, breadth first over the
-    basis rows from row t - 1 down.
-
-    The coefficient of row j fixes coordinate j, so each prefix (a partial
-    sum of the rows below j) expands to the run of coefficients that keeps
-    coordinate j in [-radius, radius].  The walk starts from the tail box
-    (box_blocks) with head tail @ basis[t:, :t].  Frontier rows carry their
-    lattice, so all lattices walk together.  Seeds come in blocks of about
-    BLOCK_ROWS rows, and a larger frontier is split in halves.
-    """
-    d = lattices[0].d
-    # The coefficients have sum |c_i| < radius * 2^d and no basis entry
-    # exceeds the index, so partial sums stay below their product.
-    dtype = _exact_dtype((radius << d) * max(lat.index for lat in lattices))
-    bases = np.array([lat.basis for lat in lattices], dtype=dtype)
-    tails = np.array(tails)
-    for t in sorted(set(tails.tolist())):
-        group = np.flatnonzero(tails == t)
-        for tail in box_blocks(radius, d - t):
-            tail = tail.astype(dtype)
-            for ids in np.array_split(group, -(-len(group) * len(tail) // BLOCK_ROWS)):
-                head = tail @ bases[ids, t:, :t]
-                seed = np.concatenate([head, np.broadcast_to(tail, head.shape[:2] + tail.shape[1:])], axis=2)
-                stack = [(t - 1, seed.reshape(-1, d), np.repeat(ids, len(tail)))]
-                while stack:
-                    j, prefixes, owners = stack.pop()
-                    if j < 0:
-                        yield prefixes.astype(np.int64, copy=False)
-                        continue
-                    diag, base = bases[owners, j, j], prefixes[:, j]
-                    lo = -((radius + base) // diag)
-                    counts = np.maximum((radius - base) // diag - lo + 1, 0).astype(np.int64)
-                    total = int(counts.sum())
-                    if total > BLOCK_ROWS and len(prefixes) > 1:
-                        half = len(prefixes) // 2
-                        stack += [(j, prefixes[half:], owners[half:]), (j, prefixes[:half], owners[:half])]
-                        continue
-                    owner = np.repeat(np.arange(len(prefixes)), counts)
-                    coef = lo[owner] + (np.arange(total) - (np.cumsum(counts) - counts)[owner])
-                    points, owners = prefixes[owner], owners[owner]
-                    points[:, : j + 1] += coef[:, None] * bases[owners, j, : j + 1]
-                    if total:
-                        stack.append((j - 1, points, owners))
+    for t in sorted(set(tails)):
+        same = [lat for lat, s in zip(lattices, tails) if s == t]
+        for first in range(0, len(same), size):
+            codes = _codes(halves, same[first : first + size], radius)
+            # Target i * |A| + alpha belongs to lattice i and row alpha of
+            # A, and key i * |B| + beta to lattice i and row beta of B.
+            targets = codes[:, : len(box_a)].ravel()
+            keys = codes[:, len(box_a) :].ravel()
+            # searchsorted runs faster on sorted targets.
+            by_key, by_target = np.argsort(keys), np.argsort(targets)
+            keys, targets = keys[by_key], targets[by_target]
+            starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+            run = np.minimum(np.searchsorted(keys[starts], targets), len(starts) - 1)
+            lo = starts[run]
+            counts = np.where(keys[lo] == targets, np.diff(starts, append=len(keys))[run], 0)
+            ends = np.cumsum(counts)
+            # Point p pairs sorted target i = searchsorted(ends, p, "right")
+            # with sorted key p + skip[i].
+            skip = lo - ends + counts
+            rows_a, rows_b = by_target % len(box_a), by_key % len(box_b)
+            # Only what the expansion reads stays alive while it runs.
+            del codes, targets, keys, by_key, by_target, starts, run, lo, counts
+            for start in range(0, int(ends[-1]), BLOCK_ROWS):
+                pos = np.arange(start, min(start + BLOCK_ROWS, int(ends[-1])))
+                target = np.searchsorted(ends, pos, "right")
+                yield np.concatenate([box_a[rows_a[target]], box_b[rows_b[pos + skip[target]]]], axis=1)
 
 
 def hnf(generators: Sequence[Sequence[int]], modulus: Optional[int] = None) -> IdealLattice:

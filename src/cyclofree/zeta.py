@@ -6,11 +6,11 @@ local factor prod_{P | ell} (1 - N(P)^-k) = ((q-1)/q)^g, with q = ell^(fk),
 is the integer pair ((q-1)^g, q^g).  For ell not dividing n, f and g depend
 only on ell mod n and are read from a per-conductor residue table; the
 primes are read one at a time from the Eratosthenes byte sieve, so none is
-re-tested for primality and no list of them is built.  Below 10^4 the pairs are multiplied exactly, by a balanced
-product tree, and applied once; above, each factor is applied in 192-bit
-fixed point with floor/ceil rounding: one divmod per prime gives the
-floors and ceilings, and so the bytes, of two divisions.  The omitted tail
-satisfies
+re-tested for primality and no list of them is built.  Below 10^4 the
+pairs are multiplied exactly, by a balanced product tree, and applied once;
+above, each factor is applied in 192-bit fixed point with floor/ceil
+rounding: one divmod per prime gives the floors and ceilings, and so the
+bytes, of two divisions.  The omitted tail satisfies
 
     0 <= log(tail of zeta) <= phi(n) * sum_{m > B} 2 m^-k
                            <= 2 phi(n) B^(1-k) / (k-1),

@@ -403,6 +403,14 @@ class TestManifest:
         assert main(["sieve", "--n", "4", "--k", "2", "--radius", "3", "--out", str(out)]) == code
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_follow_up_leaves_no_payload(self, tmp_path, capsys):
+        # the density report of sieve cannot be written over a directory
+        out = tmp_path / "p.csv"
+        (tmp_path / "p.csv.density.json").mkdir()
+        assert main(["sieve", "--n", "4", "--k", "2", "--radius", "3", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert [path.name for path in tmp_path.iterdir()] == ["p.csv.density.json"]
+
     def test_wall_time_covers_writing(self, tmp_path, monkeypatch):
         def slow(box, fmt):
             yield b"x1,x2\n"

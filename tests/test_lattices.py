@@ -384,8 +384,9 @@ class TestPointBlocks:
 
     @pytest.mark.parametrize("block_rows", [5, 300, lattices.BLOCK_ROWS])
     def test_lattices_walked_together(self, monkeypatch, block_rows):
-        """Cyclic lattices (t = 1) join and the others walk, in mixed groups
-        at d = 4, 6 and 8; the one-point walk is the oracle for both."""
+        """Lattices of tail starts 0, 1, 2 and 4 in one call at d = 4, 6 and
+        8, joined a group of one tail start at a time; the one-point walk is
+        the oracle."""
         monkeypatch.setattr(lattices, "BLOCK_ROWS", block_rows)
         for n, radius, cap in [(5, 3, 200), (9, 2, 100), (16, 1, 100)]:
             d = ring_degree(n)
@@ -405,8 +406,41 @@ class TestPointBlocks:
     def test_join_keys_beyond_int64(self):
         lat = hnf([[2**62, 0, 0, 0], [1, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
         assert self.tail_start(lat) == 1
-        with pytest.raises(OverflowError):
-            list(lattices.lattice_point_blocks([lat], 1))
+        assert block_points(lat, 1) == sorted(lattice_walk(lat, 1))
+        assert len(block_points(lat, 1)) == 27  # x_0 = x_1, x_2 and x_3 free
+
+    @pytest.mark.parametrize("half, dtype", [(2**29 - 1, np.int64), (2**29 + 1, object)])
+    def test_codes_on_each_side_of_int64(self, half, dtype):
+        """Diagonal (half, 2, 1, 1), t = 2: the codes are int64 while
+        max(d (r + index), 1) index < 2^62, about index < 2^30 at d = 4."""
+        lat = hnf([[half, 0, 0, 0], [half - 1, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+        assert self.tail_start(lat) == 2 and lat.index == 2 * half
+        assert lattices._codes(np.zeros((1, 4), dtype=np.int64), [lat], 2).dtype == dtype
+        expected = sorted(lattice_walk(lat, 2))
+        assert len(expected) == 3 * 25  # (-c, 2c) for c in -1..1, x_2 and x_3 free
+        assert block_points(lat, 2) == expected
+
+    @pytest.mark.parametrize("block_rows", [5, 300])
+    @given(st.sampled_from((4, 6)), st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_every_tail_start_in_one_group(self, block_rows, d, data):
+        """One lattice of each tail start t = 0..d, from random lower-triangular
+        generators whose diagonal is the HNF's, cleared in one call."""
+        group = []
+        for t in range(d + 1):
+            diagonal = [data.draw(st.integers(1, 4)) for _ in range(t - 1)] + [data.draw(st.integers(2, 5))] * (t > 0)
+            diagonal += [1] * (d - t)
+            rows = [[diagonal[i] if i == j else data.draw(st.integers(0, 9)) * (j < i) for j in range(d)] for i in range(d)]
+            group.append(hnf(rows))
+        assert [self.tail_start(lat) for lat in group] == list(range(d + 1))
+        radius = 2 if d == 4 else 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(lattices, "BLOCK_ROWS", block_rows)
+            blocks = list(lattices.lattice_point_blocks(group, radius))
+        assert sorted(tuple(p) for block in blocks for p in block.tolist()) == sorted(
+            p for lat in group for p in lattice_walk(lat, radius)
+        )
+        assert all(len(block) <= block_rows for block in blocks)
 
     def test_points_in_box_yields_tuples(self):
         lat = ideal_lattice(ideal_above(5, 4), 2)
