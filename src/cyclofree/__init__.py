@@ -20,7 +20,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "AqCandidate": "certificates",
     "AqNotFound": "certificates",
-    "ConductorError": "cyclotomic",
+    "ConductorError": "arith",
     "CycInt": "cyclotomic",
     "DensityReport": "kfree",
     "FourSumsReport": "certificates",
@@ -56,7 +56,7 @@ _EXPORTS = {
     "norm_bound": "kfree",
     "patch_entropy_estimate": "kfree",
     "ramified_primes": "prime_ideals",
-    "ring_degree": "cyclotomic",
+    "ring_degree": "arith",
     "scan_for_violation": "symmetries",
     "sieve_box": "kfree",
     "split_prime": "prime_ideals",
@@ -65,7 +65,7 @@ _EXPORTS = {
     "symmetry_element": "symmetries",
     "unit_generators": "symmetries",
     "valuation": "prime_ideals",
-    "validate_conductor": "cyclotomic",
+    "validate_conductor": "arith",
     "vanishing_four_sums": "certificates",
     "verify_Wk_preservation": "symmetries",
     "verify_coprimality_transport": "symmetries",

@@ -1,4 +1,6 @@
-"""Rational integer utilities: primes, factoring, orders, integer roots.
+"""Rational integer utilities: primes, factoring, orders, integer roots,
+and the conductor arithmetic of Z[zeta_n]: its validation, its degree
+phi(n), and how each rational prime splits in it.
 
 Everything here is deterministic.  Factoring is trial division backed by
 Brent's cycle-finding rho with a fixed parameter schedule, so repeated runs
@@ -25,6 +27,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 class ResourceCapError(RuntimeError):
     """A request exceeds a fixed cap on points or primes."""
+
+
+class ConductorError(ValueError):
+    pass
 
 
 def primes_up_to(bound: int) -> list[int]:
@@ -168,6 +174,55 @@ def multiplicative_order(a: int, modulus: int) -> int:
             else:
                 break
     return order
+
+
+def validate_conductor(n: int) -> int:
+    """Enforce n > 2 and n != 2 mod 4, the one-field-one-n convention."""
+    if not isinstance(n, int) or n <= 2:
+        raise ConductorError(f"conductor must be an integer > 2, got {n}")
+    if n % 4 == 2:
+        raise ConductorError(
+            f"conductor {n} is 2 mod 4; the field coincides with the one "
+            f"of conductor {n // 2}, use that instead"
+        )
+    return n
+
+
+@lru_cache(maxsize=None)
+def ring_degree(n: int) -> int:
+    """d = phi(n), the rank of Z[zeta_n], for a valid conductor n, from the
+    factorization of n: no O(n) work, so a size check can refuse first."""
+    validate_conductor(n)
+    return math.prod(p ** (e - 1) * (p - 1) for p, e in factor_integer(n).items())
+
+
+@lru_cache(maxsize=None)
+def residue_splitting(n: int) -> tuple[tuple[int, int, int] | None, ...]:
+    """(e, f, g) of every rational prime ell in Z[zeta_n], indexed by ell mod n.
+
+    With n = ell^a m and ell not dividing m, e = phi(ell^a), f is the order
+    of ell mod m, and g = phi(n) / (e f) (Washington, Introduction to
+    Cyclotomic Fields, Thm 2.13).  An unramified ell (a = 0) has a unit
+    residue, and its shape depends on that residue alone.  A residue that
+    shares a prime p with n holds no prime but p, so entry p mod n (0 for
+    n = p) is the shape of p, and the other non-units are None.  Raises
+    ArithmeticError if some entry breaks e f g = phi(n).
+    """
+    d = ring_degree(n)
+    table: list[tuple[int, int, int] | None] = [None] * n
+    for a in range(n):
+        if math.gcd(a, n) == 1:
+            f = multiplicative_order(a, n)
+            table[a] = (1, f, d // f)
+    for p, a in factor_integer(n).items():
+        m = n // p**a
+        e = p**a - p ** (a - 1)
+        f = multiplicative_order(p, m) if m > 1 else 1
+        table[p % n] = (e, f, d // (e * f))
+    for entry in table:
+        if entry is not None and math.prod(entry) != d:
+            raise ArithmeticError(f"splitting {entry} in conductor {n} breaks e f g = {d}")
+    return tuple(table)
 
 
 def root_of_unity(n: int, p: int) -> int:

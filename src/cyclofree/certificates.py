@@ -21,8 +21,8 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import factor_integer, is_prime, primes_up_to
-from .cyclotomic import CycInt, validate_conductor
+from .arith import factor_integer, is_prime, primes_up_to, validate_conductor
+from .cyclotomic import CycInt
 from .lattices import ideal_lattice
 from .prime_ideals import candidate_ideals
 

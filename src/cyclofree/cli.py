@@ -333,7 +333,7 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:  # cyclotomic.ConductorError among them
+    except ValueError as exc:  # arith.ConductorError among them
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except _loaded_error("arith", "ResourceCapError") as exc:

@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import factor_integer, is_prime, root_of_unity
+from .arith import factor_integer, is_prime, ring_degree, root_of_unity
 
 
 @lru_cache(maxsize=None)
@@ -53,30 +53,6 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
             quot[i] = (quot[i - e] if i >= e else 0) - poly[i]
         poly = quot
     return tuple(poly)
-
-
-class ConductorError(ValueError):
-    pass
-
-
-def validate_conductor(n: int) -> int:
-    """Enforce n > 2 and n != 2 mod 4, the one-field-one-n convention."""
-    if not isinstance(n, int) or n <= 2:
-        raise ConductorError(f"conductor must be an integer > 2, got {n}")
-    if n % 4 == 2:
-        raise ConductorError(
-            f"conductor {n} is 2 mod 4; the field coincides with the one "
-            f"of conductor {n // 2}, use that instead"
-        )
-    return n
-
-
-@lru_cache(maxsize=None)
-def ring_degree(n: int) -> int:
-    """d = phi(n), the rank of Z[zeta_n], for a valid conductor n, from the
-    factorization of n: no O(n) work, so a size check can refuse first."""
-    validate_conductor(n)
-    return math.prod(p ** (e - 1) * (p - 1) for p, e in factor_integer(n).items())
 
 
 def _reduce(n: int, raw) -> "CycInt":

@@ -27,8 +27,8 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .arith import ResourceCapError, integer_kth_root
-from .cyclotomic import norm_ceiling, ring_degree, validate_conductor
+from .arith import ResourceCapError, integer_kth_root, ring_degree, validate_conductor
+from .cyclotomic import norm_ceiling
 from .lattices import ideal_lattice, lattice_point_blocks
 from .prime_ideals import PrimeIdeal, enumerate_prime_ideals
 

@@ -24,8 +24,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import factor_integer, xgcd
-from .cyclotomic import CycInt, _exact_dtype, ring_degree
+from .arith import factor_integer, ring_degree, xgcd
+from .cyclotomic import CycInt, _exact_dtype
 
 # Rows per step of lattice_point_blocks: rows of the larger half box per
 # lattice group, and points per block.  Groups of two or four times as many

@@ -4,8 +4,10 @@ Because Z[zeta_n] is the full ring of integers, the prime ideals above a
 rational prime ell are read off the factors of the n-th cyclotomic
 polynomial modulo ell: each distinct monic irreducible factor g gives the
 prime ideal (ell, g(zeta_n)), with residue degree deg(g) and ramification
-equal to the multiplicity of g.  The shape (e, f, g) is known beforehand
-(splitting_type).  With n = ell^a m and ell not dividing m, the factors
+equal to the multiplicity of g.  The shape (e, f, g) is known beforehand:
+one per-conductor table, arith.residue_splitting, holds it for every
+prime, ramified or not, by its residue mod n (splitting_type reads one
+entry).  With n = ell^a m and ell not dividing m, the factors
 for f = 1 (ell = 1 mod m) are x - h^r, with h of order m mod ell and r a
 unit mod m; for g = 1 Phi_m mod ell is the one factor, and otherwise one
 equal-degree split finds them.
@@ -26,10 +28,10 @@ from typing import Iterator
 
 import numpy as np
 
-from .arith import factor_integer, is_prime, multiplicative_order, primes_up_to, root_of_unity
-from .cyclotomic import (
-    CycInt, cyclotomic_polynomial, norm_array, ring_degree, validate_conductor,
+from .arith import (
+    factor_integer, is_prime, primes_up_to, residue_splitting, root_of_unity, validate_conductor,
 )
+from .cyclotomic import CycInt, cyclotomic_polynomial, norm_array
 from .lattices import ideal_lattice
 
 
@@ -62,56 +64,13 @@ class PrimeIdeal:
 
 
 @lru_cache(maxsize=None)
-def residue_splitting(n: int) -> tuple[tuple[int, int] | None, ...]:
-    """(f, g) of the unramified primes, indexed by their residue mod n.
-
-    For ell not dividing n, the residue degree f is the order of ell mod n
-    and g = phi(n) / f (Washington, Introduction to Cyclotomic Fields,
-    Thm 2.13), so both depend only on a = ell mod n.  Entry a is None when
-    gcd(a, n) > 1.
-    """
-    validate_conductor(n)
-    d = ring_degree(n)
-    table: list[tuple[int, int] | None] = []
-    for a in range(n):
-        if math.gcd(a, n) == 1:
-            f = multiplicative_order(a, n)
-            table.append((f, d // f))
-        else:
-            table.append(None)
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
 def splitting_type(ell: int, n: int) -> tuple[int, int, int]:
-    """(e, f, g) for the rational prime ell in conductor n, no factorization."""
+    """(e, f, g) for the rational prime ell in conductor n, no factorization:
+    its entry in the residue table of arith.residue_splitting."""
     validate_conductor(n)
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    if n % ell:
-        f, g = residue_splitting(n)[ell % n]
-        return 1, f, g
-    d = ring_degree(n)
-    a = 0
-    m = n
-    while m % ell == 0:
-        a += 1
-        m //= ell
-    e = ell**a - ell ** (a - 1)
-    f = multiplicative_order(ell, m) if m > 1 else 1
-    g = d // (e * f)
-    assert e * f * g == d
-    return e, f, g
-
-
-def local_degrees(ell: int, n: int) -> tuple[int, int]:
-    """(f, g) for a rational prime ell the caller has already proven prime,
-    as primes_up_to does.  Unramified ell are read from the residue table
-    with no Miller-Rabin; ramified ell go through splitting_type."""
-    if n % ell:
-        return residue_splitting(n)[ell % n]
-    _, f, g = splitting_type(ell, n)
-    return f, g
+    return residue_splitting(n)[ell % n]
 
 
 @lru_cache(maxsize=None)
@@ -148,10 +107,10 @@ def enumerate_prime_ideals(n: int, norm_bound: int) -> Iterator[PrimeIdeal]:
     """Every prime ideal of norm <= norm_bound, once, sorted by
     (norm, ell, coefficients of the defining factor)."""
     validate_conductor(n)
+    splitting = residue_splitting(n)
     found: list[PrimeIdeal] = []
     for ell in primes_up_to(norm_bound):
-        f, _ = local_degrees(ell, n)
-        if ell**f <= norm_bound:
+        if ell ** splitting[ell % n][1] <= norm_bound:
             found.extend(split_prime(ell, n))
     found.sort(key=PrimeIdeal.sort_key)
     yield from found
@@ -174,8 +133,9 @@ def valuation(x: CycInt, ideal: PrimeIdeal) -> int:
 def candidate_ideals(norm: int, primes, n: int, k: int) -> list[PrimeIdeal]:
     """The P above the given prime factors of a norm N with N(P)^k | N, the
     only P with v_P(x) >= k possible at |N(x)| = N; N(P) = ell^f for all P above ell."""
+    splitting = residue_splitting(n)
     return [
-        ideal for ell in primes if norm % ell ** (local_degrees(ell, n)[0] * k) == 0
+        ideal for ell in primes if norm % ell ** (splitting[ell % n][1] * k) == 0
         for ideal in split_prime(ell, n)
     ]
 

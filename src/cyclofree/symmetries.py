@@ -22,8 +22,8 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import factor_integer, primes_up_to
-from .cyclotomic import CycInt, _exact_dtype, norm_array, ring_degree, validate_conductor
+from .arith import factor_integer, primes_up_to, ring_degree, validate_conductor
+from .cyclotomic import CycInt, _exact_dtype, norm_array
 from .lattices import BLOCK_ROWS, box_blocks, determinant
 from .prime_ideals import kfree_mask, wk_mask
 from . import kfree as kfree_mod

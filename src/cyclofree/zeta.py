@@ -3,10 +3,11 @@
 The reciprocal Euler product  prod_P (1 - N(P)^-k)  is accumulated over
 all prime ideals above the rational primes ell <= prime_bound.  Each
 local factor prod_{P | ell} (1 - N(P)^-k) = ((q-1)/q)^g, with q = ell^(fk),
-is the integer pair ((q-1)^g, q^g).  For ell not dividing n, f and g depend
-only on ell mod n and are read from a per-conductor residue table; the
-primes are read one at a time from the Eratosthenes byte sieve, so none is
-re-tested for primality and no list of them is built.  Below 10^4 the
+is the integer pair ((q-1)^g, q^g).  For every ell, ramified or not, f
+and g depend only on ell mod n and are read from a per-conductor residue
+table (arith.residue_splitting); the primes are read one at a time from
+the Eratosthenes byte sieve, so none is re-tested for primality and no
+list of them is built.  Below 10^4 the
 pairs are multiplied exactly, by a balanced product tree, and applied once;
 above, each factor is applied in 192-bit fixed point with floor/ceil
 rounding: one divmod per prime gives the floors and ceilings, and so the
@@ -34,9 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import _sieved_primes
-from .cyclotomic import ring_degree, validate_conductor
-from .prime_ideals import local_degrees, residue_splitting
+from .arith import _sieved_primes, residue_splitting, ring_degree, validate_conductor
 
 PRECISION_BITS = 192
 EXACT_HEAD_BOUND = 10_000
@@ -246,7 +245,7 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     nums, dens = [], []
     splitting = residue_splitting(n)
     for ell in _sieved_primes(prime_bound):
-        f, g = splitting[ell % n] or local_degrees(ell, n)
+        _, f, g = splitting[ell % n]
         q = ell ** (f * k)
         if ell <= EXACT_HEAD_BOUND:
             nums.append((q - 1) ** g)

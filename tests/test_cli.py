@@ -635,6 +635,18 @@ class TestImports:
         assert code == 0 and "cyclofree.zeta" in modules
         assert "mpmath" not in modules
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("zeta", "--n", "4", "--k", "2"), ("entropy", "--n", "5", "--k", "2")],
+        ids=lambda argv: argv[0],
+    )
+    def test_zeta_and_entropy_stay_off_the_lattice_stack(self, tmp_path, argv):
+        # The Euler product needs only the residue table of arith.
+        code, _, modules = fresh_run(tmp_path, *argv)
+        assert code == 0 and "cyclofree.zeta" in modules
+        heavy = {"numpy", "cyclofree.cyclotomic", "cyclofree.lattices", "cyclofree.prime_ideals"}
+        assert not heavy & modules
+
     def test_exhausted_aq_search_is_exit_three(self, tmp_path):
         code, err, modules = fresh_run(
             tmp_path, "aq", "--n", "12", "--q", "13", "--ell-bound", "500", "--a-bound", "4"
@@ -650,7 +662,7 @@ class TestImports:
         code, err, modules = fresh_run(tmp_path, "zeta", "--n", "4", "--k", "2", "--prime-bound", str(10**16))
         assert code == 3
         assert err.startswith("resource limit: prime bound ")
-        assert "cyclofree.kfree" not in modules
+        assert not {"cyclofree.kfree", "numpy"} & modules
 
     def test_benchmark_tracer_installs(self):
         # bench/tracer.py wraps library names it looks up by getattr; a

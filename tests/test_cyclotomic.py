@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cyclofree.cyclotomic import (
-    ConductorError,
     CycInt,
     cyclotomic_polynomial,
     ring_degree,
 )
 from cyclofree import cyclotomic
-from cyclofree.arith import factor_integer, is_prime
+from cyclofree.arith import ConductorError, factor_integer, is_prime
 from cyclofree.lattices import determinant
 
 CONDUCTORS = [3, 4, 5, 8, 12]
