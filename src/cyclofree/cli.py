@@ -4,7 +4,9 @@ Each command computes a payload (JSON, or CSV for point clouds), writes it
 to --out or stdout, and emits a run manifest carrying the parameters, the
 seed, and a SHA-256 digest of the payload bytes.  Payload bytes depend only
 on the parameters and the seed, never on wall time, so rerunning a manifest
-reproduces the digest.
+reproduces the digest.  The digest comes from CPython's built-in SHA-256
+module, not from hashlib, whose OpenSSL library would add about 3.6 MB to
+every process.
 
 A point payload is streamed from the sieve's occupancy grid a chunk at a
 time, hashed and written as it is encoded, so memory grows with the box's
@@ -26,7 +28,6 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
 import sys
 import time
@@ -34,6 +35,14 @@ from collections.abc import Iterable, Iterator
 from pathlib import Path
 
 from . import __version__
+
+try:  # CPython's built-in SHA-256 (see the module docstring)
+    from _sha2 import sha256  # 3.12 and later
+except ImportError:
+    try:
+        from _sha256 import sha256  # 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -47,7 +56,7 @@ PAYLOAD_BLOCK = 1 << 14
 def _emit(args, command: str, params: dict, chunks: Iterable[bytes], seed: int, start: float) -> None:
     """Write the payload chunk by chunk to --out or stdout, hashing each,
     then the manifest; wall_time_s runs from start to the last chunk."""
-    digest = hashlib.sha256()
+    digest = sha256()
 
     def manifest() -> str:
         return json.dumps({
@@ -84,7 +93,8 @@ def _point_chunks(box, fmt: str) -> Iterator[bytes]:
     order, as byte chunks read from PAYLOAD_BLOCK grid cells at a time.
     Each value -r..r of column j has its text, with the column's
     separators, in one NUL-padded entry of a (d, 2r+1) byte-string table; a
-    chunk takes one entry per (point, column) and drops the padding."""
+    chunk takes one entry per (point, column), and bytes.translate drops the
+    padding."""
     import numpy as np
 
     d, r = box.d, box.r
@@ -107,8 +117,7 @@ def _point_chunks(box, fmt: str) -> Iterator[bytes]:
         if held:
             yield held
         cells += offsets
-        rows = flat[cells].view(np.uint8)
-        held = rows[rows != 0].tobytes()
+        held = flat[cells].tobytes().translate(None, b"\0")
     yield held[: len(held) - cut] + tail.encode()
 
 

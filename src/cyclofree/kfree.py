@@ -95,16 +95,17 @@ class KFreeBox:
         """The grid coordinates x + r of the k-free points x, in lexicographic
         order, as (m, d) int64 blocks read from `step` grid cells at a time:
         each block holds the k-free cells of one run of the flat grid,
-        unravelled by the radix weights side^(d-1), ..., side, 1.  A run
+        unravelled in base side by d - 1 divmods, last column first.  A run
         with no k-free cell gives no block."""
         flat = self.grid.reshape(-1)
-        weights = self.side ** np.arange(self.d - 1, -1, -1, dtype=np.int64)
         for start in range(0, flat.size, step):
             index = np.flatnonzero(flat[start : start + step])
             if len(index):
                 index += start
-                coords = index[:, None] // weights
-                coords %= self.side
+                coords = np.empty((len(index), self.d), dtype=np.int64)
+                for column in range(self.d - 1, 0, -1):
+                    np.divmod(index, self.side, out=(index, coords[:, column]))
+                coords[:, 0] = index
                 yield coords
 
     def sorted_points(self) -> list[tuple[int, ...]]:

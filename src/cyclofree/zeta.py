@@ -7,11 +7,15 @@ is the integer pair ((q-1)^g, q^g).  For every ell, ramified or not, f
 and g depend only on ell mod n and are read from a per-conductor residue
 table (arith.residue_splitting); the primes are read one at a time from
 the Eratosthenes byte sieve, so none is re-tested for primality and no
-list of them is built.  Below 10^4 the
-pairs are multiplied exactly, by a balanced product tree, and applied once;
-above, each factor is applied in 192-bit fixed point with floor/ceil
-rounding: one divmod per prime gives the floors and ceilings, and so the
-bytes, of two divisions.  The omitted tail satisfies
+list of them is built.  Past 10^4 each factor is applied in 192-bit fixed
+point with floor/ceil rounding: one divmod per prime gives the floors and
+ceilings, and so the bytes, of two divisions.  The head, ell <= 10^4, is
+applied exactly once: floor(lo H) and ceil(hi H) for its exact product H.
+The same recurrence over the head at 192 + 64 bits encloses H, and when
+both ends of that enclosure round lo (and hi) to the same integer, that
+integer is the exact result (Ziv's rounding test, ACM TOMS 17, 1991);
+only otherwise is H formed, by a balanced product tree over the head
+sieved afresh.  The omitted tail satisfies
 
     0 <= log(tail of zeta) <= phi(n) * sum_{m > B} 2 m^-k
                            <= 2 phi(n) B^(1-k) / (k-1),
@@ -39,6 +43,9 @@ from .arith import _sieved_primes, residue_splitting, ring_degree, validate_cond
 
 PRECISION_BITS = 192
 EXACT_HEAD_BOUND = 10_000
+# Extra bits of the head's fixed-point enclosure, which decides the exact
+# head's rounding without forming it (Ziv's test).
+HEAD_GUARD_BITS = 64
 ROUNDING_NOTE = "outward fixed-point (floor/ceil) at 192 bits; exact rationals below 10^4"
 
 
@@ -212,6 +219,19 @@ def _tree_product(values: list[int]) -> int:
     return values[0] if values else 1
 
 
+def _exact_head(n: int, k: int, bound: int) -> tuple[int, int]:
+    """The head product prod_{ell <= bound} ((q-1)/q)^g as one unreduced
+    pair (numerator, denominator), the primes sieved afresh."""
+    splitting = residue_splitting(n)
+    nums, dens = [], []
+    for ell in _sieved_primes(bound):
+        _, f, g = splitting[ell % n]
+        q = ell ** (f * k)
+        nums.append((q - 1) ** g)
+        dens.append(q**g)
+    return _tree_product(nums), _tree_product(dens)
+
+
 @lru_cache(maxsize=None)
 def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     """Enclose zeta_K(k) using all primes ell <= prime_bound.
@@ -233,24 +253,26 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
             f"at n={n}, k={k}; the tail bound is {float(tail):.3g}"
         )
     one = 1 << PRECISION_BITS
-    # Each local factor is ((q-1)/q)^g with q = ell^(fk).  Past the head it
-    # is applied with lo rounded down and hi = lo + delta rounded up, delta
-    # a small int.  With (Q, R) = divmod(lo, q) and g = 1,
+    # Each local factor is ((q-1)/q)^g with q = ell^(fk).  It is applied
+    # with lo rounded down and hi = lo + delta rounded up, delta a small int.
+    # With (Q, R) = divmod(lo, q) and g = 1,
     #   floor(lo (q-1)/q) = lo - ceil(lo/q)   -> lo' = lo - Q - [R > 0],
     #   ceil(hi (q-1)/q) = hi - floor(hi/q)   -> delta' = delta + [R > 0] - (R + delta) // q;
     # with (Q, R) = divmod(lo p, q^g), p = (q-1)^g and g > 1, lo' = Q and
     # delta' = ceil((R + delta p) / q^g).  Either way delta grows by at most
-    # 1 per prime, and each prime costs one divmod of lo.
-    lo, delta = one, 0
-    nums, dens = [], []
+    # 1 per prime, and each prime costs one divmod of lo.  The head primes
+    # run from 2^wide and give hl <= 2^wide H <= hh for the exact head
+    # product H; the tail primes then run from 2^PRECISION_BITS.
+    wide = PRECISION_BITS + HEAD_GUARD_BITS
+    lo, delta, head = 1 << wide, 0, None
+    switch = EXACT_HEAD_BOUND
     splitting = residue_splitting(n)
     for ell in _sieved_primes(prime_bound):
+        if ell > switch:  # the first tail prime: the head is done
+            head, lo, delta, switch = (lo, lo + delta), one, 0, prime_bound
         _, f, g = splitting[ell % n]
         q = ell ** (f * k)
-        if ell <= EXACT_HEAD_BOUND:
-            nums.append((q - 1) ** g)
-            dens.append(q**g)
-        elif g == 1:
+        if g == 1:
             quot, rem = divmod(lo, q)
             up = rem > 0
             lo -= quot + up
@@ -259,13 +281,20 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
             p, q = (q - 1) ** g, q**g
             lo, rem = divmod(lo * p, q)
             delta = -(-(rem + delta * p) // q)
+    if head is None:
+        head, lo, delta = (lo, lo + delta), one, 0
     hi = lo + delta
-    # The head stays unreduced: a common factor of num and den does not
-    # change the floor or ceiling of lo * num / den.
-    num, den = _tree_product(nums), _tree_product(dens)
-    lo = (lo * num) // den
-    hi = -((-hi * num) // den)
-    partial = Interval(Fraction(lo, one), Fraction(hi, one))
+    # Ziv's test: floor and ceiling are monotone, so when the head's two
+    # bounds round lo (and hi) to the same integer, that integer is the
+    # floor of lo H (the ceiling of hi H).  Otherwise H is formed exactly.
+    hl, hh = head
+    low, high = lo * hl >> wide, -(-hi * hh >> wide)
+    if low != lo * hh >> wide or high != -(-hi * hl >> wide):
+        # The head stays unreduced: a common factor of num and den does not
+        # change the floor or ceiling of lo * num / den.
+        num, den = _exact_head(n, k, min(prime_bound, EXACT_HEAD_BOUND))
+        low, high = (lo * num) // den, -((-hi * num) // den)
+    partial = Interval(Fraction(low, one), Fraction(high, one))
     # zeta = 1/partial * tail_inverse with tail_inverse in [1, 1/(1-tail)]
     zeta_lower = 1 / partial.upper
     zeta_upper = (1 / partial.lower) * (1 / (1 - tail))

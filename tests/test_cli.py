@@ -166,6 +166,22 @@ class TestPointsPayload:
         assert len(chunks) == 1 + -(-box.box_volume // PAYLOAD_BLOCK) > 4
         assert b"".join(chunks) == points_payload_by_format(box, fmt)
 
+    @pytest.mark.parametrize("block", [7, 64])
+    @pytest.mark.parametrize(
+        "n, radius",
+        # d = 2, 4 and 6; at d = 6 up to radius 3, where a block of 7 cells
+        # already gives 16,807 chunks
+        [(4, r) for r in range(1, 7)] + [(5, r) for r in range(1, 7)] + [(7, r) for r in range(1, 4)],
+    )
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_chunk_edges_inside_grid_rows(self, monkeypatch, n, radius, block, fmt):
+        # 7 and 64 are no multiple of the odd sides 3..13 (7 aside), so the
+        # chunks end inside grid rows, and a run of 7 cells may hold no
+        # k-free cell at all
+        monkeypatch.setattr(cli, "PAYLOAD_BLOCK", block)
+        box = sieve_box(n, 2, radius)
+        assert _points_payload(box, fmt) == points_payload_by_format(box, fmt)
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_box_without_points(self, fmt):
         box = sieve_box(4, 2, 2)
@@ -655,6 +671,36 @@ class TestImports:
         assert err.startswith("search exhausted: ")
         assert "cyclofree.certificates" in modules
         assert not {"mpmath", "cyclofree.kfree", "cyclofree.symmetries"} & modules
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("sieve", "--n", "4", "--k", "2", "--radius", "5", "--prime-bound", "1000"),
+            ("density", "--n", "4", "--k", "2", "--radius", "5", "--prime-bound", "1000"),
+            ("symcheck", "--n", "4", "--k", "2", "--radius", "5", "--samples", "5"),
+            ("admissible", "--in", "patch.json"),
+            ("zeta", "--n", "4", "--k", "2", "--prime-bound", "1000"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_do_not_load_openssl(self, tmp_path, argv):
+        # the payload digest comes from CPython's built-in SHA-256
+        patch_file = tmp_path / "patch.json"
+        patch_file.write_text(patch_to_json(PatchConfig(shape=((0, 0), (0, 1)), fill=0b11), 4, 2))
+        argv = [str(patch_file) if arg == "patch.json" else arg for arg in argv]
+        code, _, modules = fresh_run(tmp_path, *argv)
+        assert code == 0
+        assert "_hashlib" not in modules
+
+    def test_builtin_sha256_matches_hashlib(self):
+        assert cli.sha256.__module__ in ("_sha2", "_sha256")
+        assert cli.sha256().hexdigest() == hashlib.sha256().hexdigest()
+        chunks = list(_point_chunks(sieve_box(5, 2, 10), "csv"))
+        assert len(chunks) > 4
+        digest = cli.sha256()
+        for chunk in chunks:
+            digest.update(chunk)
+        assert digest.hexdigest() == hashlib.sha256(b"".join(chunks)).hexdigest()
 
     def test_prime_bound_above_the_limit_is_exit_three(self, tmp_path):
         # Far above the limit, where a byte sieve cannot be allocated, and

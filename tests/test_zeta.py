@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -6,6 +7,7 @@ from fractions import Fraction
 import pytest
 from _oracles import character_oracle_gaussian, dedekind_zeta_by_fractions, log_by_mpmath
 
+from cyclofree import zeta
 from cyclofree.zeta import (
     Interval,
     dedekind_zeta,
@@ -112,6 +114,29 @@ def test_long_tail_matches_fraction_oracle(n, k):
     assert (z.lower, z.upper, z.log_lower, z.log_upper) == (
         ref.lower, ref.upper, ref.log_lower, ref.log_upper
     )
+
+
+@pytest.mark.parametrize("n, k, bound", [(4, 2, 12_000), (5, 3, 12_000), (12, 2, 3_000), (7, 2, 200)])
+def test_undecided_head_falls_back_to_the_exact_product(monkeypatch, n, k, bound):
+    # With no guard bits the head's enclosure is wider than one unit of the
+    # 192-bit result, so Ziv's test cannot decide and the exact product runs.
+    exact_heads = []
+    exact_head = zeta._exact_head
+    monkeypatch.setattr(zeta, "_exact_head", lambda *args: exact_heads.append(args) or exact_head(*args))
+    decided = dedekind_zeta.__wrapped__(n, k, bound)  # past the lru_cache
+    assert not exact_heads
+    monkeypatch.setattr(zeta, "HEAD_GUARD_BITS", 0)
+    forced = dedekind_zeta.__wrapped__(n, k, bound)
+    assert exact_heads == [(n, k, min(bound, zeta.EXACT_HEAD_BOUND))]
+    assert forced == decided == dedekind_zeta_by_fractions(n, k, bound)
+
+
+def test_degree_100_enclosure_is_pinned():
+    # The digest of the enclosure as computed with the exact head product
+    # of all 1,229 head primes (about 4 s); Ziv's test decides it in 0.2 s.
+    doc = dedekind_zeta(101, 4, 100_000).to_json()
+    digest = "faf68336915b20b667098b6d54b9ff82c38deb0f2c25a4221c449e3a4e72671b"
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
 
 
 class TestDensityConstant:
