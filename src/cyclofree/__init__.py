@@ -23,6 +23,7 @@ _EXPORTS = {
     "ConductorError": "arith",
     "CycInt": "cyclotomic",
     "DensityReport": "kfree",
+    "FactorBudgetError": "arith",
     "FourSumsReport": "certificates",
     "GaloisGroup": "symmetries",
     "IdealLattice": "lattices",
@@ -40,7 +41,7 @@ _EXPORTS = {
     "dedekind_zeta": "zeta",
     "density_constant": "zeta",
     "density_estimate": "kfree",
-    "determinant": "lattices",
+    "determinant": "arith",
     "enumerate_prime_ideals": "prime_ideals",
     "entropy_constant": "zeta",
     "extract_patches": "kfree",

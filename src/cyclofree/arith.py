@@ -1,12 +1,13 @@
 """Rational integer utilities: primes, factoring, orders, integer roots,
-and the conductor arithmetic of Z[zeta_n]: its validation, its degree
-phi(n), and how each rational prime splits in it.
+the Bareiss determinant, and the conductor arithmetic of Z[zeta_n]: its
+validation, its degree phi(n), and how each rational prime splits in it.
 
 Everything here is deterministic.  Factoring is trial division backed by
 Brent's cycle-finding rho with a fixed parameter schedule, so repeated runs
 produce identical factorizations.  Inputs at or beyond FACTOR_LIMIT are
-rejected instead of being allowed to run for an unbounded time, and prime
-sieves above PRIME_BOUND_LIMIT instead of allocating gigabytes.
+rejected, and rho stops after RHO_STEP_BUDGET steps, instead of being
+allowed to run for an unbounded time; prime sieves above PRIME_BOUND_LIMIT
+are refused instead of allocating gigabytes.
 """
 
 from __future__ import annotations
@@ -14,9 +15,14 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import chain, compress
-from typing import Iterator
+from typing import Iterator, Sequence
 
 FACTOR_LIMIT = 1 << 128
+
+# Steps y -> y^2 + c that one _brent_rho call may take: ten times the most
+# any test takes (64,894, on a 67-bit norm).  Products of two random 32-bit
+# primes took at most 236,286 steps in 300 tries.
+RHO_STEP_BUDGET = 650_000
 
 # primes_up_to holds a byte per odd integer up to its bound (half a byte per
 # integer) and the primes found: a 32 MB peak at 10^7, 0.32 GB at this limit.
@@ -26,7 +32,11 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class ResourceCapError(RuntimeError):
-    """A request exceeds a fixed cap on points or primes."""
+    """A request exceeds a fixed cap on points, primes or factoring steps."""
+
+
+class FactorBudgetError(ResourceCapError):
+    """Rho took more than RHO_STEP_BUDGET steps on one number."""
 
 
 class ConductorError(ValueError):
@@ -91,11 +101,15 @@ def _brent_rho(m: int) -> int:
     """A nontrivial factor of the odd composite m (Brent's variant).
 
     The polynomial increment c walks 1, 2, 3, ... so the search is
-    deterministic; it cannot fail forever because some c always works
-    for composite m.
+    deterministic.  The steps y -> y^2 + c of all increments are counted
+    once per doubling of the cycle length r, and FactorBudgetError is
+    raised once they pass RHO_STEP_BUDGET.  A round of length r takes at
+    most 2 r steps, two more than all rounds before it at this c, so a call
+    stops within twice the budget plus two.
     """
     if m % 2 == 0:
         return 2
+    steps = 0
     for c in range(1, 100):
         y, r, q = 2, 1, 1
         g, x, ys = 1, y, y
@@ -111,6 +125,9 @@ def _brent_rho(m: int) -> int:
                     q = q * abs(x - y) % m
                 g = math.gcd(q, m)
                 k += 128
+            steps += r + min(k, r)
+            if g == 1 and steps > RHO_STEP_BUDGET:
+                raise FactorBudgetError(f"rho took {steps} steps on {m} without a factor")
             r <<= 1
         if g == m:
             g = 1
@@ -125,7 +142,9 @@ def _brent_rho(m: int) -> int:
 def factor_integer(m: int) -> dict[int, int]:
     """Factor |m| into primes, as an exponent map sorted by prime.
 
-    Raises ValueError for |m| >= FACTOR_LIMIT (runtime guard) and for m = 0.
+    Raises ValueError for |m| >= FACTOR_LIMIT and for m = 0, and
+    FactorBudgetError when rho takes more than RHO_STEP_BUDGET steps to
+    split one composite factor.
     """
     m = abs(m)
     if m == 0:
@@ -267,6 +286,31 @@ def integer_kth_root(m: int, k: int) -> int:
         if s >= r:
             return r
         r = s
+
+
+def determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Exact integer determinant by Bareiss fraction-free elimination."""
+    n = len(matrix)
+    m = [list(map(int, row)) for row in matrix]
+    if any(len(row) != n for row in m):
+        raise ValueError("matrix must be square")
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1] if n else 1
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .arith import factor_integer, is_prime, primes_up_to, validate_conductor
+from .arith import FactorBudgetError, factor_integer, is_prime, primes_up_to, validate_conductor
 from .cyclotomic import CycInt
 from .lattices import ideal_lattice
 from .prime_ideals import candidate_ideals
@@ -176,8 +176,8 @@ def verify_lemma_factors(candidate: AqCandidate, m: int, j: int) -> LemmaFactors
     y is 2-free, lies outside W_2, and every rational prime below a
     divisor of y splits completely mod m (in particular none divides m).
 
-    If the norm resists factoring within the configured capacity the
-    report is returned partial instead of wrong.
+    If the norm is past FACTOR_LIMIT or rho runs out of its step budget,
+    the report is returned partial instead of wrong.
     """
     n, a = candidate.n, candidate.a
     if n % m != 0 or m < 3 or m % 4 == 2:
@@ -189,7 +189,7 @@ def verify_lemma_factors(candidate: AqCandidate, m: int, j: int) -> LemmaFactors
     try:
         factors = tuple(sorted(factor_integer(norm))) if norm != 1 else ()
         complete = True
-    except ValueError:
+    except (ValueError, FactorBudgetError):
         factors = ()
         complete = False
     # is_kfree(y, 2) from the factors at hand: y is in P^2 when its coset code is 0.

@@ -33,31 +33,6 @@ from .cyclotomic import CycInt, _exact_dtype
 BLOCK_ROWS = 1 << 12
 
 
-def determinant(matrix: Sequence[Sequence[int]]) -> int:
-    """Exact integer determinant by Bareiss fraction-free elimination."""
-    n = len(matrix)
-    m = [list(map(int, row)) for row in matrix]
-    if any(len(row) != n for row in m):
-        raise ValueError("matrix must be square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1] if n else 1
-
-
 class RankError(ValueError):
     pass
 

@@ -22,9 +22,9 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .arith import factor_integer, primes_up_to, ring_degree, validate_conductor
+from .arith import determinant, factor_integer, primes_up_to, ring_degree, validate_conductor
 from .cyclotomic import CycInt, _exact_dtype, norm_array
-from .lattices import BLOCK_ROWS, box_blocks, determinant
+from .lattices import BLOCK_ROWS, box_blocks
 from .prime_ideals import kfree_mask, wk_mask
 from . import kfree as kfree_mod
 
@@ -241,26 +241,16 @@ def sample_rows(box: kfree_mod.KFreeBox, sample_size: int, seed: int) -> np.ndar
 
 
 def verify_stabiliser_action(
-    element: SymmetryElement,
-    box: kfree_mod.KFreeBox,
-    sample_size: int = 1000,
-    seed: int = 0,
-    include_inverse: bool = True,
-    sample: Optional[np.ndarray] = None,
+    element: SymmetryElement, box: kfree_mod.KFreeBox, sample_size: int = 1000, seed: int = 0
 ) -> ActionReport:
-    """Check that the element and its inverse map k-free points sampled from
-    the sieved box to k-free points; the expected failure count is zero.
-
-    sample, when given, is the rows to check in place of
-    sample_rows(box, sample_size, seed).  One element of
-    verify_stabiliser_actions."""
-    if sample is None:
-        sample = sample_rows(box, sample_size, seed)
-    return verify_stabiliser_actions([element], box, sample, include_inverse)[0]
+    """Check that the element and its inverse map the k-free points
+    sample_rows(box, sample_size, seed) to k-free points; the expected
+    failure count is zero.  One element of verify_stabiliser_actions."""
+    return verify_stabiliser_actions([element], box, sample_rows(box, sample_size, seed))[0]
 
 
 def verify_stabiliser_actions(
-    elements: Sequence[SymmetryElement], box: kfree_mod.KFreeBox, sample: np.ndarray, include_inverse: bool = True
+    elements: Sequence[SymmetryElement], box: kfree_mod.KFreeBox, sample: np.ndarray
 ) -> list[ActionReport]:
     """verify_stabiliser_action of each element on one sample: the images
     under every element and its inverse are stacked and tested by one
@@ -271,44 +261,17 @@ def verify_stabiliser_actions(
         raise ValueError("conductor mismatch")
     if not elements:
         return []
-    maps = [m for el in elements for m in ((el, el.inverse()) if include_inverse else (el,))]
+    maps = [m for el in elements for m in (el, el.inverse())]
     ok = np.empty((len(maps), len(sample)), dtype=bool)  # ok[i]: the images under maps[i]
     step = max(1, STACK_ROWS // len(maps))
     for start in range(0, len(sample), step):
         images = np.concatenate([_act(sample[start : start + step], m.matrix) for m in maps])
         ok[:, start : start + step] = kfree_mask(images, box.n, box.k).reshape(len(maps), -1)
-    per = len(maps) // len(elements)
     return [
-        ActionReport(box.n, box.k, el.describe(), per * len(sample),
-                     [tuple(p) for block in ok[i * per : (i + 1) * per] for p in sample[~block].tolist()])
+        ActionReport(box.n, box.k, el.describe(), 2 * len(sample),
+                     [tuple(p) for block in ok[2 * i : 2 * i + 2] for p in sample[~block].tolist()])
         for i, el in enumerate(elements)
     ]
-
-
-def _shell_blocks(radius: int, d: int) -> Iterator[np.ndarray]:
-    """The points of Z^d with sup norm radius >= 1, in lexicographic order,
-    as int64 blocks.  A first coordinate of -radius or radius leads the
-    whole (d-1)-box; each value between leads the (d-1)-shell, which is
-    built once and tiled when it fits in a block."""
-    if d == 1:
-        yield np.array([[-radius], [radius]], dtype=np.int64)
-        return
-
-    def led_by(firsts, rows):
-        # each first coordinate in turn, ahead of every row
-        return np.column_stack((np.repeat(firsts, len(rows)), np.tile(rows, (len(firsts), 1))))
-
-    yield from (led_by([-radius], block) for block in box_blocks(radius, d - 1))
-    middle = np.arange(1 - radius, radius, dtype=np.int64)
-    if (2 * radius + 1) ** (d - 1) - (2 * radius - 1) ** (d - 1) <= BLOCK_ROWS:
-        inner = np.concatenate(list(_shell_blocks(radius, d - 1)))
-        step = BLOCK_ROWS // len(inner)
-        for i in range(0, len(middle), step):
-            yield led_by(middle[i : i + step], inner)
-    else:
-        for first in middle:
-            yield from (led_by([first], block) for block in _shell_blocks(radius, d - 1))
-    yield from (led_by([radius], block) for block in box_blocks(radius, d - 1))
 
 
 def _joined(blocks: Iterator[np.ndarray]) -> Iterator[np.ndarray]:
@@ -332,12 +295,15 @@ def scan_for_violation(
     whose image under the raw integer matrix is not k-free; None if none
     exists up to the cap.
 
-    A matrix outside the unit-Galois family is expected to produce one,
-    though this scan cannot certify where.
+    Each radius's shell is the rows of box_blocks(radius, d) with sup norm
+    radius, joined into blocks of at least BLOCK_ROWS rows.  A matrix
+    outside the unit-Galois family is expected to produce one, though this
+    scan cannot certify where.
     """
     d = ring_degree(n)
     for radius in range(1, radius_cap + 1):
-        for block in _joined(_shell_blocks(radius, d)):
+        shell = (block[np.abs(block).max(axis=1) == radius] for block in box_blocks(radius, d))
+        for block in _joined(shell):
             rows = block[kfree_mask(block, n, k)]
             bad = np.flatnonzero(~kfree_mask(_act(rows, matrix), n, k))
             if len(bad):

@@ -46,6 +46,10 @@ EXACT_HEAD_BOUND = 10_000
 # Extra bits of the head's fixed-point enclosure, which decides the exact
 # head's rounding without forming it (Ziv's test).
 HEAD_GUARD_BITS = 64
+# log_interval rounds outward to multiples of 2^-LOG_PRECISION_BITS, and the
+# JSON payloads print DECIMAL_DIGITS digits after the point.
+LOG_PRECISION_BITS = 256
+DECIMAL_DIGITS = 40
 ROUNDING_NOTE = "outward fixed-point (floor/ceil) at 192 bits; exact rationals below 10^4"
 
 
@@ -143,16 +147,16 @@ def _log_fixed(x: Fraction, bits: int) -> tuple[int, int]:
     return lo + 2 * at_lo, hi + 2 * at_hi
 
 
-def log_interval(interval: Interval, precision: int = 256) -> Interval:
+def log_interval(interval: Interval) -> Interval:
     """Rigorous enclosure of [log lower, log upper]: each endpoint is
     summed with GUARD_BITS extra bits, then rounded outward to a multiple
-    of 2^-precision."""
+    of 2^-LOG_PRECISION_BITS."""
     if interval.lower <= 0:
         raise ValueError("log needs a positive interval")
-    bits = precision + GUARD_BITS
+    bits = LOG_PRECISION_BITS + GUARD_BITS
     lo, _ = _log_fixed(interval.lower, bits)
     _, hi = _log_fixed(interval.upper, bits)
-    one = 1 << precision
+    one = 1 << LOG_PRECISION_BITS
     return Interval(Fraction(lo >> GUARD_BITS, one), Fraction(-(-hi >> GUARD_BITS), one))
 
 
@@ -161,14 +165,14 @@ def log2_interval() -> Interval:
     return log_interval(Interval(Fraction(2), Fraction(2)))
 
 
-def _decimal_string(x: Fraction, digits: int, round_up: bool) -> str:
-    scale = 10**digits
+def _decimal_string(x: Fraction, round_up: bool) -> str:
+    scale = 10**DECIMAL_DIGITS
     scaled = x * scale
     value = -((-scaled.numerator) // scaled.denominator) if round_up else scaled.numerator // scaled.denominator
     sign = "-" if value < 0 else ""
     value = abs(value)
     whole, frac = divmod(value, scale)
-    return f"{sign}{whole}.{frac:0{digits}d}"
+    return f"{sign}{whole}.{frac:0{DECIMAL_DIGITS}d}"
 
 
 @dataclass(frozen=True)
@@ -192,16 +196,16 @@ class ZetaValue:
     def width(self) -> Fraction:
         return self.upper - self.lower
 
-    def to_json(self, digits: int = 40) -> str:
+    def to_json(self) -> str:
         return json.dumps(
             {
                 "n": self.n,
                 "k": self.k,
                 "prime_bound": self.prime_bound,
-                "lower": _decimal_string(self.lower, digits, round_up=False),
-                "upper": _decimal_string(self.upper, digits, round_up=True),
-                "log_lower": _decimal_string(self.log_lower, digits, round_up=False),
-                "log_upper": _decimal_string(self.log_upper, digits, round_up=True),
+                "lower": _decimal_string(self.lower, round_up=False),
+                "upper": _decimal_string(self.upper, round_up=True),
+                "log_lower": _decimal_string(self.log_lower, round_up=False),
+                "log_upper": _decimal_string(self.log_upper, round_up=True),
                 "precision_bits": self.precision_bits,
                 "rounding": ROUNDING_NOTE,
             },
@@ -320,10 +324,10 @@ def entropy_constant(n: int, k: int, prime_bound: int) -> Interval:
     return log2_interval() * density_constant(n, k, prime_bound)
 
 
-def interval_to_json(interval: Interval, digits: int = 40, **extra) -> str:
+def interval_to_json(interval: Interval, **extra) -> str:
     payload = {
-        "lower": _decimal_string(interval.lower, digits, round_up=False),
-        "upper": _decimal_string(interval.upper, digits, round_up=True),
+        "lower": _decimal_string(interval.lower, round_up=False),
+        "upper": _decimal_string(interval.upper, round_up=True),
     }
     payload.update(extra)
     return json.dumps(payload, sort_keys=True)

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from _oracles import character_oracle_gaussian, euler_phi
 
-from cyclofree.arith import primes_up_to
+from cyclofree.arith import determinant, primes_up_to
 from cyclofree.cyclotomic import ring_degree
 from cyclofree.kfree import (
     density_estimate,
@@ -19,7 +19,7 @@ from cyclofree.kfree import (
     patch_entropy_estimate,
     sieve_box,
 )
-from cyclofree.lattices import box_blocks, determinant, ideal_lattice
+from cyclofree.lattices import box_blocks, ideal_lattice
 from cyclofree.prime_ideals import kfree_mask, split_prime
 from cyclofree.certificates import aq_search, vanishing_four_sums, verify_lemma_factors
 from cyclofree.symmetries import generator_elements, verify_stabiliser_action
@@ -129,7 +129,7 @@ def test_criterion_05_stabiliser_action():
         for k in (2, 3):
             box = sieve_box(n, k, radius)
             for el in elements:
-                rep = verify_stabiliser_action(el, box, sample_size=1000, include_inverse=True)
+                rep = verify_stabiliser_action(el, box, sample_size=1000)
                 assert rep.passed, (n, k, el.describe(), rep.failures[:3])
                 total_checked += rep.checked
     report("5", True, f"zero failures over {total_checked} mapped points; group law exact")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from _oracles import points_payload_by_format
 
-from cyclofree import cli
+from cyclofree import arith, cli
 from cyclofree.arith import ResourceCapError
 from cyclofree.cli import PAYLOAD_BLOCK, _point_chunks, _points_payload, main
 from cyclofree.kfree import KFreeBox, PatchConfig, patch_to_json, sieve_box
@@ -419,6 +419,14 @@ class TestManifest:
         assert main(["sieve", "--n", "4", "--k", "2", "--radius", "3", "--out", str(out)]) == code
         assert list(tmp_path.iterdir()) == []
 
+    def test_rho_out_of_budget_is_exit_three(self, tmp_path, monkeypatch, capsys):
+        # ring_degree factors the conductor, a product of two 30-bit primes
+        monkeypatch.setattr(arith, "RHO_STEP_BUDGET", 10)
+        conductor = 1_000_000_007 * 999_999_937
+        assert main(["zeta", "--n", str(conductor), "--k", "2", "--out", str(tmp_path / "z.json")]) == 3
+        assert capsys.readouterr().err.startswith("resource limit: rho took ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_failed_follow_up_leaves_no_payload(self, tmp_path, capsys):
         # the density report of sieve cannot be written over a directory
         out = tmp_path / "p.csv"
@@ -709,6 +717,17 @@ class TestImports:
         assert code == 3
         assert err.startswith("resource limit: prime bound ")
         assert not {"cyclofree.kfree", "numpy"} & modules
+
+    def test_determinant_loads_no_numpy(self):
+        # the Bareiss determinant sits in arith, off the lattice stack
+        script = (
+            "import sys\n"
+            "from cyclofree.arith import determinant\n"
+            "assert determinant([[2, 0, 1], [1, 3, 0], [0, 1, 4]]) == 25\n"
+            "sys.exit('numpy' in sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     def test_benchmark_tracer_installs(self):
         # bench/tracer.py wraps library names it looks up by getattr; a

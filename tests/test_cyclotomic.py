@@ -16,8 +16,7 @@ from cyclofree.cyclotomic import (
     ring_degree,
 )
 from cyclofree import cyclotomic
-from cyclofree.arith import ConductorError, factor_integer, is_prime
-from cyclofree.lattices import determinant
+from cyclofree.arith import ConductorError, determinant, factor_integer, is_prime
 
 CONDUCTORS = [3, 4, 5, 8, 12]
 

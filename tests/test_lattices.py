@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 
 from _oracles import box_points, degree_one_primes, ideal_power_by_recursion, lattice_walk
 from cyclofree import lattices
+from cyclofree.arith import determinant
 from cyclofree.cyclotomic import ring_degree
 from cyclofree.lattices import (
     RankError,
     box_blocks,
-    determinant,
     hnf,
     ideal_lattice,
 )

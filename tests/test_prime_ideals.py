@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from hypothesis import strategies as st
 from cyclofree import arith, gfpoly, kfree
 from cyclofree.arith import (
     FACTOR_LIMIT,
+    FactorBudgetError,
+    ResourceCapError,
     factor_integer,
     integer_kth_root,
     is_prime,
@@ -87,6 +90,22 @@ class TestIntegerArithmetic:
     def test_factor_limit_guard(self):
         with pytest.raises(ValueError, match="2\\^128"):
             factor_integer(FACTOR_LIMIT)
+
+    def test_rho_stops_at_its_step_budget(self, monkeypatch):
+        # rho takes about 2 * 10^5 steps to split this product of two 34-bit primes
+        p, q = 15_032_385_569, 16_106_139_713
+        assert factor_integer(p * q) == {p: 1, q: 1}
+        monkeypatch.setattr(arith, "RHO_STEP_BUDGET", 10**4)
+        with pytest.raises(FactorBudgetError, match="steps"):
+            factor_integer(p * q)
+        assert issubclass(FactorBudgetError, ResourceCapError)
+
+    def test_balanced_120_bit_semiprime_is_refused_within_seconds(self):
+        p, q = 1_008_806_316_530_991_113, 1_080_863_910_568_931_389
+        start = time.perf_counter()
+        with pytest.raises(FactorBudgetError):
+            factor_integer(p * q)
+        assert time.perf_counter() - start < 5
 
     def test_kth_root(self):
         assert integer_kth_root(624, 4) == 4

@@ -9,7 +9,7 @@ from _oracles import (
     apply, apply_element, box_points, euler_phi, is_kfree_by_valuations, scan_for_violation_by_box,
 )
 
-from cyclofree.arith import factor_integer, primes_up_to
+from cyclofree.arith import FactorBudgetError, determinant, factor_integer, primes_up_to
 from cyclofree.cyclotomic import CycInt, ring_degree
 from cyclofree.kfree import sieve_box
 from cyclofree.prime_ideals import is_in_Wk, split_prime, valuation
@@ -26,7 +26,6 @@ from cyclofree.symmetries import (
     galois_group,
     generator_elements,
     identity_element,
-    _shell_blocks,
     sample_rows,
     scan_for_violation,
     symmetry_element,
@@ -36,7 +35,6 @@ from cyclofree.symmetries import (
     verify_stabiliser_action,
     verify_stabiliser_actions,
 )
-from cyclofree.lattices import box_blocks, determinant
 from cyclofree.prime_ideals import is_kfree
 
 CONDUCTORS = [3, 4, 5, 8, 12]
@@ -197,17 +195,18 @@ class TestStabiliserAction:
         assert not is_kfree(CycInt(4, image), 2)
 
     def test_shear_failures_match_the_oracle_loop(self):
+        # the element's failing rows come first, in sample order, then the inverse's
         shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
         box = sieve_box(4, 2, 20)
-        report = verify_stabiliser_action(
-            shear, box, sample_size=300, seed=3, include_inverse=False
-        )
+        report = verify_stabiliser_action(shear, box, sample_size=300, seed=3)
         sample = random.Random(3).sample(box.sorted_points(), 300)
-        expected = [
-            p for p in sample if not is_kfree_by_valuations(CycInt(4, apply(shear, p)), 2)
-        ]
-        assert report.failures == expected
-        assert report.failures and report.checked == 300
+        by_shear, by_inverse = (
+            [p for p in sample if not is_kfree_by_valuations(CycInt(4, apply(mapping, p)), 2)]
+            for mapping in (shear, shear.inverse())
+        )
+        assert by_shear and by_inverse
+        assert report.failures == by_shear + by_inverse
+        assert report.checked == 2 * 300
 
     def test_shear_Wk_and_coprimality_failures_match_the_oracle_loop(self):
         # Both checks act by the element's matrix, not by (unit, r): here the
@@ -245,25 +244,21 @@ class TestStabiliserAction:
         el = symmetry_element(CycInt.root(4), 1)
         assert scan_for_violation(el.matrix, 4, 2, radius_cap=6) is None
 
-    @pytest.mark.parametrize("d, radius", [(1, 3), (2, 1), (2, 9), (3, 30), (4, 1), (4, 20), (5, 2)])
-    def test_shell_is_the_box_rows_of_sup_norm_radius(self, d, radius):
-        # (3, 30) tiles a 2-shell; (4, 20) walks a 3-shell past BLOCK_ROWS per first value
-        box = np.concatenate(list(box_blocks(radius, d)))
-        shell = np.concatenate(list(_shell_blocks(radius, d)))
-        assert np.array_equal(shell, box[np.abs(box).max(axis=1) == radius])
-
     @pytest.mark.parametrize(
-        "n, matrix, stabilises",
+        "n, matrix, stabilises, cap",
         [
-            (4, symmetry_element(CycInt.root(4), 1).matrix, True),
-            (4, ((1, 1), (0, 1)), False),
-            (5, symmetry_element(CycInt.root(5), 2).matrix, True),
-            (5, ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), False),
+            (4, symmetry_element(CycInt.root(4), 1).matrix, True, 12),
+            (4, symmetry_element(CycInt.root(4), 1).matrix, True, 30),
+            (4, ((1, 1), (0, 1)), False, 12),
+            (5, symmetry_element(CycInt.root(5), 2).matrix, True, 4),
+            (5, ((1, 1, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)), False, 4),
+            (8, tuple(tuple(int(i == j or (i, j) == (0, 1)) for j in range(4)) for i in range(4)), False, 3),
+            (12, symmetry_element(CycInt.root(12), 5).matrix, True, 3),
         ],
-        ids=["n4-stabiliser", "n4-shear", "n5-stabiliser", "n5-shear"],
+        ids=["n4-stabiliser", "n4-stabiliser-cap30", "n4-shear", "n5-stabiliser", "n5-shear", "n8-shear",
+             "n12-stabiliser"],
     )
-    def test_shell_scan_matches_the_box_scan(self, n, matrix, stabilises):
-        cap = 12 if n == 4 else 4
+    def test_shell_scan_matches_the_box_scan(self, n, matrix, stabilises, cap):
         witness = scan_for_violation(matrix, n, 2, radius_cap=cap)
         assert witness == scan_for_violation_by_box(matrix, n, 2, radius_cap=cap)
         assert (witness is None) == stabilises
@@ -286,40 +281,33 @@ class TestStabiliserActionBatch:
         sample = sample_rows(box, 200, 7)
         elements = generator_elements(n)
         batch = verify_stabiliser_actions(elements, box, sample)
-        assert batch == [verify_stabiliser_action(el, box, sample=sample) for el in elements]
+        assert batch == [verify_stabiliser_action(el, box, sample_size=200, seed=7) for el in elements]
         assert all(r.passed and r.checked == 2 * len(sample) for r in batch)
 
-    @pytest.mark.parametrize("include_inverse", [True, False])
     @pytest.mark.parametrize("stack_rows", [1 << 15, 7, 1])
-    def test_shear_between_generators_gets_its_own_failures(self, include_inverse, stack_rows, monkeypatch):
+    def test_shear_between_generators_gets_its_own_failures(self, stack_rows, monkeypatch):
         # 7 images cut the 300 rows into uneven slices; 1 gives one row a slice
         monkeypatch.setattr("cyclofree.symmetries.STACK_ROWS", stack_rows)
         shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
         first, *rest = generator_elements(4)
         box = sieve_box(4, 2, 20)
         sample = sample_rows(box, 300, 3)
-        reports = verify_stabiliser_actions([first, shear, *rest], box, sample, include_inverse)
-        maps = [shear, shear.inverse()] if include_inverse else [shear]
+        reports = verify_stabiliser_actions([first, shear, *rest], box, sample)
         expected = [
-            p for mapping in maps for p in map(tuple, sample.tolist())
+            p for mapping in (shear, shear.inverse()) for p in map(tuple, sample.tolist())
             if not is_kfree_by_valuations(CycInt(4, apply(mapping, p)), 2)
         ]
         assert reports[1].failures == expected and expected
-        assert reports[1].checked == len(maps) * len(sample)
+        assert reports[1].checked == 2 * len(sample)
         assert reports[1].element == shear.describe()
         assert all(r.passed for i, r in enumerate(reports) if i != 1)
 
-    def test_empty_sample_and_no_inverse(self):
+    def test_empty_sample_and_no_elements(self):
         box = sieve_box(12, 2, 2)
         elements = generator_elements(12)
-        empty = sample_rows(box, 0, 0)
-        for include_inverse in (True, False):
-            reports = verify_stabiliser_actions(elements, box, empty, include_inverse)
-            assert [(r.checked, r.failures) for r in reports] == [(0, [])] * len(elements)
-        sample = sample_rows(box, 50, 1)
-        reports = verify_stabiliser_actions(elements, box, sample, include_inverse=False)
-        assert [r.checked for r in reports] == [len(sample)] * len(elements)
-        assert verify_stabiliser_actions([], box, sample) == []
+        reports = verify_stabiliser_actions(elements, box, sample_rows(box, 0, 0))
+        assert [(r.checked, r.failures) for r in reports] == [(0, [])] * len(elements)
+        assert verify_stabiliser_actions([], box, sample_rows(box, 50, 1)) == []
 
 
 class TestWkPreservation:
@@ -437,6 +425,17 @@ class TestLemmaFactors:
         # a unit would sit inside W_2 and fail the outside_W2 assertion
         report = verify_lemma_factors(candidate, 4, 1)
         assert report.norm > 1 and report.outside_W2
+
+    def test_rho_budget_gives_a_partial_report(self, candidate, monkeypatch):
+        import cyclofree.certificates as certificates_mod
+
+        def exhausted(value):
+            raise FactorBudgetError(f"rho took too many steps on {value}")
+
+        monkeypatch.setattr(certificates_mod, "factor_integer", exhausted)
+        report = verify_lemma_factors(candidate, 3, 1)
+        assert not report.complete and not report.passed
+        assert report.prime_factors == () and not report.two_free
 
     def test_invalid_divisors_rejected(self, candidate):
         with pytest.raises(ValueError):

@@ -212,7 +212,7 @@ class TestIntegerLog:
         iv = log_interval(Interval(x, x))
         assert iv.lower <= log_by_mpmath(x) <= iv.upper, x
         assert iv.width < Fraction(1, 2**240), x
-        # endpoints are multiples of 2^-256, the default precision
+        # endpoints are multiples of 2^-256, 2^-LOG_PRECISION_BITS
         assert (iv.lower * 2**256).denominator == 1 and (iv.upper * 2**256).denominator == 1
 
     @pytest.mark.parametrize("kind", ["below-one", "near-one", "up-to-1e100"])
@@ -230,10 +230,12 @@ class TestIntegerLog:
         iv = log_interval(Interval(x, y))
         assert iv.lower <= log_by_mpmath(x) and log_by_mpmath(y) <= iv.upper
 
-    def test_precision_sets_the_grid(self):
-        iv = log_interval(Interval(Fraction(5), Fraction(5)), precision=64)
+    def test_precision_sets_the_grid(self, monkeypatch):
+        monkeypatch.setattr(zeta, "LOG_PRECISION_BITS", 64)
+        iv = log_interval(Interval(Fraction(5), Fraction(5)))
         assert iv.lower <= log_by_mpmath(Fraction(5)) <= iv.upper
         assert iv.width <= Fraction(2, 2**64)
+        assert (iv.lower * 2**64).denominator == 1 and (iv.upper * 2**64).denominator == 1
 
     def test_non_positive_interval_rejected(self):
         with pytest.raises(ValueError, match="positive"):
