@@ -32,7 +32,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 class ResourceCapError(RuntimeError):
-    """A request exceeds a fixed cap on points, primes or factoring steps."""
+    """A request exceeds a fixed cap on points, primes or factoring steps.
+    The CLI exits 3 and prefixes the message with the class's label."""
+
+    label = "resource limit"
 
 
 class FactorBudgetError(ResourceCapError):

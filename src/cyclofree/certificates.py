@@ -17,11 +17,12 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .arith import FactorBudgetError, factor_integer, is_prime, primes_up_to, validate_conductor
+from .arith import (
+    FactorBudgetError, ResourceCapError, factor_integer, is_prime, primes_up_to, validate_conductor,
+)
 from .cyclotomic import CycInt
 from .lattices import ideal_lattice
 from .prime_ideals import candidate_ideals
@@ -48,8 +49,10 @@ def splitting_primes(m: int, bound: int) -> SplittingPrimeSet:
     return SplittingPrimeSet(m=m, bound=bound, primes=primes)
 
 
-class AqNotFound(RuntimeError):
+class AqNotFound(ResourceCapError):
     """No a up to the search bound meets (H1), (H2) and the bounded (H3)."""
+
+    label = "search exhausted"
 
 
 def _h3_moduli(n: int, ell_bound: int, q: int) -> list[int]:
@@ -87,15 +90,14 @@ class AqCandidate:
     a: int
     ell_bound: int
 
-    def validate(self, ell_bound: Optional[int] = None) -> bool:
-        bound = ell_bound if ell_bound is not None else self.ell_bound
+    def validate(self) -> bool:
         if not _check_h1(self.a, self.n, self.q):
             return False
         if any(self.a % p != 0 for p in factor_integer(self.n)):
             return False
         return all(
             pow(self.a, self.n, ell * ell) != 1
-            for ell in _h3_moduli(self.n, bound, self.q)
+            for ell in _h3_moduli(self.n, self.ell_bound, self.q)
         )
 
     def to_json(self) -> str:
@@ -260,6 +262,10 @@ class FourSumsReport:
         )
 
 
+# The largest n whose four-term sums vanishing_four_sums enumerates.
+FOUR_SUMS_CAP = 120
+
+
 @lru_cache(maxsize=None)
 def _roots_of_order(order: int) -> tuple[CycInt, ...]:
     """zeta_order^t for t = 0..order-1, realized in a valid host conductor."""
@@ -276,7 +282,7 @@ def _roots_of_order(order: int) -> tuple[CycInt, ...]:
     return tuple(CycInt.root(order, t) for t in range(order))
 
 
-def vanishing_four_sums(n: int, cap: int = 120) -> FourSumsReport:
+def vanishing_four_sums(n: int) -> FourSumsReport:
     """Exhaustive enumeration of +-1 four-term vanishing sums of n-th roots
     of unity with no vanishing proper subsum, normalized to first exponent
     0 and first sign +1.
@@ -287,8 +293,8 @@ def vanishing_four_sums(n: int, cap: int = 120) -> FourSumsReport:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise ValueError(f"n = {n} exceeds the configured cap {cap}")
+    if n > FOUR_SUMS_CAP:
+        raise ValueError(f"n = {n} exceeds the cap {FOUR_SUMS_CAP}")
     roots = _roots_of_order(n)
     table = np.array([r.coeffs for r in roots], dtype=np.int64)
     d = table.shape[1]

@@ -13,7 +13,8 @@ time, hashed and written as it is encoded, so memory grows with the box's
 cells, not with its points times their text.  Everything that can refuse a
 command runs before the first byte is written.  The manifest follows the
 last chunk, and its wall_time_s covers encoding, hashing and writing too.
-A command that fails partway through leaves no --out file behind.
+A command that fails partway through leaves no --out file and no manifest
+behind.
 
 Exit codes: 0 success, 2 invalid parameters, 3 resource limit, 4
 verification failure (a failed symmetry check is loud by design).
@@ -53,39 +54,27 @@ EXIT_VERIFY = 4
 PAYLOAD_BLOCK = 1 << 14
 
 
-def _emit(args, command: str, params: dict, chunks: Iterable[bytes], seed: int, start: float) -> None:
-    """Write the payload chunk by chunk to --out or stdout, hashing each,
-    then the manifest; wall_time_s runs from start to the last chunk."""
+# Parsed arguments the manifest does not list as parameters: the command
+# and the seed have fields of their own, func is the handler, and where the
+# payload goes does not change its bytes.
+_NOT_PARAMETERS = ("command", "func", "out", "seed")
+
+
+def _emit(args, chunks: Iterable[bytes], start: float, write) -> str:
+    """Write the payload chunk by chunk, hashing each, and return the
+    manifest text; its wall_time_s runs from start to the last chunk."""
     digest = sha256()
-
-    def manifest() -> str:
-        return json.dumps({
-            "command": command,
-            "parameters": params,
-            "seed": seed,
-            "version": __version__,
-            "wall_time_s": round(time.perf_counter() - start, 6),
-            "output_digest": digest.hexdigest(),
-        }, sort_keys=True) + "\n"
-
-    out = getattr(args, "out", None)
-    if not out:
-        for chunk in chunks:  # every payload ends in a newline
-            digest.update(chunk)
-            sys.stdout.write(chunk.decode("utf-8"))
-        sys.stderr.write(manifest())
-        return
-    fh = open(out, "wb")  # a path that cannot be opened leaves nothing to remove
-    try:
-        with fh:
-            for chunk in chunks:
-                digest.update(chunk)
-                fh.write(chunk)
-        Path(str(out) + ".manifest.json").write_text(manifest(), encoding="utf-8")
-    except BaseException:
-        # no payload is left cut short or without its manifest
-        Path(out).unlink(missing_ok=True)
-        raise
+    for chunk in chunks:
+        digest.update(chunk)
+        write(chunk)
+    return json.dumps({
+        "command": args.command,
+        "parameters": {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS},
+        "seed": args.seed,
+        "version": __version__,
+        "wall_time_s": round(time.perf_counter() - start, 6),
+        "output_digest": digest.hexdigest(),
+    }, sort_keys=True) + "\n"
 
 
 def _point_chunks(box, fmt: str) -> Iterator[bytes]:
@@ -126,35 +115,37 @@ def _points_payload(box, fmt: str) -> bytes:
     return b"".join(_point_chunks(box, fmt))
 
 
-# Parsed arguments the manifest does not list as parameters: the command
-# and the seed have fields of their own, func is the handler, and where the
-# payload goes does not change its bytes.
-_NOT_PARAMETERS = ("command", "func", "out", "seed")
-
-
 def _run(args) -> int:
     """Run a command's body, emit its payload and manifest, then run its
     follow-up.  Each cmd_* body returns (payload chunks, follow-up or None)
-    after everything that can refuse the command has run; the chunks may be
-    a generator that encodes as it is written.  A follow-up writes side
-    reports after the manifest and returns the exit code; when it raises,
-    the --out file and its manifest are removed.  The manifest parameters
-    are the command's parsed options, and its wall time covers the body and
-    the encoding, hashing and writing of the payload."""
+    after everything that can refuse the command has run, so --out is
+    opened only then; the chunks may be a generator that encodes as it is
+    written.  A follow-up writes side reports after the manifest and
+    returns the exit code.  The manifest parameters are the command's
+    parsed options, and its wall time covers the body and the encoding,
+    hashing and writing of the payload.
+
+    Whatever fails, from the first chunk to the follow-up, the files this
+    run opened (the --out payload, then its manifest) are removed, so no
+    payload is left cut short or without its manifest.  A path that open()
+    refused is never touched."""
     start = time.perf_counter()
     chunks, after = args.func(args)
-    params = {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS}
-    _emit(args, args.command, params, chunks, seed=args.seed, start=start)
-    if not after:
-        return EXIT_OK
+    opened = []
     try:
-        return after()
+        if not args.out:  # every payload ends in a newline
+            sys.stderr.write(_emit(args, chunks, start, lambda chunk: sys.stdout.write(chunk.decode("utf-8"))))
+        else:
+            with open(args.out, "wb") as fh:
+                opened.append(args.out)
+                manifest = _emit(args, chunks, start, fh.write)
+            with open(str(args.out) + ".manifest.json", "w", encoding="utf-8") as fh:
+                opened.append(fh.name)
+                fh.write(manifest)
+        return after() if after else EXIT_OK
     except BaseException:
-        # a failed command leaves no --out file and no manifest
-        out = getattr(args, "out", None)
-        if out:
-            Path(out).unlink(missing_ok=True)
-            Path(str(out) + ".manifest.json").unlink(missing_ok=True)
+        for path in opened:
+            Path(path).unlink(missing_ok=True)
         raise
 
 
@@ -342,18 +333,15 @@ def main(argv=None) -> int:
     args = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         return _run(args)
-    except ValueError as exc:  # arith.ConductorError among them
+    except (ValueError, OSError) as exc:
+        # arith.ConductorError is a ValueError; a missing --in file or a
+        # directory as --in or --out is an OSError
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INVALID
     except _loaded_error("arith", "ResourceCapError") as exc:
-        sys.stderr.write(f"resource limit: {exc}\n")
+        # every refusal for a cap, AqNotFound among them, named by its label
+        sys.stderr.write(f"{exc.label}: {exc}\n")
         return EXIT_RESOURCE
-    except _loaded_error("certificates", "AqNotFound") as exc:
-        sys.stderr.write(f"search exhausted: {exc}\n")
-        return EXIT_RESOURCE
-    except OSError as exc:  # a missing --in file, a directory as --in or --out
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_INVALID
 
 
 def run() -> None:

@@ -264,17 +264,6 @@ class CycInt:
         """Field norm over Q, exact: the one-row norm_array."""
         return int(norm_array(self.n, np.array([self.coeffs], dtype=object))[0])
 
-    def inverse_unit(self) -> "CycInt":
-        """Inverse of a unit: the product of the other conjugates over the norm."""
-        nrm = self.norm()
-        if abs(nrm) != 1:
-            raise ValueError("element is not a unit")
-        acc = CycInt.one(self.n)
-        for r in range(2, self.n):
-            if math.gcd(r, self.n) == 1:
-                acc = acc * self.galois(r)
-        return acc * nrm
-
     def __repr__(self):
         return f"CycInt({self.n}, {self.coeffs})"
 

@@ -94,10 +94,10 @@ def unit_generators(n: int) -> list[CycInt]:
 
 @dataclass(frozen=True)
 class SymmetryElement:
-    """A unit-times-Galois map with its integer matrix on Z^d."""
+    """A unit-times-Galois map x -> unit * sigma_r(x) as its integer matrix
+    on Z^d; the unit is the image of 1, column 0 of the matrix."""
 
     n: int
-    unit: CycInt
     r: int
     matrix: Matrix
 
@@ -105,27 +105,27 @@ class SymmetryElement:
     def d(self) -> int:
         return len(self.matrix)
 
+    @property
+    def unit(self) -> CycInt:
+        return CycInt(self.n, tuple(row[0] for row in self.matrix))
+
     def compose(self, other: "SymmetryElement") -> "SymmetryElement":
-        """self after other: the matrix product, with the matching (unit, r)."""
+        """self after other: the matrix product, with r r' mod n."""
         if other.n != self.n:
             raise ValueError("conductor mismatch")
         cols = list(zip(*other.matrix))
         matrix = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.matrix)
-        return SymmetryElement(
-            self.n, self.unit * other.unit.galois(self.r), (self.r * other.r) % self.n, matrix
-        )
+        return SymmetryElement(self.n, (self.r * other.r) % self.n, matrix)
 
     def inverse(self) -> "SymmetryElement":
-        """The exact inverse of the unimodular matrix, with the matching (unit, r)."""
-        r_inv = pow(self.r, -1, self.n)
-        return SymmetryElement(
-            self.n, self.unit.inverse_unit().galois(r_inv), r_inv, _unimodular_inverse(self.matrix)
-        )
+        """The exact inverse of the unimodular matrix, with r^-1 mod n."""
+        return SymmetryElement(self.n, pow(self.r, -1, self.n), _unimodular_inverse(self.matrix))
 
     def describe(self) -> dict:
         """(unit, r), plus the matrix when it is not the map of (unit, r)."""
-        out = {"unit_coeffs": list(self.unit.coeffs), "r": self.r}
-        if self.matrix != _map_matrix(self.unit, self.r):
+        unit = self.unit
+        out = {"unit_coeffs": list(unit.coeffs), "r": self.r}
+        if self.matrix != _map_matrix(unit, self.r):
             out["matrix"] = [list(row) for row in self.matrix]
         return out
 
@@ -152,17 +152,15 @@ def _unimodular_inverse(matrix: Matrix) -> Matrix:
 
 
 def symmetry_element(unit: CycInt, r: int) -> SymmetryElement:
-    """Build the matrix of x -> unit * sigma_r(x); unit must have |norm| 1."""
+    """Build the matrix of x -> unit * sigma_r(x).  Its determinant is
+    +-N(unit), so it is unimodular exactly when the multiplier is a unit."""
     n = unit.n
     if math.gcd(r, n) != 1:
         raise ValueError(f"{r} is not invertible modulo {n}")
-    if abs(unit.norm()) != 1:
-        raise ValueError("multiplier must be a unit")
     matrix = _map_matrix(unit, r)
-    det = determinant(matrix)
-    if abs(det) != 1:
-        raise ArithmeticError(f"symmetry matrix has determinant {det}")
-    return SymmetryElement(n=n, unit=unit, r=r, matrix=matrix)
+    if abs(determinant(matrix)) != 1:
+        raise ValueError("multiplier must be a unit")
+    return SymmetryElement(n=n, r=r, matrix=matrix)
 
 
 def identity_element(n: int) -> SymmetryElement:

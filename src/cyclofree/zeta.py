@@ -9,8 +9,11 @@ table (arith.residue_splitting); the primes are read one at a time from
 the Eratosthenes byte sieve, so none is re-tested for primality and no
 list of them is built.  Past 10^4 each factor is applied in 192-bit fixed
 point with floor/ceil rounding: one divmod per prime gives the floors and
-ceilings, and so the bytes, of two divisions.  The head, ell <= 10^4, is
-applied exactly once: floor(lo H) and ceil(hi H) for its exact product H.
+ceilings, and so the bytes, of two divisions.  A prime whose q exceeds g
+times the upper end, as bit lengths show before q is formed, lowers the
+lower end by exactly one unit and leaves the upper end, so primes of large
+residue degree cost no power of ell.  The head, ell <= 10^4, is applied
+exactly once: floor(lo H) and ceil(hi H) for its exact product H.
 The same recurrence over the head at 192 + 64 bits encloses H, and when
 both ends of that enclosure round lo (and hi) to the same integer, that
 integer is the exact result (Ziv's rounding test, ACM TOMS 17, 1991);
@@ -186,7 +189,6 @@ class ZetaValue:
     upper: Fraction
     log_lower: Fraction
     log_upper: Fraction
-    precision_bits: int = PRECISION_BITS
 
     @property
     def interval(self) -> Interval:
@@ -206,7 +208,7 @@ class ZetaValue:
                 "upper": _decimal_string(self.upper, round_up=True),
                 "log_lower": _decimal_string(self.log_lower, round_up=False),
                 "log_upper": _decimal_string(self.log_upper, round_up=True),
-                "precision_bits": self.precision_bits,
+                "precision_bits": PRECISION_BITS,
                 "rounding": ROUNDING_NOTE,
             },
             sort_keys=True,
@@ -264,9 +266,12 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     #   ceil(hi (q-1)/q) = hi - floor(hi/q)   -> delta' = delta + [R > 0] - (R + delta) // q;
     # with (Q, R) = divmod(lo p, q^g), p = (q-1)^g and g > 1, lo' = Q and
     # delta' = ceil((R + delta p) / q^g).  Either way delta grows by at most
-    # 1 per prime, and each prime costs one divmod of lo.  The head primes
-    # run from 2^wide and give hl <= 2^wide H <= hh for the exact head
-    # product H; the tail primes then run from 2^PRECISION_BITS.
+    # 1 per prime, and each prime costs one divmod of lo.  When q > hi g,
+    # which bit lengths decide before q is formed, x (1 - 1/q)^g lies in
+    # (x - 1, x) for x = lo and x = hi, so lo' = lo - 1 and delta' = delta
+    # + 1 exactly: a prime of large residue degree costs no power.  The
+    # head primes run from 2^wide and give hl <= 2^wide H <= hh for the
+    # exact head product H; the tail primes then run from 2^PRECISION_BITS.
     wide = PRECISION_BITS + HEAD_GUARD_BITS
     lo, delta, head = 1 << wide, 0, None
     switch = EXACT_HEAD_BOUND
@@ -275,6 +280,9 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
         if ell > switch:  # the first tail prime: the head is done
             head, lo, delta, switch = (lo, lo + delta), one, 0, prime_bound
         _, f, g = splitting[ell % n]
+        if f * k * (ell.bit_length() - 1) > (lo + delta).bit_length() + g.bit_length():
+            lo, delta = lo - 1, delta + 1  # q > hi g
+            continue
         q = ell ** (f * k)
         if g == 1:
             quot, rem = divmod(lo, q)

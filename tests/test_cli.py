@@ -349,6 +349,16 @@ class TestAqCommand:
         )
         assert code == 3
 
+    def test_exhausted_search_is_a_labelled_resource_cap(self, tmp_path, capsys):
+        from cyclofree.certificates import AqNotFound
+
+        assert issubclass(AqNotFound, ResourceCapError)
+        assert (AqNotFound.label, ResourceCapError.label) == ("search exhausted", "resource limit")
+        argv = ["aq", "--n", "12", "--q", "13", "--ell-bound", "500", "--a-bound", "4"]
+        assert main(argv + ["--out", str(tmp_path / "a.json")]) == 3
+        assert capsys.readouterr().err == "search exhausted: no candidate for n=12, q=13 in [1, 4]\n"
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestPatchesCommand:
     def test_census_payload(self, tmp_path):
@@ -451,6 +461,28 @@ class TestManifest:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+
+    def test_manifest_cut_short_leaves_no_files(self, tmp_path):
+        # A 100-byte file size limit lets the payload through whole and
+        # cuts its longer manifest short: the write past the limit fails
+        # with EFBIG (the interpreter ignores SIGXFSZ).
+        resource = pytest.importorskip("resource")
+        patch_file = tmp_path / "patch.json"
+        patch_file.write_text(patch_to_json(PatchConfig(shape=((0, 0), (0, 1)), fill=0b11), 4, 2))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (100, 100))
+
+        done = subprocess.run(
+            [sys.executable, "-B", "-m", "cyclofree.cli", "admissible", "--in", str(patch_file),
+             "--out", str(out_dir / "a.json")],
+            capture_output=True, text=True, preexec_fn=limit_file_size,
+        )
+        assert done.returncode == 2 and done.stderr.startswith("error: ")
+        assert list(out_dir.iterdir()) == []
 
 
 class TestEntryPoint:

@@ -343,18 +343,3 @@ class TestConductorConvention:
             CycInt.one(6)
         with pytest.raises(ConductorError, match="conductor 5"):
             CycInt.one(10)
-
-
-class TestUnitInverse:
-    def test_inverse_of_units(self):
-        rng = random.Random(9)
-        for n in CONDUCTORS:
-            for t in range(n):
-                u = CycInt.root(n, t)
-                assert u * u.inverse_unit() == CycInt.one(n)
-        u = CycInt.one(12) - CycInt.root(12)
-        assert u * u.inverse_unit() == CycInt.one(12)
-
-    def test_non_unit_rejected(self):
-        with pytest.raises(ValueError):
-            CycInt.from_int(4, 2).inverse_unit()

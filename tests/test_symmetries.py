@@ -141,18 +141,26 @@ class TestSymmetryElements:
 
     def test_inverse_and_compose_act_on_the_matrix(self):
         # (unit, r) = (1, 1) is the identity, but the matrix is a shear.
-        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        shear = SymmetryElement(n=4, r=1, matrix=((1, 1), (0, 1)))
         assert shear.inverse().matrix == ((1, -1), (0, 1))
         assert shear.compose(shear.inverse()).matrix == identity_element(4).matrix
         assert shear.compose(shear).matrix == ((1, 2), (0, 1))
 
     def test_describe_names_a_matrix_that_is_not_the_map(self):
-        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        shear = SymmetryElement(n=4, r=1, matrix=((1, 1), (0, 1)))
         report = verify_stabiliser_action(shear, sieve_box(4, 2, 5), sample_size=20)
         assert report.element == {"unit_coeffs": [1, 0], "r": 1, "matrix": [[1, 1], [0, 1]]}
         for n in CONDUCTORS:
             for el in generator_elements(n):
                 assert el.describe() == {"unit_coeffs": list(el.unit.coeffs), "r": el.r}
+
+    def test_inverses_and_composites_of_generators_are_maps(self):
+        # the unit read from column 0 with r r' (or r^-1) rebuilds each matrix
+        for n in CONDUCTORS:
+            gens = generator_elements(n)
+            for el in [g.inverse() for g in gens] + [a.compose(b) for a in gens for b in gens[:3]]:
+                assert "matrix" not in el.describe()
+                assert el.matrix == symmetry_element(el.unit, el.r).matrix
 
     def test_non_unit_rejected(self):
         with pytest.raises(ValueError):
@@ -196,7 +204,7 @@ class TestStabiliserAction:
 
     def test_shear_failures_match_the_oracle_loop(self):
         # the element's failing rows come first, in sample order, then the inverse's
-        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        shear = SymmetryElement(n=4, r=1, matrix=((1, 1), (0, 1)))
         box = sieve_box(4, 2, 20)
         report = verify_stabiliser_action(shear, box, sample_size=300, seed=3)
         sample = random.Random(3).sample(box.sorted_points(), 300)
@@ -211,7 +219,7 @@ class TestStabiliserAction:
     def test_shear_Wk_and_coprimality_failures_match_the_oracle_loop(self):
         # Both checks act by the element's matrix, not by (unit, r): here the
         # matrix is a shear while (unit, r) = (1, 1) is the identity.
-        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        shear = SymmetryElement(n=4, r=1, matrix=((1, 1), (0, 1)))
         inverse = shear.inverse()
 
         def in_w2(point):
@@ -288,7 +296,7 @@ class TestStabiliserActionBatch:
     def test_shear_between_generators_gets_its_own_failures(self, stack_rows, monkeypatch):
         # 7 images cut the 300 rows into uneven slices; 1 gives one row a slice
         monkeypatch.setattr("cyclofree.symmetries.STACK_ROWS", stack_rows)
-        shear = SymmetryElement(n=4, unit=CycInt.one(4), r=1, matrix=((1, 1), (0, 1)))
+        shear = SymmetryElement(n=4, r=1, matrix=((1, 1), (0, 1)))
         first, *rest = generator_elements(4)
         box = sieve_box(4, 2, 20)
         sample = sample_rows(box, 300, 3)

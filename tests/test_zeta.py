@@ -116,6 +116,27 @@ def test_long_tail_matches_fraction_oracle(n, k):
     )
 
 
+@pytest.mark.parametrize("n, k", [(11, 2), (7, 3)])
+def test_primes_of_large_residue_degree_skip_the_power(n, k):
+    # The tail's upper end has at most PRECISION_BITS + 1 bits, so each
+    # prime listed here takes the one-unit step without forming q; the
+    # enclosure, bit for bit, and its JSON are those of the fraction oracle.
+    from cyclofree.arith import _sieved_primes, residue_splitting
+
+    splitting = residue_splitting(n)
+    skipped = [
+        ell for ell in _sieved_primes(12_000) if ell > zeta.EXACT_HEAD_BOUND
+        and splitting[ell % n][1] * k * (ell.bit_length() - 1)
+        > zeta.PRECISION_BITS + 1 + splitting[ell % n][2].bit_length()
+    ]
+    assert len(skipped) > 20
+    z, ref = dedekind_zeta(n, k, 12_000), dedekind_zeta_by_fractions(n, k, 12_000)
+    assert (z.lower, z.upper, z.log_lower, z.log_upper) == (
+        ref.lower, ref.upper, ref.log_lower, ref.log_upper
+    )
+    assert z.to_json() == ref.to_json()
+
+
 @pytest.mark.parametrize("n, k, bound", [(4, 2, 12_000), (5, 3, 12_000), (12, 2, 3_000), (7, 2, 200)])
 def test_undecided_head_falls_back_to_the_exact_product(monkeypatch, n, k, bound):
     # With no guard bits the head's enclosure is wider than one unit of the
