@@ -10,11 +10,11 @@ from cyclofree import hereditary_check, is_admissible, sieve_box
 
 print("sieved windows are admissible")
 box = sieve_box(4, 2, 30)
-print(f"  radius 30 window, {box.count} points: {is_admissible(set(box.sorted_points()), 4, 2)}")
+print(f"  radius 30 window, {box.count} points: {is_admissible(box.point_array(), 4, 2)}")
 print()
 
 print("heredity: random subsets stay admissible")
-print(f"  40 random subsets pass: {hereditary_check(box, trials=40, seed=0)}")
+print(f"  40 random subsets pass: {hereditary_check(box, trials=40)}")
 print()
 
 print("a full residue square [0,4)^2 covers all cosets of the lattice of (2)")

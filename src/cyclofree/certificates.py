@@ -244,23 +244,6 @@ class FourSumsReport:
     solutions: list[FourSumSolution]
     all_divide_six: bool
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n,
-                "solutions": [
-                    {
-                        "signs": list(s.signs),
-                        "exponents": list(s.exponents),
-                        "reduced_order": s.reduced_order,
-                    }
-                    for s in self.solutions
-                ],
-                "all_divide_six": self.all_divide_six,
-            },
-            sort_keys=True,
-        )
-
 
 # The largest n whose four-term sums vanishing_four_sums enumerates.
 FOUR_SUMS_CAP = 120

@@ -2,11 +2,12 @@
 
 Each command computes a payload (JSON, or CSV for point clouds), writes it
 to --out or stdout, and emits a run manifest carrying the parameters, the
-seed, and a SHA-256 digest of the payload bytes.  Payload bytes depend only
-on the parameters and the seed, never on wall time, so rerunning a manifest
-reproduces the digest.  The digest comes from CPython's built-in SHA-256
-module, not from hashlib, whose OpenSSL library would add about 3.6 MB to
-every process.
+seed (null for the commands that sample nothing: only symcheck takes
+--seed), and a SHA-256 digest of the payload bytes.  Payload bytes depend
+only on the parameters and the seed, never on wall time, so rerunning a
+manifest reproduces the digest.  The digest comes from CPython's built-in
+SHA-256 module, not from hashlib, whose OpenSSL library would add about
+3.6 MB to every process.
 
 A point payload is streamed from the sieve's occupancy grid a chunk at a
 time, hashed and written as it is encoded, so memory grows with the box's
@@ -70,7 +71,7 @@ def _emit(args, chunks: Iterable[bytes], start: float, write) -> str:
     return json.dumps({
         "command": args.command,
         "parameters": {key: value for key, value in vars(args).items() if key not in _NOT_PARAMETERS},
-        "seed": args.seed,
+        "seed": getattr(args, "seed", None),
         "version": __version__,
         "wall_time_s": round(time.perf_counter() - start, 6),
         "output_digest": digest.hexdigest(),
@@ -218,7 +219,7 @@ def cmd_symcheck(args):
         "k": args.k,
         "radius": args.radius,
         "samples": args.samples,
-        "elements": [json.loads(r.to_json()) for r in reports],
+        "elements": [r.to_dict() for r in reports],
         "total_checked": sum(r.checked for r in reports),
         "total_failures": failures,
     }, sort_keys=True))
@@ -260,7 +261,6 @@ def cmd_patches(args):
 
 def _add_common(parser, radius=False, prime_bound=None):
     parser.add_argument("--out", type=str, default=None, help="payload file (default stdout)")
-    parser.add_argument("--seed", type=int, default=0, help="seed for sampling commands")
     if radius:
         parser.add_argument("--radius", type=int, required=True, help="box half-width")
     if prime_bound is not None:
@@ -285,7 +285,9 @@ _COMMANDS = {
     "admissible": ("admissibility of a patch file", cmd_admissible,
                    (("--in", {"type": str, "required": True}),), {}),
     "symcheck": ("verify generator symmetries on sieved points", cmd_symcheck,
-                 (*_N_K, ("--samples", {"type": int, "default": 1000})), {"radius": True}),
+                 (*_N_K, ("--samples", {"type": int, "default": 1000}),
+                  ("--seed", {"type": int, "default": 0, "help": "seed of the point sample"})),
+                 {"radius": True}),
     "aq": ("search the least a_q meeting (H1)(H2)(H3)", cmd_aq,
            tuple((flag, _REQUIRED_INT) for flag in ("--n", "--q", "--ell-bound", "--a-bound")), {}),
     "patches": ("patch census over a sieved box", cmd_patches,

@@ -23,7 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ if TYPE_CHECKING:
     from fractions import Fraction
 
 DEFAULT_MAX_POINTS = 20_000_000
+HEREDITY_SEED = 0
 
 
 def point_cap() -> int:
@@ -212,7 +213,7 @@ class DensityReport:
         )
 
 
-def density_estimate(box: KFreeBox, prime_bound: int = 100_000) -> DensityReport:
+def density_estimate(box: KFreeBox, prime_bound: int) -> DensityReport:
     """Empirical density of the box against the zeta reference interval."""
     from . import zeta as zeta_mod  # here, so commands that take no density skip the module
 
@@ -361,21 +362,23 @@ def census_entropy(census: dict[PatchConfig, int]) -> float:
 # admissibility and heredity
 
 
-def is_admissible(points: Iterable[Sequence[int]], n: int, k: int) -> bool:
-    """A finite set is admissible when it misses at least one coset of
-    every lattice of an ideal power P^k.
+def is_admissible(points: np.ndarray, n: int, k: int) -> bool:
+    """A finite set, given as an (m, d) array of its points (or anything
+    np.asarray reads as one), is admissible when it misses at least one
+    coset of every lattice of an ideal power P^k.
 
     Only ideals with N(P)^k <= |set| can be covered, since the coset
     count of the others already exceeds the set size (repeated points
     only raise that cap).  A lattice is covered when the points take all
     of its index <= |set| coset codes, counted by np.bincount.  Raises
-    ValueError unless the points lie in Z^d, d = phi(n).
+    ValueError unless the points are an (m, d) array, d = phi(n); a Python
+    set is not one.
     """
     validate_conductor(n)
     if k < 2:
         raise ValueError("k must be >= 2")
-    pts = points if isinstance(points, np.ndarray) else np.array(list(points))
-    if not len(pts):
+    pts = np.asarray(points)
+    if pts.ndim and not len(pts):  # a set reads as a 0-d array, which has no length
         return True
     d = ring_degree(n)
     if pts.ndim != 2 or pts.shape[1] != d:
@@ -389,15 +392,16 @@ def is_admissible(points: Iterable[Sequence[int]], n: int, k: int) -> bool:
     return True
 
 
-def hereditary_check(box: KFreeBox, trials: int, seed: int = 0) -> bool:
-    """Admissibility of uniformly random subsets of the sieved window.
+def hereditary_check(box: KFreeBox, trials: int) -> bool:
+    """Admissibility of uniformly random subsets of the sieved window,
+    drawn with seed HEREDITY_SEED.
 
     Heredity of the k-free configurations predicts every subset passes;
     returns the conjunction over the trials.
     """
     import random
 
-    rng = random.Random(seed)
+    rng = random.Random(HEREDITY_SEED)
     pts = box.point_array()
     for _ in range(trials):
         keep = np.array([rng.random() < 0.5 for _ in range(len(pts))], dtype=bool)

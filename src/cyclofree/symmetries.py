@@ -30,6 +30,14 @@ from . import kfree as kfree_mod
 
 Matrix = tuple[tuple[int, ...], ...]
 STACK_ROWS = 1 << 15  # images per kfree_mask call of verify_stabiliser_actions
+WK_SEARCH_RADIUS = 5  # the box verify_Wk_preservation searches for W_k elements
+# verify_coprimality_transport samples COPRIMALITY_SAMPLE points, with seed
+# COPRIMALITY_SEED, from the k-free points of the box of radius
+# COPRIMALITY_RADIUS, and tests the unramified primes up to COPRIMALITY_PRIMES.
+COPRIMALITY_SAMPLE = 20
+COPRIMALITY_SEED = 0
+COPRIMALITY_RADIUS = 10
+COPRIMALITY_PRIMES = 50
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +201,18 @@ class ActionReport:
     def passed(self) -> bool:
         return not self.failures
 
+    def to_dict(self) -> dict:
+        """The report as JSON values, each failure as a list."""
+        return {
+            "element": self.element,
+            "n": self.n,
+            "k": self.k,
+            "checked": self.checked,
+            "failures": [list(p) for p in self.failures],
+        }
+
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "element": self.element,
-                "n": self.n,
-                "k": self.k,
-                "checked": self.checked,
-                "failures": [list(p) for p in self.failures],
-            },
-            sort_keys=True,
-        )
+        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _act(rows: np.ndarray, matrix: Matrix) -> np.ndarray:
@@ -309,14 +318,10 @@ def scan_for_violation(
     return None
 
 
-def verify_Wk_preservation(
-    element: SymmetryElement,
-    k: int,
-    norm_bound: int,
-    search_radius: int = 5,
-) -> ActionReport:
+def verify_Wk_preservation(element: SymmetryElement, k: int, norm_bound: int) -> ActionReport:
     """Image and preimage, under the element's matrix, stay in W_k for every
-    W_k element found in the search box with |norm| <= norm_bound.
+    W_k element found in the box of radius WK_SEARCH_RADIUS with |norm| <=
+    norm_bound.
 
     W_k contains infinitely many elements (all roots of unity, for one),
     so the enumeration is box-bounded by construction.
@@ -325,7 +330,7 @@ def verify_Wk_preservation(
     inverse = element.inverse()
     failures = []
     checked = 0
-    for block in box_blocks(search_radius, ring_degree(n)):
+    for block in box_blocks(WK_SEARCH_RADIUS, ring_degree(n)):
         norms = norm_array(n, block)
         rows = block[(norms != 0) & (norms <= norm_bound)]
         rows = rows[wk_mask(rows, n, k)]
@@ -335,25 +340,19 @@ def verify_Wk_preservation(
     return ActionReport(n=n, k=k, element=element.describe(), checked=checked, failures=failures)
 
 
-def verify_coprimality_transport(
-    element: SymmetryElement,
-    k: int,
-    prime_bound: int = 50,
-    r_box: int = 10,
-    sample_size: int = 20,
-    seed: int = 0,
-) -> ActionReport:
+def verify_coprimality_transport(element: SymmetryElement, k: int) -> ActionReport:
     """Ideal-coprimality with unramified primes survives the action of the
     element's matrix: if no prime ideal above p divides x, none divides the
-    image either.  Some P above p divides x exactly when p divides N(x), so
-    the norms of the sample and of its images are taken once."""
+    image either, for x in a sample of k-free points (see COPRIMALITY_SAMPLE).
+    Some P above p divides x exactly when p divides N(x), so the norms of
+    the sample and of its images are taken once."""
     n = element.n
-    sample = sample_rows(kfree_mod.sieve_box(n, k, r_box), sample_size, seed)
+    sample = sample_rows(kfree_mod.sieve_box(n, k, COPRIMALITY_RADIUS), COPRIMALITY_SAMPLE, COPRIMALITY_SEED)
     images = _act(sample, element.matrix)
     x_norms, y_norms = norm_array(n, sample), norm_array(n, images)
     failures = []
     checked = 0
-    for ell in (p for p in primes_up_to(prime_bound) if n % p):
+    for ell in (p for p in primes_up_to(COPRIMALITY_PRIMES) if n % p):
         x_coprime = x_norms % ell != 0
         y_coprime = y_norms % ell != 0
         checked += int(np.count_nonzero(x_coprime))

@@ -18,7 +18,11 @@ The same recurrence over the head at 192 + 64 bits encloses H, and when
 both ends of that enclosure round lo (and hi) to the same integer, that
 integer is the exact result (Ziv's rounding test, ACM TOMS 17, 1991);
 only otherwise is H formed, by a balanced product tree over the head
-sieved afresh.  The omitted tail satisfies
+sieved afresh.  That product leaves out every factor with q > 2^2048,
+as bit lengths show before q is formed, and bounds their product by s, the
+sum of their g; when that bound leaves the rounding undecided, the request
+is refused with ResourceCapError, so no power of millions of bits is ever
+formed.  The omitted tail satisfies
 
     0 <= log(tail of zeta) <= phi(n) * sum_{m > B} 2 m^-k
                            <= 2 phi(n) B^(1-k) / (k-1),
@@ -42,13 +46,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import _sieved_primes, residue_splitting, ring_degree, validate_conductor
+from .arith import ResourceCapError, _sieved_primes, residue_splitting, ring_degree, validate_conductor
 
 PRECISION_BITS = 192
 EXACT_HEAD_BOUND = 10_000
 # Extra bits of the head's fixed-point enclosure, which decides the exact
 # head's rounding without forming it (Ziv's test).
 HEAD_GUARD_BITS = 64
+# The exact head leaves out the factors with q > 2^HEAD_FACTOR_BITS and
+# bounds their product instead.
+HEAD_FACTOR_BITS = 2048
 # log_interval rounds outward to multiples of 2^-LOG_PRECISION_BITS, and the
 # JSON payloads print DECIMAL_DIGITS digits after the point.
 LOG_PRECISION_BITS = 256
@@ -225,17 +232,24 @@ def _tree_product(values: list[int]) -> int:
     return values[0] if values else 1
 
 
-def _exact_head(n: int, k: int, bound: int) -> tuple[int, int]:
-    """The head product prod_{ell <= bound} ((q-1)/q)^g as one unreduced
-    pair (numerator, denominator), the primes sieved afresh."""
+def _exact_head(n: int, k: int, bound: int) -> tuple[int, int, int]:
+    """The head product prod_{ell <= bound} ((q-1)/q)^g, the primes sieved
+    afresh, as one unreduced pair (numerator, denominator) and s.  The
+    factors with f k (bitlen(ell) - 1) > HEAD_FACTOR_BITS are left out and
+    s is the sum of their g: each has q > 2^HEAD_FACTOR_BITS, so (1 -
+    1/q)^g > 1 - g 2^-HEAD_FACTOR_BITS, and their product E lies in
+    (1 - s 2^-HEAD_FACTOR_BITS, 1), or is 1 when s = 0."""
     splitting = residue_splitting(n)
-    nums, dens = [], []
+    nums, dens, skipped = [], [], 0
     for ell in _sieved_primes(bound):
         _, f, g = splitting[ell % n]
+        if f * k * (ell.bit_length() - 1) > HEAD_FACTOR_BITS:
+            skipped += g
+            continue
         q = ell ** (f * k)
         nums.append((q - 1) ** g)
         dens.append(q**g)
-    return _tree_product(nums), _tree_product(dens)
+    return _tree_product(nums), _tree_product(dens), skipped
 
 
 @lru_cache(maxsize=None)
@@ -298,14 +312,27 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     hi = lo + delta
     # Ziv's test: floor and ceiling are monotone, so when the head's two
     # bounds round lo (and hi) to the same integer, that integer is the
-    # floor of lo H (the ceiling of hi H).  Otherwise H is formed exactly.
+    # floor of lo H (the ceiling of hi H).  Otherwise H is formed exactly,
+    # but for the factors _exact_head only bounds.
     hl, hh = head
     low, high = lo * hl >> wide, -(-hi * hh >> wide)
     if low != lo * hh >> wide or high != -(-hi * hl >> wide):
         # The head stays unreduced: a common factor of num and den does not
-        # change the floor or ceiling of lo * num / den.
-        num, den = _exact_head(n, k, min(prime_bound, EXACT_HEAD_BOUND))
-        low, high = (lo * num) // den, -((-hi * num) // den)
+        # change the floor or ceiling of lo * num / den.  H = E num/den, and
+        # for s > 0, E in (1 - s 2^-T, 1) with T = HEAD_FACTOR_BITS puts
+        # floor(lo H) in [floor(x (2^T - s) / (den 2^T)), ceil(x/den) - 1] for
+        # x = lo num, and ceil(hi H) in [floor(y (2^T - s) / (den 2^T)) + 1,
+        # ceil(y/den)] for y = hi num; for s = 0 both ends are exact.  Below,
+        # (x - 1) // den = ceil(x/den) - 1 and ceil((z + 1)/w) = floor(z/w) + 1.
+        num, den, skipped = _exact_head(n, k, min(prime_bound, EXACT_HEAD_BOUND))
+        cut, wide_den, some = (1 << HEAD_FACTOR_BITS) - skipped, den << HEAD_FACTOR_BITS, skipped > 0
+        x, y = lo * num, hi * num
+        low, high = (x - some) // den, -(-y // den)
+        if low != x * cut // wide_den or high != -(-(y * cut + some) // wide_den):
+            raise ResourceCapError(
+                f"the exact Euler head at n={n}, k={k} leaves out factors whose "
+                "product does not decide its rounding"
+            )
     partial = Interval(Fraction(low, one), Fraction(high, one))
     # zeta = 1/partial * tail_inverse with tail_inverse in [1, 1/(1-tail)]
     zeta_lower = 1 / partial.upper

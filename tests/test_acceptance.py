@@ -137,8 +137,8 @@ def test_criterion_05_stabiliser_action():
 
 def test_criterion_06_admissibility_and_heredity():
     box = sieve_box(4, 2, 50)
-    assert is_admissible(set(box.sorted_points()), 4, 2)
-    assert hereditary_check(box, trials=100, seed=0)
+    assert is_admissible(box.point_array(), 4, 2)
+    assert hereditary_check(box, trials=100)
     cover = [(a, b) for a in range(4) for b in range(4)]
     assert not is_admissible(cover, 4, 2)
     report(

@@ -408,7 +408,7 @@ class TestManifest:
         code, _, manifest = run(tmp_path, *argv)
         assert code == 0
         assert manifest["command"] == argv[0] and manifest["parameters"] == parameters
-        assert manifest["seed"] == (2 if argv[0] == "symcheck" else 0)
+        assert manifest["seed"] == (2 if argv[0] == "symcheck" else None)
 
     def test_directory_as_output_is_exit_two(self, tmp_path, capsys):
         code = main(["zeta", "--n", "4", "--k", "2", "--prime-bound", "1000", "--out", str(tmp_path)])
@@ -598,7 +598,7 @@ COMMAND_OPTIONS = {
     "density": ("--n", "4", "--k", "2", "--radius", "3"),
     "zeta": ("--n", "4", "--k", "2", "--prime-bound", "2000"),
     "entropy": ("--n", "4", "--k", "2"),
-    "admissible": ("--in", "patch.json", "--seed", "3"),
+    "admissible": ("--in", "patch.json"),
     "symcheck": ("--n", "4", "--k", "2", "--radius", "3", "--samples", "5"),
     "aq": ("--n", "12", "--q", "13", "--ell-bound", "100", "--a-bound", "10"),
     "patches": ("--n", "4", "--k", "2", "--radius", "3", "--shape", "[[0, 0]]"),
@@ -625,6 +625,13 @@ class TestParser:
 
     def test_every_command_is_covered(self):
         assert set(COMMAND_OPTIONS) == set(cli._COMMANDS)
+
+    @pytest.mark.parametrize("command", [c for c in COMMAND_OPTIONS if c != "symcheck"])
+    def test_seed_is_symcheck_only(self, capsys, command):
+        # the other commands sample nothing, so a seed would change no output
+        code, out, err = parse_exit(capsys, main, [command, *COMMAND_OPTIONS[command], "--seed", "1"])
+        assert code == 2 and out == ""
+        assert err.splitlines()[-1] == "cyclofree: error: unrecognized arguments: --seed 1"
 
     @pytest.mark.parametrize("argv", [[], ["bogus"], ["--help"], ["-h", "sieve"], ["--seed", "1", "sieve"]])
     def test_argv_not_led_by_a_command_gets_the_full_parser(self, capsys, argv):

@@ -374,7 +374,11 @@ class TestAdmissibility:
 
     def test_sieved_window_is_admissible(self):
         box = sieve_box(4, 2, 12)
-        assert is_admissible(set(box.sorted_points()), 4, 2)
+        assert is_admissible(box.point_array(), 4, 2)
+
+    def test_a_set_is_not_an_array(self):
+        with pytest.raises(ValueError, match="offsets of length"):
+            is_admissible({(0, 0), (0, 1)}, 4, 2)
 
     def test_offsets_of_another_dimension_rejected(self):
         # Z[zeta_5] has rank 4: 2-D offsets are not its points, however few
@@ -409,4 +413,4 @@ class TestAdmissibility:
 
     def test_hereditary_check(self):
         box = sieve_box(4, 2, 15)
-        assert hereditary_check(box, trials=12, seed=0)
+        assert hereditary_check(box, trials=12)

@@ -22,6 +22,11 @@ from cyclofree.certificates import (
     verify_lemma_factors,
 )
 from cyclofree.symmetries import (
+    COPRIMALITY_PRIMES,
+    COPRIMALITY_RADIUS,
+    COPRIMALITY_SAMPLE,
+    COPRIMALITY_SEED,
+    WK_SEARCH_RADIUS,
     SymmetryElement,
     galois_group,
     generator_elements,
@@ -225,21 +230,22 @@ class TestStabiliserAction:
         def in_w2(point):
             return is_in_Wk(CycInt(4, point), 2)
 
-        report = verify_Wk_preservation(shear, 2, norm_bound=100, search_radius=4)
+        report = verify_Wk_preservation(shear, 2, norm_bound=100)
         found = [
-            p for p in box_points(4, 2)
+            p for p in box_points(WK_SEARCH_RADIUS, 2)
             if any(p) and abs(CycInt(4, p).norm()) <= 100 and in_w2(p)
         ]
         expected = [p for p in found if not (in_w2(apply(shear, p)) and in_w2(apply(inverse, p)))]
         assert report.failures == expected and report.checked == len(found)
         assert (1, 1) in expected  # 1 + i is in W_2, its image 2 + i has norm 5
 
-        report = verify_coprimality_transport(shear, 2, prime_bound=50, r_box=8, sample_size=20)
-        sample = random.Random(0).sample(sieve_box(4, 2, 8).sorted_points(), 20)
+        report = verify_coprimality_transport(shear, 2)
+        box = sieve_box(4, 2, COPRIMALITY_RADIUS)
+        sample = random.Random(COPRIMALITY_SEED).sample(box.sorted_points(), COPRIMALITY_SAMPLE)
         expected, checked = [], 0
         for p in sample:
             x, y = CycInt(4, p), CycInt(4, apply(shear, p))
-            for ell in (q for q in primes_up_to(50) if 4 % q):
+            for ell in (q for q in primes_up_to(COPRIMALITY_PRIMES) if 4 % q):
                 ideals = split_prime(ell, 4)
                 if all(valuation(x, P) == 0 for P in ideals):
                     checked += 1
@@ -332,7 +338,7 @@ class TestWkPreservation:
 
     def test_box_enumeration_report(self):
         el = symmetry_element(CycInt.root(4), 3)
-        report = verify_Wk_preservation(el, 2, norm_bound=100, search_radius=4)
+        report = verify_Wk_preservation(el, 2, norm_bound=100)
         assert report.passed
         assert report.checked >= 8  # units and the ramified generators
 
@@ -340,12 +346,12 @@ class TestWkPreservation:
         # 1 - zeta_12 has infinite multiplicative order; multiplication by it
         # permutes W_2 all the same
         el = symmetry_element(CycInt.one(12) - CycInt.root(12), 5)
-        report = verify_Wk_preservation(el, 2, norm_bound=200, search_radius=2)
+        report = verify_Wk_preservation(el, 2, norm_bound=200)
         assert report.passed and report.checked > 0
 
     def test_coprimality_transport(self):
         el = symmetry_element(CycInt.root(4), 3)
-        report = verify_coprimality_transport(el, 2, prime_bound=50, r_box=8, sample_size=20)
+        report = verify_coprimality_transport(el, 2)
         assert report.passed and report.checked > 0
 
 

@@ -8,6 +8,7 @@ import pytest
 from _oracles import character_oracle_gaussian, dedekind_zeta_by_fractions, log_by_mpmath
 
 from cyclofree import zeta
+from cyclofree.arith import ResourceCapError
 from cyclofree.zeta import (
     Interval,
     dedekind_zeta,
@@ -150,6 +151,37 @@ def test_undecided_head_falls_back_to_the_exact_product(monkeypatch, n, k, bound
     forced = dedekind_zeta.__wrapped__(n, k, bound)
     assert exact_heads == [(n, k, min(bound, zeta.EXACT_HEAD_BOUND))]
     assert forced == decided == dedekind_zeta_by_fractions(n, k, bound)
+
+
+@pytest.mark.parametrize("n, k, bound, factor_bits", [(10007, 4, 30, 2048), (41, 2, 3000, 300)])
+def test_head_factors_past_the_bit_bound_are_bounded_not_formed(monkeypatch, n, k, bound, factor_bits):
+    # At n = 10007 every head factor has q > 2^2048 and Ziv's test cannot
+    # decide; at n = 41 a lowered bound leaves out some factors and keeps
+    # others, and no guard bits force the exact head.  Either way the
+    # factors left out only bound the result, which is the exact one.
+    skipped = []
+    exact_head = zeta._exact_head
+
+    def recorded(*args):
+        head = exact_head(*args)
+        skipped.append(head[2])
+        return head
+
+    monkeypatch.setattr(zeta, "_exact_head", recorded)
+    monkeypatch.setattr(zeta, "HEAD_GUARD_BITS", 0)
+    monkeypatch.setattr(zeta, "HEAD_FACTOR_BITS", factor_bits)
+    z = dedekind_zeta.__wrapped__(n, k, bound)
+    assert len(skipped) == 1 and skipped[0] > 0
+    assert z == dedekind_zeta_by_fractions(n, k, bound)
+
+
+def test_undecided_bounded_head_is_a_resource_cap(monkeypatch):
+    # With q > 2^64 left out, their product's bound is far wider than one
+    # unit of the result, so the rounding is undecided and no power is formed.
+    monkeypatch.setattr(zeta, "HEAD_GUARD_BITS", 0)
+    monkeypatch.setattr(zeta, "HEAD_FACTOR_BITS", 64)
+    with pytest.raises(ResourceCapError, match="exact Euler head"):
+        dedekind_zeta.__wrapped__(7, 2, 200)
 
 
 def test_degree_100_enclosure_is_pinned():
