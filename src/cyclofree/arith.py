@@ -188,8 +188,8 @@ def multiplicative_order(a: int, modulus: int) -> int:
     """Order of a in (Z/modulus)^x; requires gcd(a, modulus) = 1."""
     if modulus <= 1 or math.gcd(a, modulus) != 1:
         raise ValueError(f"{a} is not a unit modulo {modulus}")
-    order = _group_exponent_multiple(modulus)
-    for p, e in factor_integer(order).items():
+    order, factors = _group_exponent_multiple(modulus)
+    for p, e in factors:
         for _ in range(e):
             if pow(a, order // p, modulus) == 1:
                 order //= p
@@ -218,33 +218,25 @@ def ring_degree(n: int) -> int:
     return math.prod(p ** (e - 1) * (p - 1) for p, e in factor_integer(n).items())
 
 
-@lru_cache(maxsize=None)
-def residue_splitting(n: int) -> tuple[tuple[int, int, int] | None, ...]:
-    """(e, f, g) of every rational prime ell in Z[zeta_n], indexed by ell mod n.
+def prime_shape(ell: int, n: int) -> tuple[int, int, int]:
+    """(e, f, g) of the rational prime ell in Z[zeta_n], for a valid conductor n.
 
     With n = ell^a m and ell not dividing m, e = phi(ell^a), f is the order
-    of ell mod m, and g = phi(n) / (e f) (Washington, Introduction to
-    Cyclotomic Fields, Thm 2.13).  An unramified ell (a = 0) has a unit
-    residue, and its shape depends on that residue alone.  A residue that
-    shares a prime p with n holds no prime but p, so entry p mod n (0 for
-    n = p) is the shape of p, and the other non-units are None.  Raises
-    ArithmeticError if some entry breaks e f g = phi(n).
+    of ell mod m (1 for m = 1), and g = phi(n) / (e f) (Washington,
+    Introduction to Cyclotomic Fields, Thm 2.13); an unramified ell has
+    a = 0, so e = 1.  Raises ArithmeticError if e f does not divide phi(n).
     """
     d = ring_degree(n)
-    table: list[tuple[int, int, int] | None] = [None] * n
-    for a in range(n):
-        if math.gcd(a, n) == 1:
-            f = multiplicative_order(a, n)
-            table[a] = (1, f, d // f)
-    for p, a in factor_integer(n).items():
-        m = n // p**a
-        e = p**a - p ** (a - 1)
-        f = multiplicative_order(p, m) if m > 1 else 1
-        table[p % n] = (e, f, d // (e * f))
-    for entry in table:
-        if entry is not None and math.prod(entry) != d:
-            raise ArithmeticError(f"splitting {entry} in conductor {n} breaks e f g = {d}")
-    return tuple(table)
+    m = n
+    while m % ell == 0:
+        m //= ell
+    power = n // m  # ell^a
+    e = power - power // ell
+    f = multiplicative_order(ell, m) if m > 1 else 1
+    g, rest = divmod(d, e * f)
+    if rest:
+        raise ArithmeticError(f"splitting e = {e}, f = {f} of {ell} in conductor {n} breaks e f g = {d}")
+    return e, f, g
 
 
 def root_of_unity(n: int, p: int) -> int:
@@ -263,8 +255,8 @@ def root_of_unity(n: int, p: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _group_exponent_multiple(modulus: int) -> int:
-    """Carmichael lambda of modulus (any multiple of the exponent works)."""
+def _group_exponent_multiple(modulus: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """Carmichael lambda of modulus (any multiple of the exponent works) and its factorization."""
     lam = 1
     for p, e in factor_integer(modulus).items():
         if p == 2 and e >= 3:
@@ -272,7 +264,7 @@ def _group_exponent_multiple(modulus: int) -> int:
         else:
             piece = (p - 1) * p ** (e - 1)
         lam = lam * piece // math.gcd(lam, piece)
-    return lam
+    return lam, tuple(factor_integer(lam).items())
 
 
 def integer_kth_root(m: int, k: int) -> int:

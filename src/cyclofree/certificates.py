@@ -273,6 +273,11 @@ def vanishing_four_sums(n: int) -> FourSumsReport:
     Every survivor's reduced order n/gcd must divide 6; the report records
     the survivors and whether that held.  Coefficients are restricted to
     +-1 (the general statement allows rationals).
+
+    No survivor exists, so that holds vacuously: four unit vectors +-zeta^j
+    summing to zero split into two opposite pairs, as the unordered pair of
+    unit vectors with a given sum is unique, so every vanishing four-term
+    +-1 sum has a vanishing proper subsum (Poonen and Rubinstein, 1998).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

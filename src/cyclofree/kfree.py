@@ -339,11 +339,10 @@ def extract_patches(box: KFreeBox, shape: Sequence[Sequence[int]]) -> dict[Patch
         window = box.grid[tuple(slice(lo[t] + off[t], hi[t] + off[t]) for t in range(box.d))]
         piece = window.astype(np.int64) << b
         code = piece if code is None else code + piece
-    counts = np.bincount(code.reshape(-1), minlength=1 << len(offsets))
+    fills, counts = np.unique(code, return_counts=True)
     return {
-        PatchConfig(shape=offsets, fill=int(fill)): int(cnt)
-        for fill, cnt in enumerate(counts)
-        if cnt
+        PatchConfig(shape=offsets, fill=fill): cnt
+        for fill, cnt in zip(fills.tolist(), counts.tolist())
     }
 
 

@@ -5,12 +5,11 @@ rational prime ell are read off the factors of the n-th cyclotomic
 polynomial modulo ell: each distinct monic irreducible factor g gives the
 prime ideal (ell, g(zeta_n)), with residue degree deg(g) and ramification
 equal to the multiplicity of g.  The shape (e, f, g) is known beforehand:
-one per-conductor table, arith.residue_splitting, holds it for every
-prime, ramified or not, by its residue mod n (splitting_type reads one
-entry).  With n = ell^a m and ell not dividing m, the factors
-for f = 1 (ell = 1 mod m) are x - h^r, with h of order m mod ell and r a
-unit mod m; for g = 1 Phi_m mod ell is the one factor, and otherwise one
-equal-degree split finds them.
+with n = ell^a m and ell not dividing m, arith.prime_shape reads it from
+n and ell alone, ramified or not, f being the order of ell mod m
+(splitting_type returns it).  The factors for f = 1 (ell = 1 mod m) are
+x - h^r, with h of order m mod ell and r a unit mod m; for g = 1 Phi_m
+mod ell is the one factor, and otherwise one equal-degree split finds them.
 
 Valuations are computed geometrically: v_P(x) is the largest m for which
 the embedded point lies in the lattice of P^m (coset code 0).  The k-free
@@ -29,7 +28,7 @@ from typing import Iterator
 import numpy as np
 
 from .arith import (
-    factor_integer, is_prime, primes_up_to, residue_splitting, root_of_unity, validate_conductor,
+    factor_integer, is_prime, prime_shape, primes_up_to, root_of_unity, validate_conductor,
 )
 from .cyclotomic import CycInt, cyclotomic_polynomial, norm_array
 from .lattices import ideal_lattice
@@ -66,11 +65,11 @@ class PrimeIdeal:
 @lru_cache(maxsize=None)
 def splitting_type(ell: int, n: int) -> tuple[int, int, int]:
     """(e, f, g) for the rational prime ell in conductor n, no factorization:
-    its entry in the residue table of arith.residue_splitting."""
+    arith.prime_shape, once ell and n are checked."""
     validate_conductor(n)
     if not is_prime(ell):
         raise ValueError(f"{ell} is not prime")
-    return residue_splitting(n)[ell % n]
+    return prime_shape(ell, n)
 
 
 @lru_cache(maxsize=None)
@@ -107,10 +106,9 @@ def enumerate_prime_ideals(n: int, norm_bound: int) -> Iterator[PrimeIdeal]:
     """Every prime ideal of norm <= norm_bound, once, sorted by
     (norm, ell, coefficients of the defining factor)."""
     validate_conductor(n)
-    splitting = residue_splitting(n)
     found: list[PrimeIdeal] = []
     for ell in primes_up_to(norm_bound):
-        if ell ** splitting[ell % n][1] <= norm_bound:
+        if ell ** splitting_type(ell, n)[1] <= norm_bound:
             found.extend(split_prime(ell, n))
     found.sort(key=PrimeIdeal.sort_key)
     yield from found
@@ -133,9 +131,8 @@ def valuation(x: CycInt, ideal: PrimeIdeal) -> int:
 def candidate_ideals(norm: int, primes, n: int, k: int) -> list[PrimeIdeal]:
     """The P above the given prime factors of a norm N with N(P)^k | N, the
     only P with v_P(x) >= k possible at |N(x)| = N; N(P) = ell^f for all P above ell."""
-    splitting = residue_splitting(n)
     return [
-        ideal for ell in primes if norm % ell ** (splitting[ell % n][1] * k) == 0
+        ideal for ell in primes if norm % ell ** (splitting_type(ell, n)[1] * k) == 0
         for ideal in split_prime(ell, n)
     ]
 

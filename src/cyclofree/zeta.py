@@ -3,9 +3,9 @@
 The reciprocal Euler product  prod_P (1 - N(P)^-k)  is accumulated over
 all prime ideals above the rational primes ell <= prime_bound.  Each
 local factor prod_{P | ell} (1 - N(P)^-k) = ((q-1)/q)^g, with q = ell^(fk),
-is the integer pair ((q-1)^g, q^g).  For every ell, ramified or not, f
-and g depend only on ell mod n and are read from a per-conductor residue
-table (arith.residue_splitting); the primes are read one at a time from
+is the integer pair ((q-1)^g, q^g).  For every ell, ramified or not, f and g
+depend only on ell mod n (arith.prime_shape) and are kept per class met, at
+most pi(B) of them; the primes are read one at a time from
 the Eratosthenes byte sieve, so none is re-tested for primality and no
 list of them is built.  Past 10^4 each factor is applied in 192-bit fixed
 point with floor/ceil rounding: one divmod per prime gives the floors and
@@ -46,7 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .arith import ResourceCapError, _sieved_primes, residue_splitting, ring_degree, validate_conductor
+from .arith import ResourceCapError, _sieved_primes, prime_shape, ring_degree, validate_conductor
 
 PRECISION_BITS = 192
 EXACT_HEAD_BOUND = 10_000
@@ -239,10 +239,12 @@ def _exact_head(n: int, k: int, bound: int) -> tuple[int, int, int]:
     s is the sum of their g: each has q > 2^HEAD_FACTOR_BITS, so (1 -
     1/q)^g > 1 - g 2^-HEAD_FACTOR_BITS, and their product E lies in
     (1 - s 2^-HEAD_FACTOR_BITS, 1), or is 1 when s = 0."""
-    splitting = residue_splitting(n)
+    shapes: dict[int, tuple[int, int, int]] = {}
     nums, dens, skipped = [], [], 0
     for ell in _sieved_primes(bound):
-        _, f, g = splitting[ell % n]
+        if ell % n not in shapes:
+            shapes[ell % n] = prime_shape(ell, n)
+        _, f, g = shapes[ell % n]
         if f * k * (ell.bit_length() - 1) > HEAD_FACTOR_BITS:
             skipped += g
             continue
@@ -289,11 +291,13 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     wide = PRECISION_BITS + HEAD_GUARD_BITS
     lo, delta, head = 1 << wide, 0, None
     switch = EXACT_HEAD_BOUND
-    splitting = residue_splitting(n)
+    shapes: dict[int, tuple[int, int, int]] = {}
     for ell in _sieved_primes(prime_bound):
         if ell > switch:  # the first tail prime: the head is done
             head, lo, delta, switch = (lo, lo + delta), one, 0, prime_bound
-        _, f, g = splitting[ell % n]
+        if ell % n not in shapes:
+            shapes[ell % n] = prime_shape(ell, n)
+        _, f, g = shapes[ell % n]
         if f * k * (ell.bit_length() - 1) > (lo + delta).bit_length() + g.bit_length():
             lo, delta = lo - 1, delta + 1  # q > hi g
             continue

@@ -704,7 +704,7 @@ class TestImports:
         ids=lambda argv: argv[0],
     )
     def test_zeta_and_entropy_stay_off_the_lattice_stack(self, tmp_path, argv):
-        # The Euler product needs only the residue table of arith.
+        # The Euler product needs only the splitting shapes of arith.
         code, _, modules = fresh_run(tmp_path, *argv)
         assert code == 0 and "cyclofree.zeta" in modules
         heavy = {"numpy", "cyclofree.cyclotomic", "cyclofree.lattices", "cyclofree.prime_ideals"}

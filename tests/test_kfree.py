@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -295,6 +296,21 @@ class TestPatches:
                 brute[fill] = brute.get(fill, 0) + 1
         assert anchors == sum(census.values())
         assert {p.fill: c for p, c in census.items()} == brute
+
+    def test_census_memory_follows_the_patterns_that_occur(self):
+        # 212 fills of this 24-cell shape occur at radius 10; a count for
+        # each of the 2^24 possible fills would take 128 MB.
+        box = sieve_box(4, 2, 10)
+        shape = [(a, b) for a in range(4) for b in range(6)]
+        tracemalloc.start()
+        try:
+            census = extract_patches(box, shape)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(census) == 212
+        assert sum(census.values()) == (21 - 3) * (21 - 5)
+        assert peak < 8 << 20
 
     def test_shape_validation(self):
         box = sieve_box(4, 2, 5)

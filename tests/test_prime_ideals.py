@@ -25,8 +25,8 @@ from cyclofree.arith import (
     integer_kth_root,
     is_prime,
     multiplicative_order,
+    prime_shape,
     primes_up_to,
-    residue_splitting,
 )
 from cyclofree.cyclotomic import (
     CycInt,
@@ -189,24 +189,23 @@ class TestSplitting:
         assert ramified_primes(12) == [2, 3]
 
     def test_residue_table_covers_every_prime(self):
-        # One entry per residue mod n answers every prime, ramified or not,
-        # ell = n (residue 0) among them.
+        # One formula answers every prime, ramified or not, ell = n among them.
         primes = primes_up_to(10**4)
         for n in range(3, 121):
             if n % 4 == 2:
                 continue
-            table, d = residue_splitting(n), euler_phi(n)
+            d = euler_phi(n)
             for ell in primes:
-                e, f, g = table[ell % n]
+                e, f, g = prime_shape(ell, n)
                 assert e * f * g == d, (n, ell)
                 assert (e > 1) == (n % ell == 0), (n, ell)
-        assert residue_splitting(10007)[0] == (10006, 1, 1)
+        assert prime_shape(10007, 10007) == (10006, 1, 1)
 
     def test_residue_table_refuses_a_broken_shape(self, monkeypatch):
         # e f g = phi(n) is checked by a raise, which python -O keeps.
         monkeypatch.setattr(arith, "multiplicative_order", lambda a, m: 3)
         with pytest.raises(ArithmeticError, match="breaks e f g"):
-            residue_splitting.__wrapped__(5)
+            prime_shape(2, 5)
 
     def test_splitting_type_matches_factorisation_mod_ell(self):
         # The g distinct factors split_prime finds, each monic, irreducible

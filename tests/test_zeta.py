@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,13 +123,12 @@ def test_primes_of_large_residue_degree_skip_the_power(n, k):
     # The tail's upper end has at most PRECISION_BITS + 1 bits, so each
     # prime listed here takes the one-unit step without forming q; the
     # enclosure, bit for bit, and its JSON are those of the fraction oracle.
-    from cyclofree.arith import _sieved_primes, residue_splitting
+    from cyclofree.arith import _sieved_primes, prime_shape
 
-    splitting = residue_splitting(n)
+    shapes = {ell: prime_shape(ell, n) for ell in _sieved_primes(12_000) if ell > zeta.EXACT_HEAD_BOUND}
     skipped = [
-        ell for ell in _sieved_primes(12_000) if ell > zeta.EXACT_HEAD_BOUND
-        and splitting[ell % n][1] * k * (ell.bit_length() - 1)
-        > zeta.PRECISION_BITS + 1 + splitting[ell % n][2].bit_length()
+        ell for ell, (_, f, g) in shapes.items()
+        if f * k * (ell.bit_length() - 1) > zeta.PRECISION_BITS + 1 + g.bit_length()
     ]
     assert len(skipped) > 20
     z, ref = dedekind_zeta(n, k, 12_000), dedekind_zeta_by_fractions(n, k, 12_000)
@@ -182,6 +182,19 @@ def test_undecided_bounded_head_is_a_resource_cap(monkeypatch):
     monkeypatch.setattr(zeta, "HEAD_FACTOR_BITS", 64)
     with pytest.raises(ResourceCapError, match="exact Euler head"):
         dedekind_zeta.__wrapped__(7, 2, 200)
+
+
+def test_large_conductor_keeps_only_the_shapes_it_meets():
+    # 168 primes up to 1000 meet at most 168 residues mod 1000003; a shape
+    # for each of the million residues took 97 MB.
+    tracemalloc.start()
+    try:
+        z = dedekind_zeta.__wrapped__(1_000_003, 4, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 1 <= z.lower <= z.upper
+    assert peak < 4 << 20
 
 
 def test_degree_100_enclosure_is_pinned():
