@@ -33,7 +33,6 @@ _EXPORTS = {
     "PrimeIdeal": "prime_ideals",
     "RankError": "lattices",
     "ResourceCapError": "arith",
-    "SplittingPrimeSet": "certificates",
     "SymmetryElement": "symmetries",
     "ZetaValue": "zeta",
     "aq_search": "certificates",

@@ -218,6 +218,14 @@ def ring_degree(n: int) -> int:
     return math.prod(p ** (e - 1) * (p - 1) for p, e in factor_integer(n).items())
 
 
+def prime_power_part(ell: int, n: int) -> tuple[int, int]:
+    """(ell^a, m) with n = ell^a m and ell not dividing m, for a prime ell."""
+    m = n
+    while m % ell == 0:
+        m //= ell
+    return n // m, m
+
+
 def prime_shape(ell: int, n: int) -> tuple[int, int, int]:
     """(e, f, g) of the rational prime ell in Z[zeta_n], for a valid conductor n.
 
@@ -227,10 +235,7 @@ def prime_shape(ell: int, n: int) -> tuple[int, int, int]:
     a = 0, so e = 1.  Raises ArithmeticError if e f does not divide phi(n).
     """
     d = ring_degree(n)
-    m = n
-    while m % ell == 0:
-        m //= ell
-    power = n // m  # ell^a
+    power, m = prime_power_part(ell, n)
     e = power - power // ell
     f = multiplicative_order(ell, m) if m > 1 else 1
     g, rest = divmod(d, e * f)

@@ -32,21 +32,12 @@ from .prime_ideals import candidate_ideals
 # splitting primes and the a_q search
 
 
-@dataclass(frozen=True)
-class SplittingPrimeSet:
-    """S_m up to a bound: the primes ell <= bound with ell = 1 mod m."""
-
-    m: int
-    bound: int
-    primes: tuple[int, ...]
-
-
-def splitting_primes(m: int, bound: int) -> SplittingPrimeSet:
-    """Primes ell <= bound with ell = 1 mod m (complete splitting)."""
+def splitting_primes(m: int, bound: int) -> tuple[int, ...]:
+    """S_m up to a bound: the primes ell <= bound with ell = 1 mod m
+    (complete splitting)."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    primes = tuple(ell for ell in primes_up_to(bound) if m == 1 or ell % m == 1)
-    return SplittingPrimeSet(m=m, bound=bound, primes=primes)
+    return tuple(ell for ell in primes_up_to(bound) if m == 1 or ell % m == 1)
 
 
 class AqNotFound(ResourceCapError):

@@ -173,18 +173,26 @@ def sieve_box(
 
 @dataclass
 class DensityReport:
-    """The empirical density of a sieved box next to the enclosure of
-    1/zeta_K(k) from the primes up to prime_bound."""
+    """The empirical density of a sieved box, point_count / (2r+1)^d, next to
+    the enclosure of 1/zeta_K(k) from the primes up to prime_bound."""
 
     n: int
     k: int
     r: int
     point_count: int
-    box_volume: int
-    empirical_density: Fraction
     reference_lower: Fraction
     reference_upper: Fraction
     prime_bound: int
+
+    @property
+    def box_volume(self) -> int:
+        return (2 * self.r + 1) ** ring_degree(self.n)
+
+    @property
+    def empirical_density(self) -> Fraction:
+        from fractions import Fraction
+
+        return Fraction(self.point_count, self.box_volume)
 
     @property
     def reference_midpoint(self) -> Fraction:
@@ -223,8 +231,6 @@ def density_estimate(box: KFreeBox, prime_bound: int) -> DensityReport:
         k=box.k,
         r=box.r,
         point_count=box.count,
-        box_volume=box.box_volume,
-        empirical_density=box.empirical_density,
         reference_lower=reference.lower,
         reference_upper=reference.upper,
         prime_bound=prime_bound,

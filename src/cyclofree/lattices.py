@@ -39,11 +39,18 @@ class RankError(ValueError):
 
 @dataclass(frozen=True)
 class IdealLattice:
-    """A full-rank sublattice of Z^d with its canonical HNF basis."""
+    """A full-rank sublattice of Z^d given by its canonical HNF basis; the
+    rank d and the index in Z^d (the product of the diagonal) are read from it."""
 
-    d: int
     basis: tuple[tuple[int, ...], ...]
-    index: int
+
+    @property
+    def d(self) -> int:
+        return len(self.basis)
+
+    @property
+    def index(self) -> int:
+        return math.prod(row[j] for j, row in enumerate(self.basis))
 
     @property
     def tail(self) -> int:
@@ -183,8 +190,12 @@ def hnf(generators: Sequence[Sequence[int]], modulus: Optional[int] = None) -> I
 
     Raises RankError unless the generators span a full-rank subgroup.
     When a modulus M with M*Z^d contained in the lattice is known, passing
-    it bounds intermediate entries (the rows M*e_i are added and every
-    incoming row is reduced mod M).
+    it bounds intermediate entries: the rows M*e_0, ..., M*e_(d-1) go in
+    after the generators, which are reduced mod M, and a step at column c
+    reduces columns 0..c-1 of both rows it changes mod M.  That moves the
+    span by vectors of M*Z^d; while M*e_j goes in (c <= j), by vectors of
+    M*Z^c, which the pivot rows of columns 0..c-1 already span, so the
+    result is the span of the generators and M*Z^d.
     """
     if not generators:
         raise RankError("no generators")
@@ -211,6 +222,10 @@ def hnf(generators: Sequence[Sequence[int]], modulus: Optional[int] = None) -> I
                     rt, vt = row[t], vec[t]
                     row[t] = x * rt + y * vt
                     vec[t] = au * vt - bu * rt
+            if modulus is not None:
+                for t in range(j):
+                    row[t] %= modulus
+                    vec[t] %= modulus
         return
 
     rows = [list(map(int, g)) for g in generators]
@@ -236,8 +251,7 @@ def hnf(generators: Sequence[Sequence[int]], modulus: Optional[int] = None) -> I
             if q:
                 for t in range(j + 1):
                     basis[i][t] -= q * basis[j][t]
-    index = math.prod(basis[j][j] for j in range(d))
-    return IdealLattice(d, tuple(tuple(row) for row in basis), index)
+    return IdealLattice(tuple(tuple(row) for row in basis))
 
 
 @lru_cache(maxsize=None)
@@ -273,7 +287,7 @@ def ideal_lattice(prime_ideal, m: int = 1) -> IdealLattice:
     for j in range(1, d):
         power = power * w % modulus
         basis.append((-power % modulus,) + (0,) * (j - 1) + (1,) + (0,) * (d - 1 - j))
-    return IdealLattice(d, tuple(basis), modulus)
+    return IdealLattice(tuple(basis))
 
 
 def _ideal_lattice_by_hnf(prime_ideal, m: int) -> IdealLattice:

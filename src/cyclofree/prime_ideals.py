@@ -28,7 +28,8 @@ from typing import Iterator
 import numpy as np
 
 from .arith import (
-    factor_integer, is_prime, prime_shape, primes_up_to, root_of_unity, validate_conductor,
+    factor_integer, is_prime, prime_power_part, prime_shape, primes_up_to, root_of_unity,
+    validate_conductor,
 )
 from .cyclotomic import CycInt, cyclotomic_polynomial, norm_array
 from .lattices import ideal_lattice
@@ -36,13 +37,22 @@ from .lattices import ideal_lattice
 
 @dataclass(frozen=True)
 class PrimeIdeal:
-    """A prime ideal (ell, g(zeta_n)) with its residue data."""
+    """A prime ideal (ell, g(zeta_n)).  Its residue degree f is deg g, and
+    its ramification index e is phi(ell^a) for the exact power ell^a
+    dividing n."""
 
     ell: int
     n: int
-    e: int
-    f: int
     g_poly: tuple[int, ...]  # monic factor of Phi_n mod ell, lifted to [0, ell)
+
+    @property
+    def e(self) -> int:
+        power, _ = prime_power_part(self.ell, self.n)
+        return power - power // self.ell
+
+    @property
+    def f(self) -> int:
+        return len(self.g_poly) - 1
 
     @property
     def norm(self) -> int:
@@ -84,10 +94,8 @@ def split_prime(ell: int, n: int) -> tuple[PrimeIdeal, ...]:
     Q(zeta_m)), Phi_m mod ell is itself the one factor.  Otherwise one
     equal-degree split of Phi_m mod ell gives every factor.
     """
-    e, f, g = splitting_type(ell, n)
-    m = n
-    while m % ell == 0:
-        m //= ell
+    _, f, g = splitting_type(ell, n)
+    _, m = prime_power_part(ell, n)
     if f == 1:
         h = root_of_unity(m, ell)
         factors = [(-pow(h, r, ell) % ell, 1) for r in range(m) if math.gcd(r, m) == 1]
@@ -98,16 +106,19 @@ def split_prime(ell: int, n: int) -> tuple[PrimeIdeal, ...]:
 
         base = gfpoly.gf_from_int_poly(cyclotomic_polynomial(m), ell)
         factors = gfpoly.equal_degree_split(base, f, ell, random.Random(0))
-    ideals = [PrimeIdeal(ell=ell, n=n, e=e, f=f, g_poly=c) for c in factors]
+    ideals = [PrimeIdeal(ell=ell, n=n, g_poly=c) for c in factors]
     return tuple(sorted(ideals, key=PrimeIdeal.sort_key))
 
 
 def enumerate_prime_ideals(n: int, norm_bound: int) -> Iterator[PrimeIdeal]:
     """Every prime ideal of norm <= norm_bound, once, sorted by
-    (norm, ell, coefficients of the defining factor)."""
+    (norm, ell, coefficients of the defining factor).  A norm ell^f <=
+    norm_bound < ell^2 forces f = 1, which needs ell | n or ell = 1 mod n."""
     validate_conductor(n)
     found: list[PrimeIdeal] = []
     for ell in primes_up_to(norm_bound):
+        if ell * ell > norm_bound and ell % n != 1 and n % ell:
+            continue
         if ell ** splitting_type(ell, n)[1] <= norm_bound:
             found.extend(split_prime(ell, n))
     found.sort(key=PrimeIdeal.sort_key)

@@ -46,12 +46,18 @@ COPRIMALITY_PRIMES = 50
 
 @dataclass(frozen=True)
 class GaloisGroup:
-    """(Z/nZ)^x as the Galois group of Q(zeta_n): its elements r in
-    increasing order and, per prime power p^a of n, (p, a, phi(p^a))."""
+    """(Z/nZ)^x as the Galois group of Q(zeta_n), read from n: its elements
+    r in increasing order and, per prime power p^a of n, (p, a, phi(p^a))."""
 
     n: int
-    elements: tuple[int, ...]
-    crt_factors: tuple[tuple[int, int, int], ...]  # (p, a, phi(p^a))
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(r for r in range(1, self.n) if math.gcd(r, self.n) == 1)
+
+    @property
+    def crt_factors(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple((p, a, (p - 1) * p ** (a - 1)) for p, a in factor_integer(self.n).items())
 
     @property
     def order(self) -> int:
@@ -60,12 +66,7 @@ class GaloisGroup:
 
 def galois_group(n: int) -> GaloisGroup:
     """The group (Z/nZ)^x acting by zeta -> zeta^r, with its CRT shape."""
-    validate_conductor(n)
-    elements = tuple(r for r in range(1, n) if math.gcd(r, n) == 1)
-    crt = tuple(
-        (p, a, (p - 1) * p ** (a - 1)) for p, a in sorted(factor_integer(n).items())
-    )
-    return GaloisGroup(n=n, elements=elements, crt_factors=crt)
+    return GaloisGroup(validate_conductor(n))
 
 
 # ---------------------------------------------------------------------------

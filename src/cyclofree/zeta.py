@@ -44,7 +44,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .arith import ResourceCapError, _sieved_primes, prime_shape, ring_degree, validate_conductor
 
@@ -187,15 +187,27 @@ def _decimal_string(x: Fraction, round_up: bool) -> str:
 
 @dataclass(frozen=True)
 class ZetaValue:
-    """A rigorous enclosure of zeta_K(k) for K of conductor n."""
+    """A rigorous enclosure of zeta_K(k) for K of conductor n.  The
+    enclosure of log zeta_K(k), log_lower and log_upper, is computed from
+    it on first read."""
 
     n: int
     k: int
     prime_bound: int
     lower: Fraction
     upper: Fraction
-    log_lower: Fraction
-    log_upper: Fraction
+
+    @cached_property
+    def _logs(self) -> Interval:
+        return log_interval(self.interval)
+
+    @property
+    def log_lower(self) -> Fraction:
+        return self._logs.lower
+
+    @property
+    def log_upper(self) -> Fraction:
+        return self._logs.upper
 
     @property
     def interval(self) -> Interval:
@@ -341,16 +353,7 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     # zeta = 1/partial * tail_inverse with tail_inverse in [1, 1/(1-tail)]
     zeta_lower = 1 / partial.upper
     zeta_upper = (1 / partial.lower) * (1 / (1 - tail))
-    logs = log_interval(Interval(zeta_lower, zeta_upper))
-    return ZetaValue(
-        n=n,
-        k=k,
-        prime_bound=prime_bound,
-        lower=zeta_lower,
-        upper=zeta_upper,
-        log_lower=logs.lower,
-        log_upper=logs.upper,
-    )
+    return ZetaValue(n=n, k=k, prime_bound=prime_bound, lower=zeta_lower, upper=zeta_upper)
 
 
 def density_constant(n: int, k: int, prime_bound: int) -> Interval:

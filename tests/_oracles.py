@@ -20,7 +20,7 @@ from cyclofree.prime_ideals import (
     valuation,
 )
 from cyclofree.symmetries import _act
-from cyclofree.zeta import EXACT_HEAD_BOUND, PRECISION_BITS, Interval, ZetaValue, log_interval
+from cyclofree.zeta import EXACT_HEAD_BOUND, PRECISION_BITS, ZetaValue
 
 
 def character_oracle_gaussian(k: int) -> tuple[float, float]:
@@ -363,8 +363,7 @@ def dedekind_zeta_by_fractions(n: int, k: int, prime_bound: int) -> ZetaValue:
     hi = -((-hi * head.numerator) // head.denominator)
     zeta_lower = 1 / Fraction(hi, one)
     zeta_upper = (1 / Fraction(lo, one)) * (1 / (1 - tail))
-    logs = log_interval(Interval(zeta_lower, zeta_upper))
-    return ZetaValue(n, k, prime_bound, zeta_lower, zeta_upper, logs.lower, logs.upper)
+    return ZetaValue(n, k, prime_bound, zeta_lower, zeta_upper)
 
 
 def log_by_mpmath(x: Fraction, bits: int = 600) -> Fraction:

@@ -14,6 +14,7 @@ from cyclofree import kfree
 from cyclofree.cyclotomic import CycInt, ring_degree
 from cyclofree.kfree import (
     DEFAULT_MAX_POINTS,
+    DensityReport,
     PatchConfig,
     ResourceCapError,
     density_estimate,
@@ -254,6 +255,14 @@ class TestDensityBracketing:
         doc = json.loads(report.to_json())
         assert Fraction(doc["empirical_density"]) == report.empirical_density
         assert doc["point_count"] == box.count
+
+    def test_density_report_reads_volume_and_density_from_its_counts(self):
+        report = density_estimate(sieve_box(5, 2, 2), prime_bound=2000)
+        assert report.box_volume == 5**4
+        assert report.empirical_density == Fraction(report.point_count, 5**4)
+        with pytest.raises(TypeError):
+            DensityReport(5, 2, 2, report.point_count, 5**4, report.empirical_density,
+                          report.reference_lower, report.reference_upper, 2000)
 
 
 class TestPatches:

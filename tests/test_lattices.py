@@ -13,6 +13,7 @@ from cyclofree import lattices
 from cyclofree.arith import determinant
 from cyclofree.cyclotomic import ring_degree
 from cyclofree.lattices import (
+    IdealLattice,
     RankError,
     box_blocks,
     hnf,
@@ -158,6 +159,16 @@ class TestIdealLattice:
                     b = ideal_lattice(ideals[j], 1)
                     union = hnf(list(a.basis) + list(b.basis))
                     assert union.index == 1
+
+    def test_hand_built_lattice_reads_its_index_from_the_basis(self):
+        lat = IdealLattice(((4, 0), (1, 1)))
+        assert (lat.d, lat.index) == (2, 4)
+        points = [(5 + a, b) for a in range(-3, 4) for b in range(-3, 4)]
+        codes = lat.coset_codes(np.array(points)).tolist()
+        assert codes[points.index((5, 0))] == mixed_radix(lat, lat.coset_id((5, 0))) == 1
+        assert codes == [mixed_radix(lat, lat.coset_id(p)) for p in points]
+        with pytest.raises(TypeError):
+            IdealLattice(2, ((4, 0), (1, 1)), 5)
 
 
 class TestDirectPowers:

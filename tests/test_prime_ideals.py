@@ -34,8 +34,10 @@ from cyclofree.cyclotomic import (
     norm_array,
     ring_degree,
 )
+from cyclofree.lattices import ideal_lattice
 from cyclofree.symmetries import unit_generators
 from cyclofree.prime_ideals import (
+    PrimeIdeal,
     enumerate_prime_ideals,
     is_in_Wk,
     is_kfree,
@@ -296,12 +298,32 @@ class TestSplitting:
         assert all(P.e == 2 and P.f == 5 for P in ideals)
         assert len({P.g_poly for P in ideals}) == 2
 
+    def test_residue_data_is_read_from_the_defining_data(self):
+        # e and f are not arguments: f is deg g_poly and e = phi(ell^a).
+        P = PrimeIdeal(3, 36, (1, 0, 1))  # (3, zeta^2 + 1), 36 = 3^2 * 4
+        assert P == split_prime(3, 36)[0]
+        assert (P.e, P.f, P.norm) == (6, 2, 9)
+        with pytest.raises(TypeError):
+            PrimeIdeal(5, 4, 1, 1, (2, 1))
+
     def test_generators_lie_in_the_ideal(self):
         # g(zeta) must reduce to 0 modulo the ideal: its norm is divisible by ell
         for ell, n in ((5, 4), (13, 12), (7, 9)):
             for P in split_prime(ell, n):
                 g_elem = CycInt.from_polynomial(n, P.g_poly)
                 assert g_elem.norm() % ell == 0
+
+    def test_derived_residue_data_and_power_indices(self):
+        # Conductors n <= 40 and primes ell <= 100; the same checks up to
+        # n = 80 take about a minute, most of it in equal-degree splits and HNFs.
+        for n in range(3, 41):
+            if n % 4 == 2:
+                continue
+            for ell in primes_up_to(100):
+                for P in split_prime(ell, n):
+                    assert (P.e, P.f) == splitting_type(ell, n)[:2], (n, ell)
+                    for m in (1, 2):
+                        assert ideal_lattice(P, m).index == P.norm**m, (n, ell, m)
 
 
 class TestValuation:
@@ -542,6 +564,26 @@ class TestEnumeration:
                 if ell**f <= 100:
                     expected += g
             assert enumerated == expected
+
+    @pytest.mark.parametrize("n", (3, 4, 5, 7, 8, 12, 15, 16, 20, 21))
+    def test_equals_a_scan_of_every_prime(self, n):
+        # At bound 10, 5 in conductor 20 and 7 in 21 divide n, have f = 1 and
+        # ell^2 > 10, and 7 = 1 mod 3.
+        for bound in (1, 2, 10, 100, 10**4):
+            scan = [
+                P for ell in primes_up_to(bound) if ell ** splitting_type(ell, n)[1] <= bound
+                for P in split_prime(ell, n)
+            ]
+            assert list(enumerate_prime_ideals(n, bound)) == sorted(scan, key=PrimeIdeal.sort_key)
+
+    def test_only_primes_that_can_fit_are_asked_their_shape(self):
+        # An ideal of norm <= B above ell needs ell^2 <= B, ell | n or ell = 1 mod n.
+        bound = 10**5
+        splitting_type.cache_clear()
+        list(enumerate_prime_ideals(5, bound))
+        small = len(primes_up_to(math.isqrt(bound)))
+        split = sum(1 for ell in primes_up_to(bound) if ell % 5 == 1)
+        assert splitting_type.cache_info().currsize <= small + split + 1
 
     def test_sorted_by_norm_then_prime(self):
         ideals = list(enumerate_prime_ideals(12, 200))

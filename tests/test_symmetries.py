@@ -27,6 +27,7 @@ from cyclofree.symmetries import (
     COPRIMALITY_SAMPLE,
     COPRIMALITY_SEED,
     WK_SEARCH_RADIUS,
+    GaloisGroup,
     SymmetryElement,
     galois_group,
     generator_elements,
@@ -68,6 +69,12 @@ class TestGaloisGroup:
         members = set(group.elements)
         assert all(r * s % 12 in members for r in members for s in members)
         assert group.crt_factors == ((2, 2, 2), (3, 1, 2))
+
+    def test_elements_and_crt_shape_are_read_from_n(self):
+        assert GaloisGroup(12) == galois_group(12)
+        assert GaloisGroup(45).crt_factors == ((3, 2, 6), (5, 1, 4))
+        with pytest.raises(TypeError):
+            GaloisGroup(12, (1, 5, 7, 11), ((2, 2, 2), (3, 1, 2)))
 
 
 class TestUnitGenerators:
@@ -357,21 +364,21 @@ class TestWkPreservation:
 
 class TestSplittingPrimes:
     def test_twelve_up_to_hundred(self):
-        assert splitting_primes(12, 100).primes == (13, 37, 61, 73, 97)
+        assert splitting_primes(12, 100) == (13, 37, 61, 73, 97)
 
     def test_four_gives_one_mod_four(self):
-        got = splitting_primes(4, 60).primes
+        got = splitting_primes(4, 60)
         assert got == (5, 13, 17, 29, 37, 41, 53)
         assert all(p % 4 == 1 for p in got)
 
     def test_members_split_completely(self):
-        for ell in splitting_primes(12, 100).primes:
+        for ell in splitting_primes(12, 100):
             ideals = split_prime(ell, 12)
             assert len(ideals) == euler_phi(12)
             assert all(P.f == 1 and P.e == 1 for P in ideals)
 
     def test_trivial_modulus(self):
-        assert splitting_primes(1, 10).primes == (2, 3, 5, 7)
+        assert splitting_primes(1, 10) == (2, 3, 5, 7)
 
 
 class TestAqSearch:

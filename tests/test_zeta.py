@@ -12,6 +12,7 @@ from cyclofree import zeta
 from cyclofree.arith import ResourceCapError
 from cyclofree.zeta import (
     Interval,
+    ZetaValue,
     dedekind_zeta,
     density_constant,
     entropy_constant,
@@ -92,6 +93,14 @@ class TestEnclosures:
         assert float(doc["lower"]) <= float(doc["upper"])
         assert doc["precision_bits"] == 192
         assert "rounding" in doc
+
+
+def test_log_enclosure_is_read_from_the_interval():
+    z = dedekind_zeta(4, 2, 1000)
+    logs = log_interval(z.interval)
+    assert (z.log_lower, z.log_upper) == (logs.lower, logs.upper)
+    with pytest.raises(TypeError):
+        ZetaValue(4, 2, 1000, z.lower, z.upper, logs.lower, logs.upper)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20])
