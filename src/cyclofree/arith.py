@@ -219,7 +219,10 @@ def ring_degree(n: int) -> int:
 
 
 def prime_power_part(ell: int, n: int) -> tuple[int, int]:
-    """(ell^a, m) with n = ell^a m and ell not dividing m, for a prime ell."""
+    """(ell^a, m) with n = ell^a m and ell not dividing m, for a prime ell.
+    Raises ValueError for ell < 2, which no power of ell strips from n."""
+    if ell < 2:
+        raise ValueError(f"ell must be >= 2, got {ell}")
     m = n
     while m % ell == 0:
         m //= ell

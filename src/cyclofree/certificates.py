@@ -15,13 +15,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .arith import (
-    FactorBudgetError, ResourceCapError, factor_integer, is_prime, primes_up_to, validate_conductor,
+    FactorBudgetError, ResourceCapError, factor_integer, is_prime, multiplicative_order, primes_up_to,
+    validate_conductor,
 )
 from .cyclotomic import CycInt
 from .lattices import ideal_lattice
@@ -48,26 +49,22 @@ class AqNotFound(ResourceCapError):
 
 def _h3_moduli(n: int, ell_bound: int, q: int) -> list[int]:
     """The splitting primes consulted by (H3): ell in S_m for some divisor
-    m > 1 of n with m != 2 mod 4, up to the bound, excluding q itself
-    (whose condition already follows from (H1))."""
-    divisors = [m for m in range(3, n + 1) if n % m == 0 and m % 4 != 2]
-    out = []
-    for ell in primes_up_to(ell_bound):
-        if ell == q:
-            continue
-        if any(ell % m == 1 for m in divisors):
-            out.append(ell)
-    return out
+    m >= 3 of n with m != 2 mod 4, up to the bound, excluding q itself
+    (whose condition already follows from (H1)).
+
+    Such an m exists exactly when gcd(ell - 1, n) > 2: every such m divides
+    the gcd; conversely an odd prime factor of the gcd is such an m, and a
+    gcd with no odd prime factor is a power of 2 above 2, so 4 is one."""
+    return [ell for ell in primes_up_to(ell_bound) if ell != q and math.gcd(ell - 1, n) > 2]
 
 
 def _check_h1(a: int, n: int, q: int) -> bool:
-    q2 = q * q
-    if math.gcd(a, q) != 1:
-        return False
-    target = n * q
-    if pow(a, target, q2) != 1:
-        return False
-    return all(pow(a, target // p, q2) != 1 for p in factor_integer(target))
+    return math.gcd(a, q) == 1 and multiplicative_order(a, q * q) == n * q
+
+
+def _meets_h1_h3(a: int, n: int, q: int, h3_primes: list[int]) -> bool:
+    """(H1), and (H3) at the given primes: a^n != 1 mod ell^2."""
+    return _check_h1(a, n, q) and all(pow(a, n, ell * ell) != 1 for ell in h3_primes)
 
 
 @dataclass(frozen=True)
@@ -82,14 +79,9 @@ class AqCandidate:
     ell_bound: int
 
     def validate(self) -> bool:
-        if not _check_h1(self.a, self.n, self.q):
-            return False
-        if any(self.a % p != 0 for p in factor_integer(self.n)):
-            return False
-        return all(
-            pow(self.a, self.n, ell * ell) != 1
-            for ell in _h3_moduli(self.n, self.ell_bound, self.q)
-        )
+        n, q, a = self.n, self.q, self.a
+        h2 = all(a % p == 0 for p in factor_integer(n))
+        return h2 and _meets_h1_h3(a, n, q, _h3_moduli(n, self.ell_bound, q))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -121,11 +113,9 @@ def aq_search(n: int, q: int, ell_bound: int, a_bound: int) -> AqCandidate:
     if ell_bound < q:
         raise ValueError("ell_bound must be at least q")
     radical = math.prod(factor_integer(n))
-    moduli = _h3_moduli(n, ell_bound, q)
+    h3_primes = _h3_moduli(n, ell_bound, q)
     for a in range(radical, a_bound + 1, radical):
-        if not _check_h1(a, n, q):
-            continue
-        if all(pow(a, n, ell * ell) != 1 for ell in moduli):
+        if _meets_h1_h3(a, n, q, h3_primes):
             return AqCandidate(n=n, q=q, a=a, ell_bound=ell_bound)
     raise AqNotFound(f"no candidate for n={n}, q={q} in [1, {a_bound}]")
 
@@ -134,34 +124,53 @@ def aq_search(n: int, q: int, ell_bound: int, a_bound: int) -> AqCandidate:
 # factor checks on zeta_m^j - a^(n/m)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LemmaFactorsReport:
-    """The checks on y = zeta_m^j - a^(n/m) for a candidate a: |N(y)|, its
-    prime factors and each property; complete is False when the norm could
-    not be factored, and then no property is claimed."""
+    """The checks on y = zeta_m^j - a^(n/m) for a candidate a.  Only what
+    was measured is stored: the prime factors of |N(y)|, and whether the
+    norm could be factored (complete); y, its norm and each property follow
+    from them.  An incomplete report lists no factor and claims no property."""
 
     n: int
     m: int
     j: int
     a: int
-    element: CycInt
-    norm: int
     prime_factors: tuple[int, ...]
-    two_free: bool
-    outside_W2: bool
-    factors_split: bool
-    factors_coprime_to_m: bool
     complete: bool
+
+    @cached_property
+    def element(self) -> CycInt:
+        return CycInt.root(self.m, self.j) - self.a ** (self.n // self.m)
+
+    @cached_property
+    def norm(self) -> int:
+        return abs(self.element.norm())
+
+    @cached_property
+    def two_free(self) -> bool:
+        """is_kfree(y, 2) from the factors at hand: y is in P^2 when its coset code is 0."""
+        if not self.complete:
+            return False
+        row = np.array([self.element.coeffs], dtype=object)
+        ideals = candidate_ideals(self.norm, self.prime_factors, self.m, 2)
+        return all(ideal_lattice(P, 2).coset_codes(row)[0] for P in ideals)
+
+    @property
+    def outside_W2(self) -> bool:
+        """W_2: 2-free with every prime factor of |N(y)| dividing m."""
+        return self.complete and not (self.two_free and all(self.m % ell == 0 for ell in self.prime_factors))
+
+    @property
+    def factors_split(self) -> bool:
+        return self.complete and all(ell % self.m == 1 for ell in self.prime_factors)
+
+    @property
+    def factors_coprime_to_m(self) -> bool:
+        return self.complete and all(self.m % ell != 0 for ell in self.prime_factors)
 
     @property
     def passed(self) -> bool:
-        return (
-            self.complete
-            and self.two_free
-            and self.outside_W2
-            and self.factors_split
-            and self.factors_coprime_to_m
-        )
+        return self.two_free and self.outside_W2 and self.factors_split and self.factors_coprime_to_m
 
 
 def verify_lemma_factors(candidate: AqCandidate, m: int, j: int) -> LemmaFactorsReport:
@@ -172,40 +181,17 @@ def verify_lemma_factors(candidate: AqCandidate, m: int, j: int) -> LemmaFactors
     If the norm is past FACTOR_LIMIT or rho runs out of its step budget,
     the report is returned partial instead of wrong.
     """
-    n, a = candidate.n, candidate.a
-    if n % m != 0 or m < 3 or m % 4 == 2:
+    if candidate.n % m != 0 or m < 3 or m % 4 == 2:
         raise ValueError("m must be a divisor of n, at least 3, and not 2 mod 4")
     if math.gcd(j, m) != 1:
         raise ValueError("j must be a unit modulo m")
-    y = CycInt.root(m, j) - a ** (n // m)
-    norm = abs(y.norm())
+    unfactored = LemmaFactorsReport(candidate.n, m, j, candidate.a, prime_factors=(), complete=False)
+    norm = unfactored.norm
     try:
-        factors = tuple(sorted(factor_integer(norm))) if norm != 1 else ()
-        complete = True
+        factors = tuple(sorted(factor_integer(norm)))
     except (ValueError, FactorBudgetError):
-        factors = ()
-        complete = False
-    # is_kfree(y, 2) from the factors at hand: y is in P^2 when its coset code is 0.
-    row = np.array([y.coeffs], dtype=object)
-    two_free = complete and all(ideal_lattice(P, 2).coset_codes(row)[0] for P in candidate_ideals(norm, factors, m, 2))
-    # W_2: 2-free with every prime factor of |N(y)| dividing m.
-    outside = (not (two_free and all(m % ell == 0 for ell in factors))) if complete else False
-    split_ok = all(ell % m == 1 for ell in factors) if complete else False
-    coprime_ok = all(m % ell != 0 for ell in factors) if complete else False
-    return LemmaFactorsReport(
-        n=n,
-        m=m,
-        j=j,
-        a=a,
-        element=y,
-        norm=norm,
-        prime_factors=factors,
-        two_free=two_free,
-        outside_W2=outside,
-        factors_split=split_ok,
-        factors_coprime_to_m=coprime_ok,
-        complete=complete,
-    )
+        return unfactored
+    return replace(unfactored, prime_factors=factors, complete=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +219,10 @@ class FourSumsReport:
 
     n: int
     solutions: list[FourSumSolution]
-    all_divide_six: bool
+
+    @property
+    def all_divide_six(self) -> bool:
+        return all(s.divides_six for s in self.solutions)
 
 
 # The largest n whose four-term sums vanishing_four_sums enumerates.
@@ -301,11 +290,7 @@ def vanishing_four_sums(n: int) -> FourSumsReport:
                     FourSumSolution(signs=signs, exponents=exps, reduced_order=n // g)
                 )
     solutions.sort(key=lambda s: (s.exponents, s.signs))
-    return FourSumsReport(
-        n=n,
-        solutions=solutions,
-        all_divide_six=all(s.divides_six for s in solutions),
-    )
+    return FourSumsReport(n=n, solutions=solutions)
 
 
 def _has_vanishing_subsum(signs, exps, roots) -> bool:

@@ -23,7 +23,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +42,21 @@ HEREDITY_SEED = 0
 def point_cap() -> int:
     value = os.environ.get("CYCLOFREE_MAX_POINTS")
     return int(value) if value else DEFAULT_MAX_POINTS
+
+
+def check_box_cap(radii: Iterable[int], d: int, what: str) -> None:
+    """Raise ResourceCapError, before a walk, when the boxes [-r, r]^d for
+    the given radii r >= 1 hold more points in all than point_cap(); `what`
+    starts the message.  Every side is >= 3, so side^b > cap at b =
+    cap.bit_length(): no power of size d is formed, and the sum stops once
+    past the cap."""
+    cap = point_cap()
+    b = min(d, cap.bit_length())
+    total = 0
+    for r in radii:
+        total += (2 * r + 1) ** b
+        if total > cap:
+            raise ResourceCapError(f"{what}, above the cap of {cap}; raise CYCLOFREE_MAX_POINTS to override")
 
 
 def norm_bound(n: int, r: int) -> int:
@@ -146,13 +161,7 @@ def sieve_box(
         raise ValueError("r must be >= 1")
     d = ring_degree(n)
     side = 2 * r + 1
-    cap = point_cap()
-    # side >= 3, so side^b > cap at b = cap.bit_length(): no power of size d is formed
-    if side ** min(d, cap.bit_length()) > cap:
-        raise ResourceCapError(
-            f"box has {side}^{d} points, above the cap of {cap}; "
-            "raise CYCLOFREE_MAX_POINTS to override"
-        )
+    check_box_cap([r], d, f"box has {side}^{d} points")
     cap_norm = integer_kth_root(norm_bound(n, r), k)
     if ideal_norm_cap is not None:
         cap_norm = min(cap_norm, ideal_norm_cap)

@@ -306,9 +306,12 @@ def scan_for_violation(
     Each radius's shell is the rows of box_blocks(radius, d) with sup norm
     radius, joined into blocks of at least BLOCK_ROWS rows.  A matrix
     outside the unit-Galois family is expected to produce one, though this
-    scan cannot certify where.
+    scan cannot certify where.  Raises ResourceCapError first when the
+    boxes of radius 1 to radius_cap hold more rows in all than the point cap.
     """
     d = ring_degree(n)
+    walk = f"scan to radius {radius_cap} walks boxes of 3^{d} to {2 * radius_cap + 1}^{d} points"
+    kfree_mod.check_box_cap(range(1, radius_cap + 1), d, walk)
     for radius in range(1, radius_cap + 1):
         shell = (block[np.abs(block).max(axis=1) == radius] for block in box_blocks(radius, d))
         for block in _joined(shell):
@@ -325,13 +328,15 @@ def verify_Wk_preservation(element: SymmetryElement, k: int, norm_bound: int) ->
     norm_bound.
 
     W_k contains infinitely many elements (all roots of unity, for one),
-    so the enumeration is box-bounded by construction.
+    so the enumeration is box-bounded by construction; a box above the
+    point cap is refused with ResourceCapError.
     """
-    n = element.n
+    n, d = element.n, element.d
+    kfree_mod.check_box_cap([WK_SEARCH_RADIUS], d, f"W_k search box has {2 * WK_SEARCH_RADIUS + 1}^{d} points")
     inverse = element.inverse()
     failures = []
     checked = 0
-    for block in box_blocks(WK_SEARCH_RADIUS, ring_degree(n)):
+    for block in box_blocks(WK_SEARCH_RADIUS, d):
         norms = norm_array(n, block)
         rows = block[(norms != 0) & (norms <= norm_bound)]
         rows = rows[wk_mask(rows, n, k)]

@@ -409,3 +409,22 @@ def scan_for_violation_by_box(matrix, n: int, k: int, radius_cap: int = 100):
             if len(bad):
                 return tuple(rows[bad[0]].tolist())
     return None
+
+
+def h3_primes_by_divisors(n: int, ell_bound: int, q: int) -> list[int]:
+    """The (H3) primes by trying every divisor m >= 3 of n with m != 2 mod 4:
+    ell != q up to the bound with ell = 1 mod some such m."""
+    divisors = [m for m in range(3, n + 1) if n % m == 0 and m % 4 != 2]
+    return [ell for ell in primes_up_to(ell_bound) if ell != q and any(ell % m == 1 for m in divisors)]
+
+
+def h1_by_powers(a: int, n: int, q: int) -> bool:
+    """(H1), a of order exactly n q mod q^2: a^(nq) = 1 and a^(nq/p) != 1
+    for every prime p dividing n q."""
+    q2 = q * q
+    if math.gcd(a, q) != 1:
+        return False
+    target = n * q
+    if pow(a, target, q2) != 1:
+        return False
+    return all(pow(a, target // p, q2) != 1 for p in factor_integer(target))

@@ -306,6 +306,14 @@ class TestSplitting:
         with pytest.raises(TypeError):
             PrimeIdeal(5, 4, 1, 1, (2, 1))
 
+    @pytest.mark.parametrize("ell", [-1, 0, 1])
+    def test_ell_below_two_is_refused(self, ell):
+        # ell = 1 divides every n, so stripping its powers never ended.
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            arith.prime_power_part(ell, 4)
+        with pytest.raises(ValueError, match="ell must be >= 2"):
+            PrimeIdeal(ell, 4, (0, 1)).e
+
     def test_generators_lie_in_the_ideal(self):
         # g(zeta) must reduce to 0 modulo the ideal: its norm is divisible by ell
         for ell, n in ((5, 4), (13, 12), (7, 9)):

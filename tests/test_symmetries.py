@@ -2,20 +2,25 @@ import cmath
 import json
 import math
 import random
+import time
 
 import numpy as np
 import pytest
 from _oracles import (
-    apply, apply_element, box_points, euler_phi, is_kfree_by_valuations, scan_for_violation_by_box,
+    apply, apply_element, box_points, euler_phi, h1_by_powers, h3_primes_by_divisors, is_kfree_by_valuations,
+    scan_for_violation_by_box,
 )
 
-from cyclofree.arith import FactorBudgetError, determinant, factor_integer, primes_up_to
+from cyclofree.arith import FactorBudgetError, ResourceCapError, determinant, factor_integer, primes_up_to
 from cyclofree.cyclotomic import CycInt, ring_degree
 from cyclofree.kfree import sieve_box
 from cyclofree.prime_ideals import is_in_Wk, split_prime, valuation
 from cyclofree.certificates import (
     AqCandidate,
     AqNotFound,
+    FourSumSolution,
+    FourSumsReport,
+    LemmaFactorsReport,
     aq_search,
     splitting_primes,
     vanishing_four_sums,
@@ -261,6 +266,39 @@ class TestStabiliserAction:
         assert report.failures == expected and report.checked == checked
         assert len(expected) > len({p for p, _ in expected})  # one point fails at two primes
 
+    @pytest.mark.parametrize("walk", ["scan", "W_k"])
+    def test_degree_twelve_walks_are_refused_before_walking(self, walk, monkeypatch):
+        # The scan to radius 2 visits 3^12 + 5^12 rows, the W_k search 11^12:
+        # both above the default cap, so neither walks a row.
+        monkeypatch.delenv("CYCLOFREE_MAX_POINTS", raising=False)
+        el = symmetry_element(CycInt.root(13), 2)
+        start = time.perf_counter()
+        with pytest.raises(ResourceCapError, match="above the cap"):
+            if walk == "scan":
+                scan_for_violation(el.matrix, 13, 2, radius_cap=2)
+            else:
+                verify_Wk_preservation(el, 2, norm_bound=100)
+        assert time.perf_counter() - start < 1.0
+
+    def test_walk_cap_counts_every_box_visited(self, monkeypatch):
+        # At n = 4 the scan to radius 2 visits 3^2 + 5^2 = 34 rows and the
+        # W_k search 11^2 = 121: a cap of exactly that runs, one less refuses.
+        el = symmetry_element(CycInt.root(4), 1)
+        for cap, refused in ((33, True), (34, False)):
+            monkeypatch.setenv("CYCLOFREE_MAX_POINTS", str(cap))
+            if refused:
+                with pytest.raises(ResourceCapError, match=r"boxes of 3\^2 to 5\^2 points"):
+                    scan_for_violation(el.matrix, 4, 2, radius_cap=2)
+            else:
+                assert scan_for_violation(el.matrix, 4, 2, radius_cap=2) is None
+        for cap, refused in ((120, True), (121, False)):
+            monkeypatch.setenv("CYCLOFREE_MAX_POINTS", str(cap))
+            if refused:
+                with pytest.raises(ResourceCapError, match=r"W_k search box has 11\^2 points"):
+                    verify_Wk_preservation(el, 2, norm_bound=100)
+            else:
+                assert verify_Wk_preservation(el, 2, norm_bound=100).passed
+
     def test_stabiliser_matrix_has_no_violation_scan(self):
         el = symmetry_element(CycInt.root(4), 1)
         assert scan_for_violation(el.matrix, 4, 2, radius_cap=6) is None
@@ -395,6 +433,35 @@ class TestAqSearch:
         assert not _check_h1(7, 4, 5)
         assert _check_h1(2, 4, 5)
 
+    def test_h1_matches_the_power_test(self):
+        from cyclofree.certificates import _check_h1
+
+        for q in (3, 5, 7, 11, 13):
+            for n in range(1, 13):
+                for a in range(-q * q, q * q):
+                    assert _check_h1(a, n, q) == h1_by_powers(a, n, q), (a, n, q)
+
+    def test_h3_primes_match_the_divisor_loop(self):
+        from cyclofree.certificates import _h3_moduli
+
+        for n in (n for n in range(3, 200) if n % 4 != 2):
+            for q in (101, 1009):
+                assert _h3_moduli(n, 3000, q) == h3_primes_by_divisors(n, 3000, q), (n, q)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 7, 8, 9, 12, 15, 16, 20, 21, 24])
+    def test_search_matches_the_oracle_scan(self, n):
+        # The least multiple of the radical of n meeting the oracles' (H1)
+        # and (H3), for the first two primes q = 1 mod n.
+        radical = math.prod(factor_integer(n))
+        for q in [q for q in primes_up_to(400) if q % n == 1][:2]:
+            h3_primes = h3_primes_by_divisors(n, 2 * q, q)
+            expected = next(
+                a for a in range(radical, 10**6, radical)
+                if h1_by_powers(a, n, q) and all(pow(a, n, ell * ell) != 1 for ell in h3_primes)
+            )
+            cand = aq_search(n, q, ell_bound=2 * q, a_bound=10**6)
+            assert cand.a == expected and cand.validate(), (n, q)
+
     def test_search_finds_least_candidate(self):
         cand = aq_search(4, 5, ell_bound=100, a_bound=1000)
         assert cand.a == 2
@@ -457,6 +524,16 @@ class TestLemmaFactors:
         report = verify_lemma_factors(candidate, 3, 1)
         assert not report.complete and not report.passed
         assert report.prime_factors == () and not report.two_free
+
+    def test_report_stores_only_what_was_measured(self, candidate):
+        report = verify_lemma_factors(candidate, 3, 1)
+        again = LemmaFactorsReport(12, 3, 1, candidate.a, report.prime_factors, complete=True)
+        assert again == report and again.passed and again.norm == report.norm
+        with pytest.raises(TypeError):
+            LemmaFactorsReport(
+                12, 3, 1, candidate.a, report.element, report.norm, report.prime_factors,
+                True, True, True, True, True,
+            )
 
     def test_invalid_divisors_rejected(self, candidate):
         with pytest.raises(ValueError):
@@ -557,6 +634,14 @@ class TestVanishingFourSums:
                 value = 1 + s1 * zeta**i + s2 * zeta**j + s3 * zeta**k
                 assert abs(value) < 1e-9
                 assert sol.divides_six
+
+    def test_report_derives_the_divisibility(self):
+        six = FourSumSolution(signs=(1, -1, 1, -1), exponents=(0, 1, 2, 3), reduced_order=6)
+        five = FourSumSolution(signs=(1, -1, 1, -1), exponents=(0, 1, 2, 3), reduced_order=5)
+        assert FourSumsReport(6, [six]).all_divide_six
+        assert not FourSumsReport(5, [six, five]).all_divide_six
+        with pytest.raises(TypeError):
+            FourSumsReport(6, [six], True)
 
     def test_divisibility_for_conductors_up_to_thirty(self):
         for n in range(1, 31):
