@@ -1,16 +1,15 @@
-"""Dense univariate polynomial arithmetic over F_p and the equal-degree split.
+"""Dense univariate polynomial arithmetic over F_p and the split of Phi_m mod p.
 
 A polynomial is a tuple of ints in [0, p), constant coefficient first,
-with no trailing zeros.  The one factorization step is Cantor and
-Zassenhaus's equal-degree split (Math. Comp. 36, 1981): a squarefree
-product of irreducibles that all have one known degree d is split by gcds
-with random polynomials drawn from a caller's seeded generator, so a fixed
-seed makes the split reproducible.
+with no trailing zeros.  The one factorization is of the cyclotomic
+polynomial Phi_m mod p (p not dividing m) into its irreducible factors
+of one degree f, by Berlekamp's trace method (Math. Comp. 24, 1970): the
+traces of the powers of x are constants on each factor, and gcds with
+powers of them split the factors apart.  Nothing is drawn at random, so
+the factors are a function of (m, p) alone.
 """
 
 from __future__ import annotations
-
-import random
 
 Poly = tuple[int, ...]
 
@@ -115,35 +114,46 @@ def gf_pow_mod(f: Poly, e: int, mod: Poly, p: int) -> Poly:
     return result
 
 
-def _random_poly(degree_below: int, p: int, rng: random.Random) -> Poly:
-    return gf_trim(rng.randrange(p) for _ in range(degree_below))
+def cyclotomic_factors(phi: Poly, m: int, f: int, p: int) -> list[Poly]:
+    """The monic irreducible factors of phi = Phi_m mod p, each of degree f,
+    for a prime p not dividing m and f the order of p mod m.
 
-
-def equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
-    """All monic irreducible factors of a squarefree f, given that each has
-    degree d.  A wrong d never splits: the loop does not end."""
-    n = gf_degree(f)
-    if n == d:
-        return [gf_monic(f, p)]
-    while True:
-        a = _random_poly(n, p, rng)
-        if gf_degree(a) < 1:
-            continue
-        g = gf_gcd(a, f, p)
-        if 0 < gf_degree(g) < n:
-            break
-        if p == 2:
-            # trace map: a + a^2 + a^4 + ... splits f in characteristic 2
-            t: Poly = ()
-            b = gf_mod(a, f, p)
-            for _ in range(d):
-                t = gf_add(t, b, p)
-                b = gf_mod(gf_mul(b, b, p), f, p)
-            g = gf_gcd(t, f, p)
-        else:
-            b = gf_pow_mod(a, (p**d - 1) // 2, f, p)
-            g = gf_gcd(gf_sub(b, ONE, p), f, p)
-        if 0 < gf_degree(g) < n:
-            break
-    other, _ = gf_divmod(f, g, p)
-    return equal_degree_split(g, d, p, rng) + equal_degree_split(other, d, p, rng)
+    Modulo Phi_m, which divides x^m - 1, x^p maps the monomial x^a to
+    x^(a p mod m), so the trace t_j = sum_{i<f} x^(j p^i mod m) reduces mod
+    each irreducible factor F to Tr(z^j) in F_p, z the root of F.  For
+    j = 1..m-1 each unfinished factor F (degree above f) is split while t_j
+    mod F is not a constant: by gcd(F, (t_j + c)^e - 1), e = max(1, (p - 1)
+    // 2), for c = 0, 1, ... until the gcd is proper.  That ends: two
+    factors on which t_j takes values eta_1 != eta_2 are told apart by
+    some c, namely c = 1 - eta_1 at p <= 3, where the power is the first;
+    at p >= 5 the Jacobsthal sum sum_c chi(c + eta_1) chi(c + eta_2) = -1
+    leaves (p - 1)/2 values of c where the two Legendre symbols differ.
+    And every two distinct factors meet such a j: their roots lie in two
+    distinct Frobenius orbits of m-th roots of unity, so the characters
+    j -> z^j of Z/m they sum are distinct, and by their independence the
+    two sums of f characters differ at some j, which is not 0.  So once j
+    reaches m - 1 every factor is irreducible.
+    """
+    e = max(1, (p - 1) // 2)
+    factors, j = [phi], 1
+    while any(gf_degree(F) > f for F in factors):
+        if j == m:  # with the right f, every two factors differ at some j < m
+            raise ArithmeticError(f"Phi_{m} mod {p} has no factors of degree {f}")
+        powers = [0] * m
+        for i in range(f):
+            powers[j * pow(p, i, m) % m] += 1
+        trace = gf_from_int_poly(powers, p)
+        stack, factors = factors, []
+        while stack:
+            F = stack.pop()
+            t = gf_mod(trace, F, p)
+            # a constant t, as on every irreducible F, keeps F whole at this j
+            for c in range(p if gf_degree(t) > 0 else 0):
+                h = gf_gcd(F, gf_sub(gf_pow_mod(gf_add(t, (c,), p), e, F, p), ONE, p), p)
+                if 0 < gf_degree(h) < gf_degree(F):
+                    stack += [h, gf_divmod(F, h, p)[0]]
+                    break
+            else:
+                factors.append(F)
+        j += 1
+    return factors

@@ -9,7 +9,8 @@ with n = ell^a m and ell not dividing m, arith.prime_shape reads it from
 n and ell alone, ramified or not, f being the order of ell mod m
 (splitting_type returns it).  The factors for f = 1 (ell = 1 mod m) are
 x - h^r, with h of order m mod ell and r a unit mod m; for g = 1 Phi_m
-mod ell is the one factor, and otherwise one equal-degree split finds them.
+mod ell is the one factor, and otherwise gfpoly.cyclotomic_factors splits
+Phi_m mod ell by its traces, with no random draw.
 
 Valuations are computed geometrically: v_P(x) is the largest m for which
 the embedded point lies in the lattice of P^m (coset code 0).  The k-free
@@ -20,7 +21,6 @@ distinct norm, and membership in P^k by coset codes.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -91,8 +91,8 @@ def split_prime(ell: int, n: int) -> tuple[PrimeIdeal, ...]:
     When f = 1 (ell = 1 mod m), ramified or not, they are the x - h^r for
     h of order exactly m mod ell (arith.root_of_unity) and r in (Z/m)^x,
     and the ideals are (ell, zeta - h^r).  When g = 1 (ell inert in
-    Q(zeta_m)), Phi_m mod ell is itself the one factor.  Otherwise one
-    equal-degree split of Phi_m mod ell gives every factor.
+    Q(zeta_m)), Phi_m mod ell is itself the one factor.  Otherwise the
+    deterministic trace split gfpoly.cyclotomic_factors gives every factor.
     """
     _, f, g = splitting_type(ell, n)
     _, m = prime_power_part(ell, n)
@@ -104,25 +104,27 @@ def split_prime(ell: int, n: int) -> tuple[PrimeIdeal, ...]:
     else:
         from . import gfpoly  # here, so conductors whose primes need no split skip the module
 
-        base = gfpoly.gf_from_int_poly(cyclotomic_polynomial(m), ell)
-        factors = gfpoly.equal_degree_split(base, f, ell, random.Random(0))
+        factors = gfpoly.cyclotomic_factors(gfpoly.gf_from_int_poly(cyclotomic_polynomial(m), ell), m, f, ell)
     ideals = [PrimeIdeal(ell=ell, n=n, g_poly=c) for c in factors]
     return tuple(sorted(ideals, key=PrimeIdeal.sort_key))
 
 
 def enumerate_prime_ideals(n: int, norm_bound: int) -> Iterator[PrimeIdeal]:
     """Every prime ideal of norm <= norm_bound, once, sorted by
-    (norm, ell, coefficients of the defining factor).  A norm ell^f <=
-    norm_bound < ell^2 forces f = 1, which needs ell | n or ell = 1 mod n."""
+    (norm, ell, coefficients of the defining factor): the primes ell are
+    sorted by (ell^f, ell) and each yields its split_prime tuple, already
+    in that order.  A norm ell^f <= norm_bound < ell^2 forces f = 1, which
+    needs ell | n or ell = 1 mod n."""
     validate_conductor(n)
-    found: list[PrimeIdeal] = []
+    found: list[tuple[int, int]] = []
     for ell in primes_up_to(norm_bound):
         if ell * ell > norm_bound and ell % n != 1 and n % ell:
             continue
-        if ell ** splitting_type(ell, n)[1] <= norm_bound:
-            found.extend(split_prime(ell, n))
-    found.sort(key=PrimeIdeal.sort_key)
-    yield from found
+        norm = ell ** splitting_type(ell, n)[1]
+        if norm <= norm_bound:
+            found.append((norm, ell))
+    for _, ell in sorted(found):
+        yield from split_prime(ell, n)
 
 
 def valuation(x: CycInt, ideal: PrimeIdeal) -> int:

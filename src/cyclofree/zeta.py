@@ -328,11 +328,13 @@ def dedekind_zeta(n: int, k: int, prime_bound: int) -> ZetaValue:
     hi = lo + delta
     # Ziv's test: floor and ceiling are monotone, so when the head's two
     # bounds round lo (and hi) to the same integer, that integer is the
-    # floor of lo H (the ceiling of hi H).  Otherwise H is formed exactly,
-    # but for the factors _exact_head only bounds.
+    # floor of lo H (the ceiling of hi H).  Every head factor is below 1,
+    # so H < 1 and floor(lo H) <= lo - 1 bounds the floor from above too.
+    # Otherwise H is formed exactly, but for the factors _exact_head only
+    # bounds.
     hl, hh = head
     low, high = lo * hl >> wide, -(-hi * hh >> wide)
-    if low != lo * hh >> wide or high != -(-hi * hl >> wide):
+    if low != min(lo * hh >> wide, lo - 1) or high != -(-hi * hl >> wide):
         # The head stays unreduced: a common factor of num and den does not
         # change the floor or ceiling of lo * num / den.  H = E num/den, and
         # for s > 0, E in (1 - s 2^-T, 1) with T = HEAD_FACTOR_BITS puts

@@ -3,11 +3,15 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 
 from cyclofree import gfpoly
+from cyclofree.gfpoly import (
+    ONE, Poly, gf_add, gf_degree, gf_divmod, gf_gcd, gf_mod, gf_monic, gf_mul, gf_pow_mod, gf_sub, gf_trim,
+)
 from cyclofree.arith import factor_integer, primes_up_to
 from cyclofree.cyclotomic import CycInt, cyclotomic_polynomial, ring_degree
 from cyclofree.cli import PAYLOAD_BLOCK
@@ -74,6 +78,43 @@ def is_irreducible(f, p: int) -> bool:
         if gfpoly.gf_degree(gfpoly.gf_gcd(gfpoly.gf_sub(h, x, p), f, p)) != 0:
             return False
     return True
+
+
+# Cantor and Zassenhaus's equal-degree split (Math. Comp. 36, 1981), by
+# seeded random draws and, in characteristic 2, the trace map: the
+# randomized reference that gfpoly.cyclotomic_factors is compared against.
+def _random_poly(degree_below: int, p: int, rng: random.Random) -> Poly:
+    return gf_trim(rng.randrange(p) for _ in range(degree_below))
+
+
+def equal_degree_split(f: Poly, d: int, p: int, rng: random.Random) -> list[Poly]:
+    """All monic irreducible factors of a squarefree f, given that each has
+    degree d.  A wrong d never splits: the loop does not end."""
+    n = gf_degree(f)
+    if n == d:
+        return [gf_monic(f, p)]
+    while True:
+        a = _random_poly(n, p, rng)
+        if gf_degree(a) < 1:
+            continue
+        g = gf_gcd(a, f, p)
+        if 0 < gf_degree(g) < n:
+            break
+        if p == 2:
+            # trace map: a + a^2 + a^4 + ... splits f in characteristic 2
+            t: Poly = ()
+            b = gf_mod(a, f, p)
+            for _ in range(d):
+                t = gf_add(t, b, p)
+                b = gf_mod(gf_mul(b, b, p), f, p)
+            g = gf_gcd(t, f, p)
+        else:
+            b = gf_pow_mod(a, (p**d - 1) // 2, f, p)
+            g = gf_gcd(gf_sub(b, ONE, p), f, p)
+        if 0 < gf_degree(g) < n:
+            break
+    other, _ = gf_divmod(f, g, p)
+    return equal_degree_split(g, d, p, rng) + equal_degree_split(other, d, p, rng)
 
 
 def apply(element, point) -> tuple[int, ...]:

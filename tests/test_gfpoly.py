@@ -3,13 +3,13 @@ import random
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from _oracles import is_irreducible
+from _oracles import equal_degree_split, is_irreducible
 
 from cyclofree import gfpoly
 
 
 def split(f, d, p, seed=0):
-    return gfpoly.equal_degree_split(f, d, p, random.Random(seed))
+    return equal_degree_split(f, d, p, random.Random(seed))
 
 
 def random_irreducibles(count, degree, p, rng):
@@ -59,6 +59,21 @@ class TestFactorProperties:
         f = (1,) * 13  # Phi_13 mod 3: four irreducible factors of degree 3
         assert split(f, 3, 3, seed=5) == split(f, 3, 3, seed=5)
         assert len(split(f, 3, 3, seed=5)) == 4
+
+
+class TestCyclotomicFactors:
+    def test_phi13_mod_3_matches_the_equal_degree_split_on_every_call(self):
+        # Phi_13 mod 3: four irreducible factors of degree 3, found with no
+        # random draw, so two calls give one list.
+        f = (1,) * 13
+        factors = gfpoly.cyclotomic_factors(f, 13, 3, 3)
+        assert factors == gfpoly.cyclotomic_factors(f, 13, 3, 3)
+        assert sorted(factors) == sorted(split(f, 3, 3))
+        assert all(is_irreducible(poly, 3) for poly in factors)
+
+    def test_wrong_degree_is_refused(self):
+        with pytest.raises(ArithmeticError, match="degree 2"):
+            gfpoly.cyclotomic_factors((1,) * 13, 13, 2, 3)
 
 
 class TestArithmetic:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from _oracles import (
     degree_one_primes,
+    equal_degree_split,
     euler_phi,
     is_irreducible,
     is_kfree_bruteforce,
@@ -58,6 +59,30 @@ class TestIntegerArithmetic:
             assert is_prime(p)
         for c in (0, 1, 4, 9, 91, 561, 2**31):
             assert not is_prime(c)
+
+    def test_pseudoprime_table_is_checked_not_trusted(self):
+        # psi_j, the least strong pseudoprime to the first j prime bases, is
+        # composite and passes each of those bases; below psi_13, is_prime
+        # must refuse it.  psi_13's factors lie past rho's step budget.
+        bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+        known = {3317044064679887385961981: 1287836182261}
+        for j, psi in enumerate(arith._PSI, start=1):
+            divisor = known.get(psi) or min(factor_integer(psi))
+            assert 1 < divisor < psi and psi % divisor == 0, j
+            d, s = psi - 1, 0
+            while d % 2 == 0:
+                d, s = d // 2, s + 1
+            for a in bases[:j]:
+                x = pow(a, d, psi)
+                assert x in (1, psi - 1) or any(pow(x, 2**i, psi) == psi - 1 for i in range(1, s)), (j, a)
+            assert is_prime(psi) == (j == 13), j
+
+    def test_twelve_base_pseudoprime_factors(self):
+        assert factor_integer(318665857834031151167461) == {399165290221: 1, 798330580441: 1}
+
+    def test_primality_agrees_with_the_sieve_below_a_million(self):
+        primes = set(primes_up_to(10**6))
+        assert {m for m in range(10**6) if is_prime(m)} == primes
 
     def test_factor_matches_product(self):
         rng = random.Random(0)
@@ -231,8 +256,8 @@ class TestSplitting:
                         product = gfpoly.gf_mul(product, P.g_poly, ell)
                 assert product == gfpoly.gf_from_int_poly(phi, ell), (n, ell)
                 visited.add((ell, n, e > 1, f > 1))
-        # ell = 2 with f > 1 takes the trace branch of the split; 3 in 33 is
-        # ramified with g = 2
+        # ell = 2 and ell = 3 with f > 1 take the trace split with e = 1, so
+        # no power; 3 in 33 is ramified with g = 2
         assert {(2, 7, False, True), (2, 31, False, True), (3, 33, True, True)} <= visited
 
     def test_degree_one_split_matches_equal_degree_split(self):
@@ -245,7 +270,7 @@ class TestSplitting:
             for ell in degree_one_primes(n, 8):
                 ideals = split_prime(ell, n)
                 assert all((P.e, P.f) == (1, 1) for P in ideals)
-                factors = gfpoly.equal_degree_split(gfpoly.gf_from_int_poly(phi, ell), 1, ell, random.Random(0))
+                factors = equal_degree_split(gfpoly.gf_from_int_poly(phi, ell), 1, ell, random.Random(0))
                 assert [P.g_poly for P in ideals] == sorted(factors), (n, ell)
 
     def test_inert_split_matches_equal_degree_split(self):
@@ -260,18 +285,36 @@ class TestSplitting:
                 if n % ell == 0 or multiplicative_order(ell, n) != euler_phi(n):
                     continue
                 base = gfpoly.gf_from_int_poly(phi, ell)
-                factors = gfpoly.equal_degree_split(base, euler_phi(n), ell, random.Random(0))
+                factors = equal_degree_split(base, euler_phi(n), ell, random.Random(0))
                 assert [P.g_poly for P in split_prime(ell, n)] == factors, (n, ell)
                 cases += 1
         assert cases > 100
+
+    def test_trace_split_matches_equal_degree_split(self):
+        # Where f > 1 and g > 1 the deterministic trace split of Phi_m mod
+        # ell finds the factors the randomized equal-degree split finds.
+        visited = set()
+        for n in range(3, 41):
+            if n % 4 == 2:
+                continue
+            for ell in primes_up_to(50):
+                _, f, g = splitting_type(ell, n)
+                if f == 1 or g == 1:
+                    continue
+                _, m = arith.prime_power_part(ell, n)
+                base = gfpoly.gf_from_int_poly(cyclotomic_polynomial(m), ell)
+                factors = sorted(equal_degree_split(base, f, ell, random.Random(0)))
+                assert [P.g_poly for P in split_prime(ell, n)] == factors, (n, ell)
+                visited.add(ell)
+        assert {2, 3, 5, 47} <= visited
 
     def test_degree_one_split_needs_no_equal_degree_split(self, monkeypatch):
         # With n = ell^a m, a prime of residue degree 1 splits by one root of
         # unity of order m mod ell, ramified or not (m = 1 at n = 2^a).
         def refuse(*args):
-            raise AssertionError("equal_degree_split called for f = 1")
+            raise AssertionError("cyclotomic_factors called for f = 1")
 
-        monkeypatch.setattr(gfpoly, "equal_degree_split", refuse)
+        monkeypatch.setattr(gfpoly, "cyclotomic_factors", refuse)
         split_prime.cache_clear()
         expected = {
             (7, 21): [(3, 1), (5, 1)],

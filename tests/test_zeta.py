@@ -162,6 +162,16 @@ def test_undecided_head_falls_back_to_the_exact_product(monkeypatch, n, k, bound
     assert forced == decided == dedekind_zeta_by_fractions(n, k, bound)
 
 
+@pytest.mark.parametrize("n, k", [(10007, 2), (100003, 4)])
+def test_head_below_one_decides_without_the_exact_product(monkeypatch, n, k):
+    # Nearly every head prime takes the one-unit step, so lo hh / 2^W rounds
+    # down to lo itself; H < 1 puts floor(lo H) at lo - 1 or below, which
+    # the head's lower bound then meets.
+    monkeypatch.setattr(zeta, "_exact_head", lambda *args: pytest.fail(f"exact head at {args}"))
+    z = dedekind_zeta.__wrapped__(n, k, 10**5)
+    assert 1 <= z.lower <= z.upper
+
+
 @pytest.mark.parametrize("n, k, bound, factor_bits", [(10007, 4, 30, 2048), (41, 2, 3000, 300)])
 def test_head_factors_past_the_bit_bound_are_bounded_not_formed(monkeypatch, n, k, bound, factor_bits):
     # At n = 10007 every head factor has q > 2^2048 and Ziv's test cannot
